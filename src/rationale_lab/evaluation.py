@@ -10,7 +10,6 @@ the dataset's canonical feature order; predictions threshold the output at
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -348,9 +347,3 @@ def write_curve_tsv(curve: RationaleCurve, path: str | Path) -> Path:
     path.write_text("\n".join(lines) + "\n")
     return path
 
-
-def write_table_json(tables: dict[str, ConditionOutputTable], path: str | Path) -> Path:
-    path = Path(path)
-    doc = {name: table.to_dict() for name, table in sorted(tables.items())}
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    return path

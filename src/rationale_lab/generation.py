@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -103,10 +102,6 @@ class Dataset:
 
     def case(self, i: int) -> dict[str, int]:
         return self.schema.row_to_case(self.values[i])
-
-    def iter_cases(self) -> Iterator[dict[str, int]]:
-        schema = self.schema
-        return (schema.row_to_case(row) for row in self.values)
 
     def equals(self, other: "Dataset") -> bool:
         """Case-for-case equality, metadata included."""

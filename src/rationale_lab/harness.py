@@ -193,6 +193,18 @@ def _dataset(spec: GeneratorRequest, seed: int) -> Dataset:
     )
 
 
+class _FixedOutputs:
+    """A model's outputs on one test set, computed once and handed to every
+    evaluation of that set; ``outputs`` ignores its argument."""
+
+    def __init__(self, schema_id: str, outputs: np.ndarray):
+        self.schema_id = schema_id
+        self._outputs = outputs
+
+    def outputs(self, values) -> np.ndarray:
+        return self._outputs
+
+
 def _run_repetition(plan: ExperimentPlan, rep: int) -> _RepResult:
     n_train, n_arch = len(plan.train_specs), len(plan.architectures)
     n_test = len(plan.test_specs)
@@ -229,13 +241,14 @@ def _run_repetition(plan: ExperimentPlan, rep: int) -> _RepResult:
                 diverged[ti, ai] = True
                 continue
             for si, test_set in enumerate(test_sets):
-                accs[ti, ai, si] = accuracy(model, test_set)
+                model_outputs = _FixedOutputs(model.schema_id, model.outputs(test_set.values))
+                accs[ti, ai, si] = accuracy(model_outputs, test_set)
                 target = DEDICATED_TARGET.get((plan.domain_id, test_set.kind))
                 if target is None:
                     continue
                 if test_set.kind in _CURVE_AXES:
                     x_feat, g_feat = _CURVE_AXES[test_set.kind]
-                    curve = output_curve(model, test_set, x_feat, g_feat)
+                    curve = output_curve(model_outputs, test_set, x_feat, g_feat)
                     curves[(ti, ai, si)] = (
                         curve.groups[0].xs,
                         curve.groups[0].means,
@@ -245,7 +258,7 @@ def _run_repetition(plan: ExperimentPlan, rep: int) -> _RepResult:
                         curve.groups[1].counts,
                     )
                 else:
-                    tbl = condition_table(model, test_set, target)
+                    tbl = condition_table(model_outputs, test_set, target)
                     tables[(ti, ai, si)] = (
                         tbl.rows[False].mean_output,
                         tbl.rows[True].mean_output,

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import base64
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,28 @@ def max_relative_error(got: network.ModelParams, want: network.ModelParams) -> f
     for a, b in zip(got.weights + got.biases, want.weights + want.biases):
         worst = max(worst, float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b)))))
     return worst
+
+
+def mismatched_model_doc(doc: dict, edit: str) -> dict:
+    """A saved tort (24, 6) model document whose layers no longer fit it.
+
+    ``unchained``: the second layer has 5 rows under a 24-wide first layer.
+    ``other-architecture``: the layers chain, but as a (12,) network.
+    Every array keeps the byte length its shape implies.
+    """
+    def zeros(*shape):
+        return base64.b64encode(np.zeros(shape, dtype="<f8").tobytes()).decode()
+
+    def layer(fan_in, fan_out):
+        return {"shape": [fan_in, fan_out], "weights": zeros(fan_in, fan_out),
+                "bias": zeros(fan_out)}
+
+    assert doc["network"]["hidden_layers"] == [24, 6]
+    if edit == "unchained":
+        doc["layers"][1] = layer(5, 6)
+    else:
+        doc["layers"] = [layer(10, 12), layer(12, 1)]
+    return doc
 
 
 @pytest.fixture(scope="session")

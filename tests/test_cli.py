@@ -6,6 +6,8 @@ import pytest
 from rationale_lab import ExperimentPlan, GeneratorRequest, save_plan
 from rationale_lab.cli import main
 
+from conftest import mismatched_model_doc
+
 PLANS_DIR = Path(__file__).resolve().parent.parent / "plans"
 
 
@@ -138,6 +140,17 @@ class TestTrainEval:
         )
         assert code == 0
         assert curve.read_text().startswith("group\tx\tmean_output\tn")
+
+    @pytest.mark.parametrize("edit", ["unchained", "other-architecture"])
+    def test_eval_of_mismatched_model_exits_3(self, tmp_path, capsys, edit):
+        data = tmp_path / "train.csv"
+        run(["gen", "--domain", "tort", "--kind", "unique", "--out", str(data)], capsys)
+        model = tmp_path / "model.json"
+        run(["train", "--in", str(data), "--domain", "tort", "--hidden", "24,6",
+             "--iterations", "5", "--seed", "1", "--out", str(model)], capsys)
+        model.write_text(json.dumps(mismatched_model_doc(json.loads(model.read_text()), edit)))
+        code, _, stderr = run(["eval", "--model", str(model), "--in", str(data)], capsys)
+        assert code == 3 and "layer shapes" in stderr
 
     def test_bad_hidden_spec_exits_2(self, tmp_path, capsys):
         data = tmp_path / "train.csv"

@@ -1,7 +1,10 @@
+import base64
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from rationale_lab import (
     NetworkConfig,
@@ -18,14 +21,16 @@ from rationale_lab import (
     train,
 )
 from rationale_lab.network import (
+    STANDARD_HIDDEN_LAYERS,
     AdamState,
     ModelParams,
+    TrainedModel,
     adam_update,
     forward,
     schema_scaling,
 )
 
-from conftest import finite_difference_grads, max_relative_error
+from conftest import finite_difference_grads, max_relative_error, mismatched_model_doc
 
 
 def tiny_model(weights, biases, schema_id="tort", feature_names=None, input_width=None):
@@ -44,6 +49,60 @@ def tiny_model(weights, biases, schema_id="tort", feature_names=None, input_widt
         schema_id=schema_id,
         feature_names=feature_names or tuple(f"f{i}" for i in range(width)),
     )
+
+
+def reference_adam(arrays, ms, vs, grads, t, cfg):
+    """Adam applied array by array: the update the fused step must equal."""
+    b1, b2, eps, lr = cfg.beta1, cfg.beta2, cfg.epsilon, cfg.learning_rate
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    for p, m, v, g in zip(arrays, ms, vs, grads):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * np.square(g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def reference_grads(weights, biases, x, y):
+    """Backprop with a fresh array per layer gradient."""
+    y = y.reshape(-1, 1)
+    activations = [x]
+    for w, b in zip(weights, biases):
+        activations.append(expit(activations[-1] @ w + b))
+    grad_w, grad_b = [None] * len(weights), [None] * len(weights)
+    delta = (activations[-1] - y) / x.shape[0]
+    for layer in range(len(weights) - 1, -1, -1):
+        a_prev = activations[layer]
+        grad_w[layer] = a_prev.T @ delta
+        grad_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ weights[layer].T) * a_prev * (1.0 - a_prev)
+    return grad_w, grad_b
+
+
+def reference_train(dataset, network_config, train_config):
+    """``train``'s batch schedule over separate per-layer arrays and
+    per-array Adam; returns the final (weights, biases)."""
+    init = init_params(network_config)
+    weights = [w.copy() for w in init.weights]
+    biases = [b.copy() for b in init.biases]
+    arrays = weights + biases
+    ms = [np.zeros_like(a) for a in arrays]
+    vs = [np.zeros_like(a) for a in arrays]
+    x = schema_scaling(dataset.schema_id).apply(dataset.values)
+    y = dataset.labels.astype(np.float64)
+    rng = np.random.default_rng(train_config.shuffle_seed)
+    n, bs = len(dataset), train_config.batch_size
+    order, pos = rng.permutation(n), 0
+    for step in range(1, train_config.iterations + 1):
+        if pos >= n:
+            order, pos = rng.permutation(n), 0
+        batch = order[pos : pos + bs]
+        pos += bs
+        grad_w, grad_b = reference_grads(weights, biases, x[batch], y[batch])
+        reference_adam(arrays, ms, vs, grad_w + grad_b, step, train_config)
+    return weights, biases
 
 
 class TestConfigs:
@@ -68,7 +127,7 @@ class TestConfigs:
 class TestInit:
     def test_deterministic_in_seed(self):
         cfg = NetworkConfig(10, (24, 10, 3), init_seed=77)
-        assert init_params(cfg).allclose(init_params(cfg))
+        assert np.array_equal(init_params(cfg).flat, init_params(cfg).flat)
 
     def test_layer_shapes(self):
         params = init_params(NetworkConfig(10, (24, 10, 3), init_seed=1))
@@ -79,6 +138,54 @@ class TestInit:
         limit = math.sqrt(6.0 / (64 + 12))
         assert np.all(np.abs(params.weights[0]) <= limit)
         assert all(not b.any() for b in params.biases)
+
+
+class TestFlatBuffers:
+    def test_layer_views_write_through_to_flat(self):
+        params = init_params(NetworkConfig(4, (24, 10, 3), init_seed=1))
+        params.weights[1][2, 3] = 7.5
+        params.biases[2][1] = -2.25
+        assert 7.5 in params.flat and -2.25 in params.flat
+        assert all(np.shares_memory(a, params.flat) for a in params.weights + params.biases)
+        assert params.flat.size == sum(a.size for a in params.weights + params.biases)
+
+    def test_constructor_copies_its_arguments(self):
+        w, b = np.ones((2, 1)), np.zeros(1)
+        params = ModelParams([w], [b])
+        w[0, 0] = 5.0
+        assert params.weights[0][0, 0] == 1.0
+
+    def test_layers_must_chain(self):
+        with pytest.raises(ValueError, match="chain"):
+            ModelParams([np.zeros((4, 3)), np.zeros((2, 1))], [np.zeros(3), np.zeros(1)])
+
+    @pytest.mark.parametrize("hidden", STANDARD_HIDDEN_LAYERS)
+    def test_out_gives_the_same_bits_as_a_fresh_buffer(self, hidden):
+        rng = np.random.default_rng(8)
+        params = init_params(NetworkConfig(10, hidden, init_seed=4))
+        x, y = rng.random((50, 10)), rng.integers(0, 2, 50)
+        out = params.empty_like()
+        loss_out, got = loss_and_grads(params, x, y, out=out)
+        loss_fresh, fresh = loss_and_grads(params, x, y)
+        assert got is out
+        assert loss_out == loss_fresh
+        assert np.array_equal(got.flat, fresh.flat)
+
+    def test_fresh_gradient_buffers_never_alias(self):
+        params = init_params(NetworkConfig(4, (24, 6), init_seed=2))
+        x, y = np.full((3, 4), 0.5), np.array([0.0, 1.0, 1.0])
+        _, first = loss_and_grads(params, x, y)
+        kept = first.flat.copy()
+        _, second = loss_and_grads(params, x, y)
+        assert not np.shares_memory(first.flat, second.flat)
+        assert not np.shares_memory(first.flat, params.flat)
+        assert np.array_equal(first.flat, kept)
+
+    def test_out_of_another_layout_rejected(self):
+        params = init_params(NetworkConfig(4, (12,), init_seed=0))
+        other = init_params(NetworkConfig(4, (24, 6), init_seed=0))
+        with pytest.raises(ValueError, match="layout"):
+            loss_and_grads(params, np.zeros((2, 4)), np.zeros(2), out=other)
 
 
 class TestForward:
@@ -200,6 +307,33 @@ class TestAdam:
             runs.append(params.weights[0].copy())
         assert np.array_equal(runs[0], runs[1])
 
+    @pytest.mark.parametrize("width", (4, 10, 64))
+    @pytest.mark.parametrize("hidden", STANDARD_HIDDEN_LAYERS)
+    def test_fused_step_matches_per_array_reference(self, width, hidden):
+        params = init_params(NetworkConfig(width, hidden, init_seed=width))
+        arrays = [a.copy() for a in params.weights + params.biases]
+        ms = [np.zeros_like(a) for a in arrays]
+        vs = [np.zeros_like(a) for a in arrays]
+        state = AdamState(params)
+        grads = params.empty_like()
+        rng = np.random.default_rng(width)
+        cfg = TrainConfig()
+        for t in range(1, 201):
+            grads.flat[:] = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=grads.flat.size)
+            adam_update(params, state, grads, t, cfg)
+            reference_adam(arrays, ms, vs, grads.weights + grads.biases, t, cfg)
+        for got, want in zip(params.weights + params.biases, arrays):
+            assert np.array_equal(got, want)
+        for got, want in zip(state.m.weights + state.m.biases + state.v.weights + state.v.biases,
+                             ms + vs):
+            assert np.array_equal(got, want)
+
+    def test_gradients_of_another_layout_rejected(self):
+        params = init_params(NetworkConfig(4, (12,), init_seed=0))
+        other = init_params(NetworkConfig(4, (24, 6), init_seed=0))
+        with pytest.raises(ValueError, match="layout"):
+            adam_update(params, AdamState(params), other, 1, TrainConfig())
+
 
 class TestTrain:
     def test_bit_deterministic(self):
@@ -216,7 +350,7 @@ class TestTrain:
         ds = gen_tort("regular", size=200, seed=3)
         cfg = NetworkConfig(10, (12,), init_seed=9)
         model = train(ds, cfg, TrainConfig(iterations=1, shuffle_seed=1))
-        assert not model.params.allclose(init_params(cfg))
+        assert not np.array_equal(model.params.flat, init_params(cfg).flat)
 
     def test_loss_trace_recorded_and_finite(self):
         ds = gen_tort("regular", size=200, seed=3)
@@ -259,7 +393,7 @@ class TestPredict:
         ds = gen_tort("unique")
         assert forward(model, ds.values[0]) == 0.5
         assert predict(model, ds.values[0]) is True
-        assert model.predict_matrix(ds.values).all()
+        assert (model.outputs(ds.values) >= 0.5).all()
 
 
 class TestPersistence:
@@ -279,6 +413,37 @@ class TestPersistence:
         assert back.feature_names == model.feature_names
         # identical outputs after the round trip
         assert np.array_equal(model.outputs(ds.values), back.outputs(ds.values))
+
+    def test_saved_bytes_match_per_array_reference_training(self, tmp_path):
+        ds = gen_tort("regular", size=130, seed=3)
+        cfg = NetworkConfig(10, (24, 10, 3), init_seed=2)
+        tc = TrainConfig(iterations=150, batch_size=40, shuffle_seed=5)
+        model = train(ds, cfg, tc)
+        weights, biases = reference_train(ds, cfg, tc)
+        reference = TrainedModel(
+            config=cfg, train_config=tc, params=ModelParams(weights, biases),
+            scaling=model.scaling, schema_id=model.schema_id,
+            feature_names=model.feature_names,
+        )
+        got = save_model(model, tmp_path / "model.json").read_bytes()
+        want = save_model(reference, tmp_path / "reference.json").read_bytes()
+        assert got == want
+        layers = json.loads(got)["layers"]
+        assert [sorted(layer) for layer in layers] == [["bias", "shape", "weights"]] * 4
+        for layer, w, b in zip(layers, weights, biases):
+            assert layer["shape"] == list(w.shape)
+            assert base64.b64decode(layer["weights"]) == w.astype("<f8").tobytes()
+            assert base64.b64decode(layer["bias"]) == b.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("edit", ["unchained", "other-architecture"])
+    def test_rejects_layers_that_do_not_fit_the_network(self, tmp_path, edit):
+        path = tmp_path / "model.json"
+        save_model(train(gen_tort("regular", size=200, seed=3),
+                         NetworkConfig(10, (24, 6), init_seed=2),
+                         TrainConfig(iterations=5, shuffle_seed=5)), path)
+        path.write_text(json.dumps(mismatched_model_doc(json.loads(path.read_text()), edit)))
+        with pytest.raises(ValueError, match="layer shapes"):
+            load_model(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "model.json"
