@@ -54,7 +54,6 @@ from .evaluation import (
     ConditionOutputTable,
     ConstantOutputModel,
     CurveDeviation,
-    IdealCurve,
     LabelOracleModel,
     RationaleCurve,
     TurningPointReport,

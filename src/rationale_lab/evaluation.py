@@ -109,9 +109,6 @@ class RationaleCurve:
         raise KeyError(f"no group {label!r} (have {[g.label for g in self.groups]})")
 
 
-IdealCurve = RationaleCurve  # same shape, but all means are exactly 0 or 1
-
-
 def output_curve(
     model, dataset: Dataset, x_feature: str, group_feature: str
 ) -> RationaleCurve:
@@ -155,7 +152,7 @@ _DEDICATED_GRIDS = {
 }
 
 
-def ideal_curve(domain_id: str, cond_id: str) -> IdealCurve:
+def ideal_curve(domain_id: str, cond_id: str) -> RationaleCurve:
     """The 0/1 curve a perfect learner of one condition would produce.
 
     Supported for the two curve-testable conditions, C1 and C6, on the

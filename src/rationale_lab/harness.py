@@ -82,6 +82,14 @@ class ExperimentPlan:
                     f"plan is for {self.domain_id!r}"
                 )
             spec.validate()
+        for what, labels in (
+            ("train set", [s.label() for s in self.train_specs]),
+            ("test set", [s.label() for s in self.test_specs]),
+            ("architecture", [_arch_label(a) for a in self.architectures]),
+        ):
+            for label in labels:
+                if labels.count(label) > 1:
+                    raise ValueError(f"plan lists {what} {label!r} more than once")
 
     @property
     def cell_count(self) -> int:
@@ -170,12 +178,39 @@ class AggregateReport:
         raise KeyError(f"no cell ({train!r}, {test!r}, {arch!r})")
 
 
+@dataclass(frozen=True)
+class _RepSeeds:
+    """Every seed one repetition uses.  ``init`` and ``shuffle`` are keyed by
+    (train set index, architecture index)."""
+
+    train_data: tuple[int, ...]
+    test_data: tuple[int, ...]
+    init: dict[tuple[int, int], int]
+    shuffle: dict[tuple[int, int], int]
+
+
+def _schedule(plan: ExperimentPlan) -> list[_RepSeeds]:
+    """The run schedule: the only place a plan's seeds are derived.  Running
+    the plan and writing its manifest both read it."""
+    m = plan.master_seed
+    n_train, n_test = len(plan.train_specs), len(plan.test_specs)
+    jobs = [(ti, ai) for ti in range(n_train) for ai in range(len(plan.architectures))]
+    return [
+        _RepSeeds(
+            train_data=tuple(derive_seed(m, "train-data", rep, ti) for ti in range(n_train)),
+            test_data=tuple(derive_seed(m, "test-data", rep, si) for si in range(n_test)),
+            init={job: derive_seed(m, "init", rep, *job) for job in jobs},
+            shuffle={job: derive_seed(m, "shuffle", rep, *job) for job in jobs},
+        )
+        for rep in range(plan.repetitions)
+    ]
+
+
 @dataclass
 class _RepResult:
-    accuracies: np.ndarray  # (n_train, n_arch, n_test)
-    diverged: np.ndarray  # (n_train, n_arch) bool
-    curves: dict[tuple[int, int, int], tuple[np.ndarray, ...]]
-    tables: dict[tuple[int, int, int], tuple[float, float, float, float, int, int]]
+    accuracies: np.ndarray  # (n_train, n_arch, n_test); NaN where training diverged
+    curves: dict[tuple[int, int, int], RationaleCurve]  # keyed (train, arch, test)
+    tables: dict[tuple[int, int, int], ConditionOutputTable]
 
 
 _dataset_cache: dict[tuple, Dataset] = {}
@@ -205,40 +240,31 @@ class _FixedOutputs:
         return self._outputs
 
 
-def _run_repetition(plan: ExperimentPlan, rep: int) -> _RepResult:
-    n_train, n_arch = len(plan.train_specs), len(plan.architectures)
-    n_test = len(plan.test_specs)
-    accs = np.full((n_train, n_arch, n_test), np.nan)
-    diverged = np.zeros((n_train, n_arch), dtype=bool)
-    curves: dict[tuple[int, int, int], tuple[np.ndarray, ...]] = {}
-    tables: dict[tuple[int, int, int], tuple] = {}
-
-    train_sets = [
-        _dataset(spec, derive_seed(plan.master_seed, "train-data", rep, ti))
-        for ti, spec in enumerate(plan.train_specs)
-    ]
-    test_sets = [
-        _dataset(spec, derive_seed(plan.master_seed, "test-data", rep, si))
-        for si, spec in enumerate(plan.test_specs)
-    ]
+def _run_repetition(plan: ExperimentPlan, seeds: _RepSeeds) -> _RepResult:
+    accs = np.full(
+        (len(plan.train_specs), len(plan.architectures), len(plan.test_specs)), np.nan
+    )
+    curves: dict[tuple[int, int, int], RationaleCurve] = {}
+    tables: dict[tuple[int, int, int], ConditionOutputTable] = {}
+    train_sets = [_dataset(spec, seed) for spec, seed in zip(plan.train_specs, seeds.train_data)]
+    test_sets = [_dataset(spec, seed) for spec, seed in zip(plan.test_specs, seeds.test_data)]
 
     for ti, train_set in enumerate(train_sets):
         for ai, arch in enumerate(plan.architectures):
             net_cfg = NetworkConfig(
                 input_width=train_set.schema.n_features,
                 hidden_layers=arch,
-                init_seed=derive_seed(plan.master_seed, "init", rep, ti, ai),
+                init_seed=seeds.init[ti, ai],
             )
             train_cfg = TrainConfig(
                 learning_rate=plan.learning_rate,
                 batch_size=plan.batch_size,
                 iterations=plan.iterations,
-                shuffle_seed=derive_seed(plan.master_seed, "shuffle", rep, ti, ai),
+                shuffle_seed=seeds.shuffle[ti, ai],
             )
             try:
                 model = train(train_set, net_cfg, train_cfg)
             except TrainingDivergedError:
-                diverged[ti, ai] = True
                 continue
             for si, test_set in enumerate(test_sets):
                 model_outputs = _FixedOutputs(model.schema_id, model.outputs(test_set.values))
@@ -247,31 +273,42 @@ def _run_repetition(plan: ExperimentPlan, rep: int) -> _RepResult:
                 if target is None:
                     continue
                 if test_set.kind in _CURVE_AXES:
-                    x_feat, g_feat = _CURVE_AXES[test_set.kind]
-                    curve = output_curve(model_outputs, test_set, x_feat, g_feat)
-                    curves[(ti, ai, si)] = (
-                        curve.groups[0].xs,
-                        curve.groups[0].means,
-                        curve.groups[0].counts,
-                        curve.groups[1].xs,
-                        curve.groups[1].means,
-                        curve.groups[1].counts,
+                    curves[ti, ai, si] = output_curve(
+                        model_outputs, test_set, *_CURVE_AXES[test_set.kind]
                     )
                 else:
-                    tbl = condition_table(model_outputs, test_set, target)
-                    tables[(ti, ai, si)] = (
-                        tbl.rows[False].mean_output,
-                        tbl.rows[True].mean_output,
-                        tbl.rows[False].positive_rate,
-                        tbl.rows[True].positive_rate,
-                        tbl.rows[False].count,
-                        tbl.rows[True].count,
-                    )
-    return _RepResult(accs, diverged, curves, tables)
+                    tables[ti, ai, si] = condition_table(model_outputs, test_set, target)
+    return _RepResult(accs, curves, tables)
 
 
-def _worker(args: tuple[ExperimentPlan, int]) -> _RepResult:
-    return _run_repetition(*args)
+def _mean_curve(curves: list[RationaleCurve]) -> RationaleCurve:
+    """Mean over repetitions; each group's means are averaged pointwise."""
+    first = curves[0]
+    return RationaleCurve(
+        first.x_feature,
+        first.group_feature,
+        tuple(
+            CurveGroup(g.label, g.xs, np.mean([c.groups[i].means for c in curves], axis=0),
+                       g.counts)
+            for i, g in enumerate(first.groups)
+        ),
+    )
+
+
+def _mean_table(tables: list[ConditionOutputTable]) -> ConditionOutputTable:
+    """Mean over repetitions of each row's mean output and positive rate."""
+    first = tables[0]
+    return ConditionOutputTable(
+        first.condition_id,
+        {
+            value: ConditionTableRow(
+                float(np.mean([t.rows[value].mean_output for t in tables])),
+                row.count,
+                float(np.mean([t.rows[value].positive_rate for t in tables])),
+            )
+            for value, row in first.rows.items()
+        },
+    )
 
 
 def run_plan(plan: ExperimentPlan, parallelism: int = 1) -> AggregateReport:
@@ -280,21 +317,29 @@ def run_plan(plan: ExperimentPlan, parallelism: int = 1) -> AggregateReport:
     Training divergence in one repetition excludes that repetition from the
     affected cells' statistics; the exclusion count is reported per cell.
     """
-    reps = range(plan.repetitions)
+    schedule = _schedule(plan)
     if parallelism > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_worker, [(plan, r) for r in reps]))
+            results = list(pool.map(_run_repetition, [plan] * len(schedule), schedule))
     else:
-        results = [_run_repetition(plan, r) for r in reps]
+        results = [_run_repetition(plan, seeds) for seeds in schedule]
 
-    n_train, n_arch = len(plan.train_specs), len(plan.architectures)
-    n_test = len(plan.test_specs)
     accs = np.stack([r.accuracies for r in results], axis=-1)
 
     cells = []
+    curves: dict[str, RationaleCurve] = {}
+    tables: dict[str, ConditionOutputTable] = {}
     for ti, train_spec in enumerate(plan.train_specs):
         for si, test_spec in enumerate(plan.test_specs):
             for ai, arch in enumerate(plan.architectures):
+                key = (ti, ai, si)
+                name = f"{train_spec.label()}__{_arch_label(arch)}__{test_spec.label()}"
+                rep_curves = [r.curves[key] for r in results if key in r.curves]
+                if rep_curves:
+                    curves[name] = _mean_curve(rep_curves)
+                rep_tables = [r.tables[key] for r in results if key in r.tables]
+                if rep_tables:
+                    tables[name] = _mean_table(rep_tables)
                 per_rep = accs[ti, ai, si, :]
                 finite = per_rep[np.isfinite(per_rep)]
                 cells.append(
@@ -309,53 +354,7 @@ def run_plan(plan: ExperimentPlan, parallelism: int = 1) -> AggregateReport:
                         accuracies=tuple(float(a) for a in per_rep),
                     )
                 )
-
-    curves: dict[str, RationaleCurve] = {}
-    tables: dict[str, ConditionOutputTable] = {}
-    for ti, train_spec in enumerate(plan.train_specs):
-        for ai, arch in enumerate(plan.architectures):
-            for si, test_spec in enumerate(plan.test_specs):
-                key = (ti, ai, si)
-                name = f"{train_spec.label()}__{_arch_label(arch)}__{test_spec.label()}"
-                reps_with = [r for r in results if key in r.curves]
-                if reps_with:
-                    first = reps_with[0].curves[key]
-                    g_labels = _curve_group_labels(plan.domain_id, test_spec.kind)
-                    means0 = np.mean([r.curves[key][1] for r in reps_with], axis=0)
-                    means1 = np.mean([r.curves[key][4] for r in reps_with], axis=0)
-                    x_feat, g_feat = _CURVE_AXES[test_spec.kind]
-                    curves[name] = RationaleCurve(
-                        x_feature=x_feat,
-                        group_feature=g_feat,
-                        groups=(
-                            CurveGroup(g_labels[0], first[0], means0, first[2]),
-                            CurveGroup(g_labels[1], first[3], means1, first[5]),
-                        ),
-                    )
-                reps_with = [r for r in results if key in r.tables]
-                if reps_with:
-                    rows = np.array([r.tables[key][:4] for r in reps_with])
-                    counts = reps_with[0].tables[key][4:]
-                    tables[name] = ConditionOutputTable(
-                        condition_id=DEDICATED_TARGET[(plan.domain_id, test_spec.kind)],
-                        rows={
-                            False: ConditionTableRow(
-                                float(rows[:, 0].mean()), counts[0], float(rows[:, 2].mean())
-                            ),
-                            True: ConditionTableRow(
-                                float(rows[:, 1].mean()), counts[1], float(rows[:, 3].mean())
-                            ),
-                        },
-                    )
     return AggregateReport(plan=plan, cells=tuple(cells), curves=curves, tables=tables)
-
-
-def _curve_group_labels(domain_id: str, kind: str) -> tuple[str, str]:
-    from .domains import build_domain
-
-    schema = build_domain(domain_id)
-    g_spec = schema.feature(_CURVE_AXES[kind][1])
-    return (str(g_spec.decode(0)), str(g_spec.decode(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -363,36 +362,24 @@ def _curve_group_labels(domain_id: str, kind: str) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 
 def _seed_table(plan: ExperimentPlan) -> list[dict]:
-    rows = []
-    for rep in range(plan.repetitions):
-        rows.append(
-            {
-                "repetition": rep,
-                "train_data": {
-                    spec.label(): derive_seed(plan.master_seed, "train-data", rep, ti)
-                    for ti, spec in enumerate(plan.train_specs)
-                },
-                "test_data": {
-                    spec.label(): derive_seed(plan.master_seed, "test-data", rep, si)
-                    for si, spec in enumerate(plan.test_specs)
-                },
-                "init": {
-                    f"{spec.label()}__{_arch_label(arch)}": derive_seed(
-                        plan.master_seed, "init", rep, ti, ai
-                    )
-                    for ti, spec in enumerate(plan.train_specs)
-                    for ai, arch in enumerate(plan.architectures)
-                },
-                "shuffle": {
-                    f"{spec.label()}__{_arch_label(arch)}": derive_seed(
-                        plan.master_seed, "shuffle", rep, ti, ai
-                    )
-                    for ti, spec in enumerate(plan.train_specs)
-                    for ai, arch in enumerate(plan.architectures)
-                },
-            }
-        )
-    return rows
+    """The run schedule as the manifest records it, keyed by labels."""
+    train = [spec.label() for spec in plan.train_specs]
+    test = [spec.label() for spec in plan.test_specs]
+    job = {
+        (ti, ai): f"{train[ti]}__{_arch_label(arch)}"
+        for ti in range(len(train))
+        for ai, arch in enumerate(plan.architectures)
+    }
+    return [
+        {
+            "repetition": rep,
+            "train_data": dict(zip(train, seeds.train_data)),
+            "test_data": dict(zip(test, seeds.test_data)),
+            "init": {job[k]: seed for k, seed in seeds.init.items()},
+            "shuffle": {job[k]: seed for k, seed in seeds.shuffle.items()},
+        }
+        for rep, seeds in enumerate(_schedule(plan))
+    ]
 
 
 def _json_safe(value: float) -> float | None:
@@ -487,9 +474,20 @@ def emit_report(report: AggregateReport, out_dir: str | Path) -> dict[str, Path]
 
 def replay(manifest_path: str | Path, out_dir: str | Path,
            parallelism: int = 1) -> AggregateReport:
-    """Re-run the plan recorded in a manifest; same platform, same numbers."""
+    """Re-run the plan recorded in a manifest; same platform, same numbers.
+
+    Raises ValueError, before anything is written, when the manifest was made
+    by another generator or package version or its seeds are not the ones
+    its plan derives.
+    """
     doc = json.loads(Path(manifest_path).read_text())
     plan = plan_from_dict(doc["plan"])
+    for key, running in (("generator_version", GENERATOR_VERSION),
+                         ("package_version", _package_version)):
+        if doc.get(key) != running:
+            raise ValueError(f"manifest {key} is {doc.get(key)!r}, running {running!r}")
+    if doc.get("seeds") != _seed_table(plan):
+        raise ValueError("manifest seeds differ from the schedule its plan derives")
     report = run_plan(plan, parallelism=parallelism)
     emit_report(report, out_dir)
     return report

@@ -211,6 +211,35 @@ class TestExperiment:
         )
         assert code == 3
 
+    def test_plan_with_duplicate_entry_exits_3(self, tmp_path, tiny_plan, capsys):
+        doc = json.loads(tiny_plan.read_text())
+        doc["train"].append(doc["train"][0])
+        tiny_plan.write_text(json.dumps(doc))
+        code, _, err = run(
+            ["experiment", "--plan", str(tiny_plan), "--out-dir", str(tmp_path / "out")],
+            capsys,
+        )
+        assert code == 3
+        assert "more than once" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["generator_version", "package_version"])
+    def test_report_of_manifest_from_other_version_exits_3(self, tmp_path, tiny_plan,
+                                                           capsys, key):
+        out1 = tmp_path / "out1"
+        run(["experiment", "--plan", str(tiny_plan), "--out-dir", str(out1)], capsys)
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        manifest[key] = "0.0.0-other"
+        (out1 / "manifest.json").write_text(json.dumps(manifest))
+        out2 = tmp_path / "out2"
+        code, _, err = run(
+            ["report", "--manifest", str(out1 / "manifest.json"), "--out-dir", str(out2)],
+            capsys,
+        )
+        assert code == 3
+        assert key in err
+        assert not out2.exists()
+
 
 class TestBundledPlans:
     @pytest.mark.parametrize(

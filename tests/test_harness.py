@@ -39,6 +39,14 @@ def tiny_tort_plan(**overrides):
     return ExperimentPlan(**kwargs)
 
 
+def assert_curves_equal(a, b):
+    assert (a.x_feature, a.group_feature) == (b.x_feature, b.group_feature)
+    assert [g.label for g in a.groups] == [g.label for g in b.groups]
+    for ga, gb in zip(a.groups, b.groups):
+        for field in ("xs", "means", "counts"):
+            assert np.array_equal(getattr(ga, field), getattr(gb, field))
+
+
 class TestSeedDerivation:
     def test_values_are_frozen(self):
         # golden values: a change here silently breaks manifest replay
@@ -92,6 +100,21 @@ class TestPlanStructure:
         with pytest.raises(ValueError, match="belongs to"):
             tiny_tort_plan(train_specs=(spec("welfare", "type-a", 200),))
 
+    @pytest.mark.parametrize(
+        "overrides,what",
+        [
+            ({"train_specs": (spec("tort", "regular", 200), spec("tort", "regular", 200))},
+             "train set 'regular-200'"),
+            ({"test_specs": (spec("tort", "unique"), spec("tort", "unique"))},
+             "test set 'unique'"),
+            ({"architectures": ((12,), (24, 6), (12,))}, "architecture '12'"),
+        ],
+        ids=["train", "test", "architecture"],
+    )
+    def test_duplicate_entries_rejected(self, overrides, what):
+        with pytest.raises(ValueError, match=f"plan lists {what} more than once"):
+            tiny_tort_plan(**overrides)
+
     def test_plan_file_round_trip(self, tmp_path):
         plan = tiny_tort_plan()
         path = save_plan(plan, tmp_path / "plan.json")
@@ -141,11 +164,24 @@ class TestRunPlan:
         assert len(curve.group("female").xs) == 101
 
     def test_parallel_equals_serial(self):
-        plan = tiny_tort_plan(repetitions=3)
-        serial = run_plan(plan, parallelism=1)
-        parallel = run_plan(plan, parallelism=2)
-        for a, b in zip(serial.cells, parallel.cells):
-            assert a == b
+        curve_plan = ExperimentPlan(
+            domain_id="simplified",
+            train_specs=(spec("simplified", "type-b", 200),),
+            test_specs=(spec("simplified", "age-gender"), spec("simplified", "type-a", 200)),
+            architectures=((12,),),
+            repetitions=3,
+            iterations=60,
+            master_seed=3,
+        )
+        for plan in (tiny_tort_plan(repetitions=3), curve_plan):
+            serial = run_plan(plan, parallelism=1)
+            parallel = run_plan(plan, parallelism=2)
+            assert serial.cells == parallel.cells
+            assert serial.tables == parallel.tables
+            assert serial.curves.keys() == parallel.curves.keys()
+            for name, curve in serial.curves.items():
+                assert_curves_equal(curve, parallel.curves[name])
+        assert serial.curves  # the curve plan has one curve cell
 
     def test_divergence_excluded_and_counted(self, monkeypatch):
         calls = {"n": 0}
@@ -157,12 +193,27 @@ class TestRunPlan:
                 raise TrainingDivergedError("synthetic divergence")
             return real_train(dataset, net_cfg, train_cfg)
 
+        # every table computed belongs to the one repetition that trained
+        computed = {}
+        real_table = harness_module.condition_table
+
+        def recording_table(model, dataset, cond_id):
+            table = real_table(model, dataset, cond_id)
+            assert dataset.kind not in computed
+            computed[dataset.kind] = table
+            return table
+
         monkeypatch.setattr(harness_module, "train", flaky_train)
+        monkeypatch.setattr(harness_module, "condition_table", recording_table)
         report = run_plan(tiny_tort_plan(repetitions=2))
         for cell in report.cells:
             assert cell.excluded == 1
             assert sum(np.isfinite(a) for a in cell.accuracies) == 1
             assert np.isfinite(cell.mean)
+        assert sorted(computed) == ["imputability", "unlawfulness"]
+        assert len(report.tables) == 2
+        for name, table in report.tables.items():
+            assert table == computed[name.rsplit("__", 1)[1]]
 
 
 class TestEmitAndReplay:
@@ -184,6 +235,53 @@ class TestEmitAndReplay:
         entry = manifest["seeds"][0]
         assert entry["train_data"]["regular-200"] == derive_seed(77, "train-data", 0, 0)
         assert "created_unix" in manifest
+
+    def test_run_uses_the_manifest_seeds(self, tmp_path, monkeypatch):
+        plan = tiny_tort_plan(
+            train_specs=(spec("tort", "regular", 200), spec("tort", "regular", 300)),
+            test_specs=(spec("tort", "regular", 100), spec("tort", "unlawfulness")),
+            architectures=((12,), (24, 6)),
+            iterations=5,
+        )
+        generated, trained = [], []
+        real_generate, real_train = harness_module.generate, harness_module.train
+
+        def recording_generate(request):
+            if request.seed is not None:
+                generated.append((request.label(), request.seed))
+            return real_generate(request)
+
+        def recording_train(dataset, net_cfg, train_cfg):
+            trained.append((net_cfg.init_seed, train_cfg.shuffle_seed))
+            return real_train(dataset, net_cfg, train_cfg)
+
+        monkeypatch.setattr(harness_module, "generate", recording_generate)
+        monkeypatch.setattr(harness_module, "train", recording_train)
+        paths = emit_report(run_plan(plan), tmp_path / "out")
+        seeds = json.loads(paths["manifest"].read_text())["seeds"]
+
+        assert [entry["repetition"] for entry in seeds] == [0, 1]
+        assert generated == [
+            pair
+            for entry in seeds
+            for pair in [*entry["train_data"].items(), ("regular-100",
+                                                        entry["test_data"]["regular-100"])]
+        ]
+        jobs = ["regular-200__12", "regular-200__24-6", "regular-300__12", "regular-300__24-6"]
+        assert trained == [
+            (entry["init"][job], entry["shuffle"][job]) for entry in seeds for job in jobs
+        ]
+        assert all(sorted(entry["init"]) == sorted(jobs) for entry in seeds)
+        assert len({seed for pair in trained for seed in pair}) == 16
+
+    def test_replay_rejects_edited_seed(self, tmp_path):
+        paths = emit_report(run_plan(tiny_tort_plan(repetitions=1)), tmp_path / "out")
+        manifest = json.loads(paths["manifest"].read_text())
+        manifest["seeds"][0]["shuffle"]["regular-200__12"] += 1
+        paths["manifest"].write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="seeds differ"):
+            replay(paths["manifest"], tmp_path / "replayed")
+        assert not (tmp_path / "replayed").exists()
 
     def test_summary_has_no_timestamp(self, tmp_path):
         report = run_plan(tiny_tort_plan(repetitions=1))
