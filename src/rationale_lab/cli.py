@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .dataset_io import DatasetFormatError, read_dataset, write_dataset
-from .domains import SchemaValidationError, build_domain
+from .domains import DOMAIN_IDS, SchemaValidationError, build_domain
 from .evaluation import (
     accuracy,
     condition_table,
@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a dataset (CSV + .meta.json)")
-    gen.add_argument("--domain", required=True, choices=("welfare", "simplified", "tort"))
+    gen.add_argument("--domain", required=True, choices=DOMAIN_IDS)
     gen.add_argument("--kind", required=True)
     gen.add_argument("--size", type=int)
     gen.add_argument("--seed", type=int, default=0)
@@ -61,16 +61,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="audit a dataset file against its domain rules")
     ver.add_argument("--in", dest="path", required=True)
-    ver.add_argument("--domain", required=True, choices=("welfare", "simplified", "tort"))
+    ver.add_argument("--domain", required=True, choices=DOMAIN_IDS)
 
     tr = sub.add_parser("train", help="train a network on a dataset file")
     tr.add_argument("--in", dest="path", required=True)
-    tr.add_argument("--domain", required=True, choices=("welfare", "simplified", "tort"))
+    tr.add_argument("--domain", required=True, choices=DOMAIN_IDS)
     tr.add_argument("--hidden", default="12",
                     help="comma-separated hidden widths: 12 | 24,6 | 24,10,3")
-    tr.add_argument("--iterations", type=int, default=50_000)
-    tr.add_argument("--learning-rate", type=float, default=0.001)
-    tr.add_argument("--batch-size", type=int, default=50)
+    tr.add_argument("--iterations", type=int, default=TrainConfig.iterations)
+    tr.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    tr.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--out", required=True)
 

@@ -103,25 +103,16 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
         )
 
     mp = meta_path(path)
-    if mp.exists():
-        sidecar = json.loads(mp.read_text())
-        kind = sidecar.get("kind", "unknown")
-        meta = DatasetMeta(
-            seed=int(sidecar.get("seed", 0)),
-            generator_version=str(sidecar.get("generator_version", "unknown")),
-            size=int(sidecar.get("size", len(values))),
-            positive_fraction=float(
-                sidecar.get("positive_fraction", labels.mean() if len(labels) else 0.0)
-            ),
-        )
-    else:
-        kind = "unknown"
-        meta = DatasetMeta(
-            seed=0,
-            generator_version="unknown",
-            size=len(values),
-            positive_fraction=float(labels.mean()) if len(labels) else 0.0,
-        )
+    sidecar = json.loads(mp.read_text()) if mp.exists() else {}
+    kind = sidecar.get("kind", "unknown")
+    meta = DatasetMeta(
+        seed=int(sidecar.get("seed", 0)),
+        generator_version=str(sidecar.get("generator_version", "unknown")),
+        size=int(sidecar.get("size", len(values))),
+        positive_fraction=float(
+            sidecar.get("positive_fraction", labels.mean() if len(labels) else 0.0)
+        ),
+    )
     return Dataset(schema.domain_id, kind, values, labels.astype(np.uint8), meta)
 
 

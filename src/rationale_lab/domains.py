@@ -107,19 +107,16 @@ class FeatureSpec:
 class Condition:
     """A named boolean condition over a fixed set of features.
 
-    ``fn`` receives a mapping holding exactly the involved features, either
-    as numpy integer scalars or as aligned integer arrays, and must return a
-    boolean (array) built from elementwise operators only.  Passing only the
-    involved features guarantees the predicate cannot read anything else.
+    ``fn`` receives a mapping holding exactly the involved features as
+    aligned integer columns and must return a boolean array built from
+    elementwise operators only.  Passing only the involved features
+    guarantees the predicate cannot read anything else.
     """
 
     id: str
     notion: str
     involved: tuple[str, ...]
     fn: Callable[[Mapping[str, Any]], Any] = field(repr=False)
-
-    def evaluate(self, inputs: Mapping[str, Any]) -> Any:
-        return self.fn({name: inputs[name] for name in self.involved})
 
 
 # Case: a mapping from feature name to value.  Raw values may use python
@@ -227,15 +224,18 @@ class DomainSchema:
                     f"[{spec.lo}, {spec.hi}]"
                 )
 
-    def _columns(self, values: np.ndarray, names: tuple[str, ...]) -> dict[str, np.ndarray]:
-        return {name: values[:, self._index[name]] for name in names}
+    def _truth(self, cond: Condition, values: np.ndarray) -> np.ndarray:
+        """Truth of one of this schema's conditions on every row of a
+        (n, n_features) matrix: the only code that feeds a condition its
+        columns."""
+        return cond.fn({name: values[:, self._index[name]] for name in cond.involved})
 
     def condition_matrix(self, values: np.ndarray) -> np.ndarray:
         """Truth of every condition on every row: bool array (n, n_conditions)."""
         values = np.asarray(values)
         out = np.empty((values.shape[0], len(self.conditions)), dtype=bool)
         for j, cond in enumerate(self.conditions):
-            out[:, j] = cond.fn(self._columns(values, cond.involved))
+            out[:, j] = self._truth(cond, values)
         return out
 
     def label_matrix(self, values: np.ndarray) -> np.ndarray:
@@ -375,18 +375,10 @@ def build_domain(domain_id: str) -> DomainSchema:
     )
 
 
-def _as_scalar_inputs(schema: DomainSchema, case: Case) -> dict[str, np.int64]:
-    # np.int64 scalars keep ~ and & elementwise-boolean (python bools are not).
-    return {
-        spec.name: np.int64(spec.encode(case[spec.name])) for spec in schema.features
-    }
-
-
 def eval_condition(schema: DomainSchema, cond_id: str, case: Case) -> bool:
     """Truth value of one named condition on a validated case."""
     cond = schema.condition(cond_id)
-    schema.validate_case(case)
-    return bool(cond.evaluate(_as_scalar_inputs(schema, case)))
+    return bool(schema._truth(cond, schema.case_to_row(case)[None, :])[0])
 
 
 def eval_label(schema: DomainSchema, case: Case) -> bool:
@@ -394,9 +386,7 @@ def eval_label(schema: DomainSchema, case: Case) -> bool:
 
     Noise features never participate; no condition involves them.
     """
-    schema.validate_case(case)
-    inputs = _as_scalar_inputs(schema, case)
-    return all(bool(c.evaluate(inputs)) for c in schema.conditions)
+    return bool(schema.label_matrix(schema.case_to_row(case)[None, :])[0])
 
 
 def complete_case(schema: DomainSchema, values: Case, noise_fill: int = 0) -> dict[str, Any]:

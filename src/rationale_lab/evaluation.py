@@ -10,7 +10,7 @@ the dataset's canonical feature order; predictions threshold the output at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,12 +45,7 @@ class ConditionOracleModel:
         self.condition = schema.condition(cond_id)
 
     def outputs(self, values) -> np.ndarray:
-        values = np.asarray(values)
-        cols = {
-            name: values[:, self.schema.index_of(name)]
-            for name in self.condition.involved
-        }
-        return self.condition.fn(cols).astype(np.float64)
+        return self.schema._truth(self.condition, np.asarray(values)).astype(np.float64)
 
 
 class LabelOracleModel:
@@ -143,8 +138,10 @@ def output_curve(
     return RationaleCurve(x_feature, group_feature, tuple(groups))
 
 
-_DEDICATED_GRIDS = {
-    # (domain, condition) -> (x feature, group feature, xs, cases per grid cell)
+# The dedicated sets read as curves rather than condition tables, keyed by
+# the condition they isolate (generation.DEDICATED_TARGET):
+# (domain, condition) -> (x feature, group feature, xs, cases per grid cell)
+CURVE_GRIDS = {
     ("welfare", "C1"): ("Age", "Gender", np.arange(5, 101, 5), 1000),
     ("welfare", "C6"): ("Distance", "Type", np.arange(5, 101, 5), 1000),
     ("simplified", "C1"): ("Age", "Gender", np.arange(0, 101), 21),
@@ -160,7 +157,7 @@ def ideal_curve(domain_id: str, cond_id: str) -> RationaleCurve:
     condition formula over the dedicated test set's grid.
     """
     try:
-        x_feature, group_feature, xs, per_cell = _DEDICATED_GRIDS[(domain_id, cond_id)]
+        x_feature, group_feature, xs, per_cell = CURVE_GRIDS[(domain_id, cond_id)]
     except KeyError:
         raise ValueError(
             f"no ideal curve for condition {cond_id!r} in domain {domain_id!r}; "
@@ -169,9 +166,12 @@ def ideal_curve(domain_id: str, cond_id: str) -> RationaleCurve:
     schema = build_domain(domain_id)
     cond = schema.condition(cond_id)
     g_spec = schema.feature(group_feature)
+    grid = np.zeros((len(xs), schema.n_features), dtype=np.int64)
+    grid[:, schema.index_of(x_feature)] = xs
     groups = []
     for code in (0, 1):
-        truth = cond.fn({x_feature: xs, group_feature: np.full(len(xs), code)})
+        grid[:, schema.index_of(group_feature)] = code
+        truth = schema._truth(cond, grid)
         groups.append(
             CurveGroup(
                 label=str(g_spec.decode(code)),
@@ -260,16 +260,8 @@ class ConditionOutputTable:
     def to_dict(self) -> dict:
         return {
             "condition": self.condition_id,
-            "false": {
-                "mean_output": self.rows[False].mean_output,
-                "count": self.rows[False].count,
-                "positive_rate": self.rows[False].positive_rate,
-            },
-            "true": {
-                "mean_output": self.rows[True].mean_output,
-                "count": self.rows[True].count,
-                "positive_rate": self.rows[True].positive_rate,
-            },
+            "false": asdict(self.rows[False]),
+            "true": asdict(self.rows[True]),
         }
 
 
@@ -277,11 +269,7 @@ def condition_table(model, dataset: Dataset, cond_id: str) -> ConditionOutputTab
     """Mean output among cases where a condition is true versus false."""
     _check_schema(model, dataset)
     schema = dataset.schema
-    cond = schema.condition(cond_id)
-    cols = {
-        name: dataset.values[:, schema.index_of(name)] for name in cond.involved
-    }
-    truth = np.asarray(cond.fn(cols), dtype=bool)
+    truth = schema._truth(schema.condition(cond_id), dataset.values)
     if truth.all() or not truth.any():
         raise ValueError(
             f"condition {cond_id!r} never varies in this dataset; a dedicated "

@@ -100,9 +100,6 @@ class Dataset:
     def schema(self) -> DomainSchema:
         return build_domain(self.schema_id)
 
-    def case(self, i: int) -> dict[str, int]:
-        return self.schema.row_to_case(self.values[i])
-
     def equals(self, other: "Dataset") -> bool:
         """Case-for-case equality, metadata included."""
         return (

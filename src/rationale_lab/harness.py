@@ -22,7 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _package_version
+from .domains import build_domain
 from .evaluation import (
+    CURVE_GRIDS,
     ConditionOutputTable,
     ConditionTableRow,
     CurveGroup,
@@ -40,8 +42,6 @@ from .generation import (
 )
 from .network import NetworkConfig, TrainConfig, TrainingDivergedError, train
 
-_CURVE_AXES = {"age-gender": ("Age", "Gender"), "patient-distance": ("Distance", "Type")}
-
 
 def derive_seed(master_seed: int, *tags) -> int:
     """Stable 64-bit child seed for (master seed, role tags), any platform."""
@@ -53,16 +53,21 @@ def derive_seed(master_seed: int, *tags) -> int:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Declarative description of one train x test x architecture matrix."""
+    """Declarative description of one train x test x architecture matrix.
+
+    The training constants default to :class:`TrainConfig`'s.  A plan whose
+    architectures or training constants the network would refuse is
+    rejected here, before any of it runs.
+    """
 
     domain_id: str
     train_specs: tuple[GeneratorRequest, ...]
     test_specs: tuple[GeneratorRequest, ...]
     architectures: tuple[tuple[int, ...], ...]
     repetitions: int = 50
-    iterations: int = 50_000
-    learning_rate: float = 0.001
-    batch_size: int = 50
+    iterations: int = TrainConfig.iterations
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
     master_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -90,6 +95,24 @@ class ExperimentPlan:
             for label in labels:
                 if labels.count(label) > 1:
                     raise ValueError(f"plan lists {what} {label!r} more than once")
+        self._train_config()
+        for arch in self.architectures:
+            self._network_config(arch)
+
+    def _network_config(self, arch: tuple[int, ...], init_seed: int = 0) -> NetworkConfig:
+        return NetworkConfig(
+            input_width=build_domain(self.domain_id).n_features,
+            hidden_layers=arch,
+            init_seed=init_seed,
+        )
+
+    def _train_config(self, shuffle_seed: int = 0) -> TrainConfig:
+        return TrainConfig(
+            learning_rate=self.learning_rate,
+            batch_size=self.batch_size,
+            iterations=self.iterations,
+            shuffle_seed=shuffle_seed,
+        )
 
     @property
     def cell_count(self) -> int:
@@ -115,7 +138,18 @@ class ExperimentPlan:
         }
 
 
+_OPTIONAL_PLAN_KEYS = {
+    "repetitions": int,
+    "iterations": int,
+    "learning_rate": float,
+    "batch_size": int,
+    "master_seed": int,
+}
+
+
 def plan_from_dict(doc: dict) -> ExperimentPlan:
+    """A plan from its JSON form; keys the document omits take the
+    :class:`ExperimentPlan` defaults."""
     domain = doc["domain"]
 
     def specs(entries) -> tuple[GeneratorRequest, ...]:
@@ -128,11 +162,7 @@ def plan_from_dict(doc: dict) -> ExperimentPlan:
         train_specs=specs(doc["train"]),
         test_specs=specs(doc["test"]),
         architectures=tuple(tuple(a) for a in doc["architectures"]),
-        repetitions=int(doc.get("repetitions", 50)),
-        iterations=int(doc.get("iterations", 50_000)),
-        learning_rate=float(doc.get("learning_rate", 0.001)),
-        batch_size=int(doc.get("batch_size", 50)),
-        master_seed=int(doc.get("master_seed", 0)),
+        **{key: cast(doc[key]) for key, cast in _OPTIONAL_PLAN_KEYS.items() if key in doc},
     )
 
 
@@ -170,12 +200,6 @@ class AggregateReport:
     cells: tuple[CellAggregate, ...]
     curves: dict[str, RationaleCurve] = field(default_factory=dict)
     tables: dict[str, ConditionOutputTable] = field(default_factory=dict)
-
-    def cell(self, train: str, test: str, arch: str) -> CellAggregate:
-        for c in self.cells:
-            if (c.train, c.test, c.arch) == (train, test, arch):
-                return c
-        raise KeyError(f"no cell ({train!r}, {test!r}, {arch!r})")
 
 
 @dataclass(frozen=True)
@@ -251,19 +275,12 @@ def _run_repetition(plan: ExperimentPlan, seeds: _RepSeeds) -> _RepResult:
 
     for ti, train_set in enumerate(train_sets):
         for ai, arch in enumerate(plan.architectures):
-            net_cfg = NetworkConfig(
-                input_width=train_set.schema.n_features,
-                hidden_layers=arch,
-                init_seed=seeds.init[ti, ai],
-            )
-            train_cfg = TrainConfig(
-                learning_rate=plan.learning_rate,
-                batch_size=plan.batch_size,
-                iterations=plan.iterations,
-                shuffle_seed=seeds.shuffle[ti, ai],
-            )
             try:
-                model = train(train_set, net_cfg, train_cfg)
+                model = train(
+                    train_set,
+                    plan._network_config(arch, seeds.init[ti, ai]),
+                    plan._train_config(seeds.shuffle[ti, ai]),
+                )
             except TrainingDivergedError:
                 continue
             for si, test_set in enumerate(test_sets):
@@ -272,10 +289,9 @@ def _run_repetition(plan: ExperimentPlan, seeds: _RepSeeds) -> _RepResult:
                 target = DEDICATED_TARGET.get((plan.domain_id, test_set.kind))
                 if target is None:
                     continue
-                if test_set.kind in _CURVE_AXES:
-                    curves[ti, ai, si] = output_curve(
-                        model_outputs, test_set, *_CURVE_AXES[test_set.kind]
-                    )
+                grid = CURVE_GRIDS.get((plan.domain_id, target))
+                if grid is not None:  # read as a curve on the grid's two axes
+                    curves[ti, ai, si] = output_curve(model_outputs, test_set, *grid[:2])
                 else:
                     tables[ti, ai, si] = condition_table(model_outputs, test_set, target)
     return _RepResult(accs, curves, tables)
@@ -387,6 +403,8 @@ def _json_safe(value: float) -> float | None:
 
 
 def summary_dict(report: AggregateReport) -> dict:
+    """The content of ``summary.json``; ``condition_tables.json`` holds its
+    ``condition_tables``."""
     return {
         "plan": report.plan.to_dict(),
         "generator_version": GENERATOR_VERSION,
@@ -421,8 +439,9 @@ def emit_report(report: AggregateReport, out_dir: str | Path) -> dict[str, Path]
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
 
+    doc = summary_dict(report)
     summary = out / "summary.json"
-    summary.write_text(json.dumps(summary_dict(report), sort_keys=True, indent=2) + "\n")
+    summary.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     paths["summary"] = summary
 
     matrix = out / "accuracy_matrix.csv"
@@ -442,14 +461,7 @@ def emit_report(report: AggregateReport, out_dir: str | Path) -> dict[str, Path]
 
     if report.tables:
         tables = out / "condition_tables.json"
-        tables.write_text(
-            json.dumps(
-                {k: t.to_dict() for k, t in sorted(report.tables.items())},
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n"
-        )
+        tables.write_text(json.dumps(doc["condition_tables"], sort_keys=True, indent=2) + "\n")
         paths["condition_tables"] = tables
 
     manifest = out / "manifest.json"

@@ -74,8 +74,7 @@ class NetworkConfig:
         if not self.allow_nonstandard and self.hidden_layers not in STANDARD_HIDDEN_LAYERS:
             raise ValueError(
                 f"hidden layers {self.hidden_layers} are not one of the standard "
-                f"shapes {STANDARD_HIDDEN_LAYERS}; pass allow_nonstandard=True "
-                "to override"
+                f"shapes {STANDARD_HIDDEN_LAYERS}"
             )
 
     @property
@@ -148,9 +147,6 @@ class ModelParams:
     @property
     def n_layers(self) -> int:
         return len(self.layout)
-
-    def shapes(self) -> list[tuple[int, int]]:
-        return list(self.layout)
 
     def zeros_like(self) -> "ModelParams":
         """A zero-filled buffer of the same layout."""

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from rationale_lab import ExperimentPlan, GeneratorRequest, save_plan
-from rationale_lab.cli import main
+from rationale_lab import ExperimentPlan, GeneratorRequest, TrainConfig, save_plan
+from rationale_lab import harness as harness_module
+from rationale_lab.cli import _build_parser, main
 
 from conftest import mismatched_model_doc
 
@@ -152,6 +153,15 @@ class TestTrainEval:
         code, _, stderr = run(["eval", "--model", str(model), "--in", str(data)], capsys)
         assert code == 3 and "layer shapes" in stderr
 
+    def test_train_defaults_are_the_train_config_defaults(self):
+        args = _build_parser().parse_args(
+            ["train", "--in", "d.csv", "--domain", "tort", "--out", "m.json"]
+        )
+        defaults = TrainConfig()
+        assert (args.iterations, args.learning_rate, args.batch_size) == (
+            defaults.iterations, defaults.learning_rate, defaults.batch_size
+        )
+
     def test_bad_hidden_spec_exits_2(self, tmp_path, capsys):
         data = tmp_path / "train.csv"
         run(["gen", "--domain", "tort", "--kind", "unique", "--out", str(data)], capsys)
@@ -221,6 +231,24 @@ class TestExperiment:
         )
         assert code == 3
         assert "more than once" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_plan_with_nonstandard_architecture_exits_3_before_running(
+        self, tmp_path, tiny_plan, capsys, monkeypatch
+    ):
+        doc = json.loads(tiny_plan.read_text())
+        doc["architectures"] = [[12], [7]]
+        tiny_plan.write_text(json.dumps(doc))
+        calls = []
+        for name in ("generate", "train"):
+            monkeypatch.setattr(harness_module, name, lambda *args, n=name: calls.append(n))
+        code, stdout, err = run(
+            ["experiment", "--plan", str(tiny_plan), "--out-dir", str(tmp_path / "out")],
+            capsys,
+        )
+        assert code == 3
+        assert "(7,) are not one of the standard shapes" in err
+        assert calls == [] and stdout == ""
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["generator_version", "package_version"])

@@ -3,6 +3,7 @@ import pytest
 
 from rationale_lab import (
     DatasetFormatError,
+    DatasetMeta,
     build_domain,
     gen_tort,
     gen_welfare,
@@ -75,14 +76,23 @@ def test_label_outside_binary_rejected(tmp_path, tort_schema):
 
 
 def test_read_without_sidecar_still_works(tmp_path, tort_schema):
-    path = tmp_path / "u.csv"
     ds = gen_tort("unique")
-    write_dataset(ds, path)
-    meta_path(path).unlink()
-    back = read_dataset(path, tort_schema)
-    assert np.array_equal(back.values, ds.values)
-    assert back.kind == "unknown"
-    assert back.meta.size == len(ds)
+    for sidecar in (None, "{}"):  # a missing and an empty sidecar read the same
+        path = tmp_path / "u.csv"
+        write_dataset(ds, path)
+        if sidecar is None:
+            meta_path(path).unlink()
+        else:
+            meta_path(path).write_text(sidecar)
+        back = read_dataset(path, tort_schema)
+        assert np.array_equal(back.values, ds.values)
+        assert back.kind == "unknown"
+        assert back.meta == DatasetMeta(
+            seed=0,
+            generator_version="unknown",
+            size=len(ds),
+            positive_fraction=float(ds.labels.mean()),
+        )
 
 
 def test_empty_file_rejected(tmp_path):

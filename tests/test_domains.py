@@ -119,6 +119,8 @@ class TestConditionExamples:
     def test_unknown_condition_rejected(self, tort_schema):
         with pytest.raises(SchemaValidationError, match="no condition"):
             eval_condition(tort_schema, "c9", tort_case())
+        with pytest.raises(SchemaValidationError, match="no condition"):  # before the case
+            eval_condition(tort_schema, "c9", dict(tort_case(), cau=7))
 
 
 class TestLabelExamples:

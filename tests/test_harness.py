@@ -6,6 +6,7 @@ import pytest
 from rationale_lab import (
     ExperimentPlan,
     GeneratorRequest,
+    TrainConfig,
     TrainingDivergedError,
     derive_seed,
     emit_report,
@@ -114,6 +115,33 @@ class TestPlanStructure:
     def test_duplicate_entries_rejected(self, overrides, what):
         with pytest.raises(ValueError, match=f"plan lists {what} more than once"):
             tiny_tort_plan(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides,match",
+        [
+            ({"architectures": ((12,), (7,))}, "not one of the standard shapes"),
+            ({"iterations": 0}, "iterations must be >= 1"),
+            ({"learning_rate": 0.0}, "learning_rate must be positive"),
+            ({"batch_size": 0}, "batch_size must be >= 1"),
+        ],
+        ids=["architecture", "iterations", "learning_rate", "batch_size"],
+    )
+    def test_plan_the_network_refuses_rejected_at_construction(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            tiny_tort_plan(**overrides)
+
+    def test_plan_document_without_constants_takes_the_defaults(self):
+        plan = harness_module.plan_from_dict({
+            "domain": "tort",
+            "train": [{"kind": "regular", "size": 200}],
+            "test": [{"kind": "unique"}],
+            "architectures": [[12]],
+        })
+        defaults = TrainConfig()
+        assert (plan.iterations, plan.learning_rate, plan.batch_size) == (
+            defaults.iterations, defaults.learning_rate, defaults.batch_size
+        )
+        assert (plan.repetitions, plan.master_seed) == (50, 0)
 
     def test_plan_file_round_trip(self, tmp_path):
         plan = tiny_tort_plan()
@@ -226,6 +254,14 @@ class TestEmitAndReplay:
 
         replay(paths["manifest"], tmp_path / "replayed")
         assert (tmp_path / "replayed" / "summary.json").read_bytes() == summary
+
+    def test_condition_tables_file_matches_summary(self, tmp_path):
+        paths = emit_report(run_plan(tiny_tort_plan(repetitions=1)), tmp_path / "out")
+        tables = json.loads(paths["condition_tables"].read_text())
+        assert set(tables) == {
+            "regular-200__12__unlawfulness", "regular-200__12__imputability"
+        }
+        assert tables == json.loads(paths["summary"].read_text())["condition_tables"]
 
     def test_manifest_lists_all_seeds(self, tmp_path):
         report = run_plan(tiny_tort_plan(repetitions=2))

@@ -131,7 +131,7 @@ class TestInit:
 
     def test_layer_shapes(self):
         params = init_params(NetworkConfig(10, (24, 10, 3), init_seed=1))
-        assert params.shapes() == [(10, 24), (24, 10), (10, 3), (3, 1)]
+        assert params.layout == ((10, 24), (24, 10), (10, 3), (3, 1))
 
     def test_fan_balanced_bounds_and_zero_biases(self):
         params = init_params(NetworkConfig(64, (12,), init_seed=3))
