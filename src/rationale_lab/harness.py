@@ -41,6 +41,7 @@ from .generation import (
     generate,
 )
 from .network import NetworkConfig, TrainConfig, TrainingDivergedError, train
+from .network import _scaled_outputs, schema_scaling
 
 
 def derive_seed(master_seed: int, *tags) -> int:
@@ -273,27 +274,34 @@ def _run_repetition(plan: ExperimentPlan, seeds: _RepSeeds) -> _RepResult:
     train_sets = [_dataset(spec, seed) for spec, seed in zip(plan.train_specs, seeds.train_data)]
     test_sets = [_dataset(spec, seed) for spec, seed in zip(plan.test_specs, seeds.test_data)]
 
+    models = {}
     for ti, train_set in enumerate(train_sets):
         for ai, arch in enumerate(plan.architectures):
             try:
-                model = train(
+                models[ti, ai] = train(
                     train_set,
                     plan._network_config(arch, seeds.init[ti, ai]),
                     plan._train_config(seeds.shuffle[ti, ai]),
                 )
             except TrainingDivergedError:
                 continue
-            for si, test_set in enumerate(test_sets):
-                model_outputs = _FixedOutputs(model.schema_id, model.outputs(test_set.values))
-                accs[ti, ai, si] = accuracy(model_outputs, test_set)
-                target = DEDICATED_TARGET.get((plan.domain_id, test_set.kind))
-                if target is None:
-                    continue
-                grid = CURVE_GRIDS.get((plan.domain_id, target))
-                if grid is not None:  # read as a curve on the grid's two axes
-                    curves[ti, ai, si] = output_curve(model_outputs, test_set, *grid[:2])
-                else:
-                    tables[ti, ai, si] = condition_table(model_outputs, test_set, target)
+
+    # Every model scales with the plan's schema_scaling, so each test set is
+    # scaled once, and only one scaled copy is held at a time.
+    scaling = schema_scaling(plan.domain_id)
+    for si, test_set in enumerate(test_sets):
+        x = scaling.apply(test_set.values)
+        target = DEDICATED_TARGET.get((plan.domain_id, test_set.kind))
+        grid = CURVE_GRIDS.get((plan.domain_id, target))
+        for (ti, ai), model in models.items():
+            model_outputs = _FixedOutputs(model.schema_id, _scaled_outputs(model.params, x))
+            accs[ti, ai, si] = accuracy(model_outputs, test_set)
+            if target is None:
+                continue
+            if grid is not None:  # read as a curve on the grid's two axes
+                curves[ti, ai, si] = output_curve(model_outputs, test_set, *grid[:2])
+            else:
+                tables[ti, ai, si] = condition_table(model_outputs, test_set, target)
     return _RepResult(accs, curves, tables)
 
 

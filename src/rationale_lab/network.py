@@ -19,9 +19,24 @@ elementwise step once over whole buffers instead of once per array.  On
 these small networks a training step costs in proportion to the numpy calls
 it makes, not its flops.
 
+Adam's two moments are the rows of one ``(2, P)`` buffer,
+``AdamState.moments``; ``m`` and ``v`` view its rows in the parameter
+layout.  The step stacks the gradient over its square in the same way, so
+the decay and the increment each run once for both moments: eleven numpy
+calls a step instead of fourteen, each element seeing the operations of a
+per-array update in the same order.
+
+One step kernel.  ``_backprop`` (loss and gradients of one batch) and the
+step ``_adam_kernel`` builds hold all the arithmetic of a training step.
+``train`` binds them once per run, gathers each epoch's rows once so that a
+batch is a slice, and enters ``np.errstate`` once.  The public
+``loss_and_grads`` and ``adam_update`` check their arguments and run the
+same kernels per call.  Matrix products use ``np.dot``: on the 2-d
+float64 operands of every standard layer shape it gave the same bits as
+``@``, for less call overhead.
+
 Buffer ownership.  ``loss_and_grads(params, x, y, out=grads)`` writes the
-gradients into the caller's ``grads`` and returns it; ``train`` allocates
-one such buffer per run and reuses it every step.  Without ``out`` the
+gradients into the caller's ``grads`` and returns it.  Without ``out`` the
 gradients go to a new buffer that nothing else references, so the result
 of one call is never overwritten by the next.
 """
@@ -31,9 +46,9 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 from scipy.special import expit
@@ -144,10 +159,6 @@ class ModelParams:
         params._bind(flat, layout)
         return params
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.layout)
-
     def zeros_like(self) -> "ModelParams":
         """A zero-filled buffer of the same layout."""
         return ModelParams._on(np.zeros(self.flat.size), self.layout)
@@ -174,9 +185,35 @@ def _forward_scaled(params: ModelParams, x: np.ndarray) -> tuple[list[np.ndarray
     activations = [x]
     z = None
     for w, b in zip(params.weights, params.biases):
-        z = activations[-1] @ w + b
+        z = np.dot(activations[-1], w) + b
         activations.append(expit(z))
     return activations, z
+
+
+def _scaled_outputs(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Network outputs, one per row of an already scaled matrix."""
+    return _forward_scaled(params, x)[0][-1][:, 0]
+
+
+def _backprop(params: ModelParams, x: np.ndarray, y: np.ndarray, out: ModelParams) -> float:
+    """The loss of one batch; its gradients go into ``out``.  ``y`` is a
+    float64 column.  Run under ``np.errstate(invalid="ignore")``: a NaN is
+    diagnosed from the loss, before any gradient is written."""
+    activations, z = _forward_scaled(params, x)
+    n = x.shape[0]
+    loss = float(np.add.reduce(np.logaddexp(0.0, z) - y * z, axis=None)) / n
+    if not math.isfinite(loss):
+        raise TrainingDivergedError("non-finite loss on batch")
+
+    delta = (activations[-1] - y) / n  # dLoss/dz at the output layer
+    weights, grad_w, grad_b = params.weights, out.weights, out.biases
+    for layer in range(len(weights) - 1, -1, -1):
+        a_prev = activations[layer]
+        np.dot(a_prev.T, delta, out=grad_w[layer])
+        delta.sum(axis=0, out=grad_b[layer])
+        if layer > 0:
+            delta = np.dot(delta, weights[layer].T) * a_prev * (1.0 - a_prev)
+    return loss
 
 
 def loss_and_grads(
@@ -197,31 +234,58 @@ def loss_and_grads(
         out = params.empty_like()
     elif out.layout != params.layout:
         raise ValueError(f"gradient layout {out.layout} differs from {params.layout}")
-    y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    activations, z_out = _forward_scaled(params, x)
-    n = x.shape[0]
-    with np.errstate(invalid="ignore"):  # a NaN here is diagnosed right below
-        loss = float((np.logaddexp(0.0, z_out) - y * z_out).mean())
-    if not math.isfinite(loss):
-        raise TrainingDivergedError("non-finite loss on batch")
-
-    delta = (activations[-1] - y) / n  # dLoss/dz at the output layer
-    for layer in range(params.n_layers - 1, -1, -1):
-        a_prev = activations[layer]
-        np.matmul(a_prev.T, delta, out=out.weights[layer])
-        delta.sum(axis=0, out=out.biases[layer])
-        if layer > 0:
-            delta = (delta @ params.weights[layer].T) * a_prev * (1.0 - a_prev)
+    with np.errstate(invalid="ignore"):
+        loss = _backprop(params, x, np.asarray(y, dtype=np.float64).reshape(-1, 1), out)
     return loss, out
 
 
 class AdamState:
-    """First and second moment accumulators, each one buffer laid out like
-    the parameters."""
+    """First and second moment accumulators: the two rows of one ``(2, P)``
+    buffer ``moments``, viewed in the parameter layout as ``m`` and ``v``."""
 
     def __init__(self, params: ModelParams):
-        self.m = params.zeros_like()
-        self.v = params.zeros_like()
+        self.moments = np.zeros((2, params.flat.size))
+        self.m = ModelParams._on(self.moments[0], params.layout)
+        self.v = ModelParams._on(self.moments[1], params.layout)
+        self._kernel = None  # (config, gradient buffer, step), set by _adam_kernel
+
+
+def _adam_kernel(state: AdamState, config: TrainConfig):
+    """The Adam step of ``state`` under ``config``, built once and kept on
+    the state.
+
+    Returns ``(g, step)``: ``step(flat, t)`` reads the gradient from the
+    flat buffer ``g`` (overwriting it) and updates ``flat`` and both moments
+    in place.  The decay and the increment multiply by full-length factor
+    rows: a broadcast ``(2, 1)`` factor measured more than twice as slow.
+    """
+    if state._kernel is not None and state._kernel[0] == config:
+        return state._kernel[1:]
+    b1, b2, eps, lr = config.beta1, config.beta2, config.epsilon, config.learning_rate
+    size = state.moments.shape[1]
+    moments = state.moments.reshape(-1)
+    m, v = state.moments
+    stack = np.empty(2 * size)  # the gradient, then its square
+    g, g_sq = stack[:size], stack[size:]
+    m_hat, v_hat = np.empty(size), np.empty(size)
+    decay = np.repeat([b1, b2], size)
+    keep = np.repeat([1.0 - b1, 1.0 - b2], size)
+
+    def step(flat: np.ndarray, t: int) -> None:
+        np.square(g, out=g_sq)
+        np.multiply(stack, keep, out=stack)
+        np.multiply(moments, decay, out=moments)
+        np.add(moments, stack, out=moments)
+        np.divide(m, 1.0 - b1 ** t, out=m_hat)
+        np.divide(v, 1.0 - b2 ** t, out=v_hat)
+        np.sqrt(v_hat, out=v_hat)
+        np.add(v_hat, eps, out=v_hat)
+        np.multiply(m_hat, lr, out=m_hat)
+        np.divide(m_hat, v_hat, out=m_hat)
+        np.subtract(flat, m_hat, out=flat)
+
+    state._kernel = (config, g, step)
+    return g, step
 
 
 def adam_update(
@@ -241,15 +305,9 @@ def adam_update(
         raise ValueError("step index t counts from 1")
     if grads.layout != params.layout:
         raise ValueError(f"gradient layout {grads.layout} differs from {params.layout}")
-    b1, b2, eps, lr = config.beta1, config.beta2, config.epsilon, config.learning_rate
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
-    m, v, g = state.m.flat, state.v.flat, grads.flat
-    m *= b1
-    m += (1.0 - b1) * g
-    v *= b2
-    v += (1.0 - b2) * np.square(g)
-    params.flat -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    g, step = _adam_kernel(state, config)
+    g[...] = grads.flat
+    step(params.flat, t)
     return params, state
 
 
@@ -301,9 +359,7 @@ class TrainedModel:
 
     def outputs(self, cases) -> np.ndarray:
         """Probabilities for raw cases: a Case mapping, a row, or a matrix."""
-        x = self.scaling.apply(self._encode(cases))
-        _, z = _forward_scaled(self.params, x)
-        return expit(z)[:, 0]
+        return _scaled_outputs(self.params, self.scaling.apply(self._encode(cases)))
 
 
 def forward(model: TrainedModel, case) -> float | np.ndarray:
@@ -341,30 +397,31 @@ def train(
         )
     scaling = schema_scaling(dataset.schema_id)
     x = scaling.apply(dataset.values)
-    y = dataset.labels.astype(np.float64)
+    y = dataset.labels.astype(np.float64)[:, None]
 
     params = init_params(network_config)
-    state = AdamState(params)
-    grads = params.empty_like()
+    g, adam_step = _adam_kernel(AdamState(params), train_config)
+    grads = ModelParams._on(g, params.layout)
+    flat = params.flat
     rng = np.random.default_rng(train_config.shuffle_seed)
     n = len(dataset)
     bs = train_config.batch_size
     trace = np.empty(train_config.iterations)
 
-    order = rng.permutation(n)
-    pos = 0
-    for step in range(1, train_config.iterations + 1):
-        if pos >= n:
-            order = rng.permutation(n)
-            pos = 0
-        batch = order[pos : pos + bs]
-        pos += bs
-        try:
-            loss, _ = loss_and_grads(params, x[batch], y[batch], out=grads)
-        except TrainingDivergedError as err:
-            raise TrainingDivergedError(f"step {step}: {err}") from None
-        trace[step - 1] = loss
-        adam_update(params, state, grads, step, train_config)
+    pos = n
+    with np.errstate(invalid="ignore"):  # a NaN is diagnosed from the loss
+        for step in range(1, train_config.iterations + 1):
+            if pos >= n:  # a new epoch: its rows gathered once, each batch a slice
+                order = rng.permutation(n)
+                x_epoch, y_epoch = x[order], y[order]
+                pos = 0
+            end = pos + bs
+            try:
+                trace[step - 1] = _backprop(params, x_epoch[pos:end], y_epoch[pos:end], grads)
+            except TrainingDivergedError as err:
+                raise TrainingDivergedError(f"step {step}: {err}") from None
+            pos = end
+            adam_step(flat, step)
 
     return TrainedModel(
         config=network_config,
@@ -390,6 +447,22 @@ def _unpack(s: str, shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(base64.b64decode(s), dtype="<f8").reshape(shape)
 
 
+def _config_block(config: NetworkConfig | TrainConfig) -> dict:
+    return {f.name: getattr(config, f.name) for f in fields(config)}
+
+
+def _config_from_block(cls, block: dict, path: str | Path):
+    """A config from its model-file block, which must name every field of
+    ``cls`` and nothing else; each value is cast to its field's type."""
+    names = [f.name for f in fields(cls)]
+    if sorted(block) != sorted(names):
+        raise ValueError(
+            f"{path}: {cls.__name__} keys {sorted(block)} differ from its fields {sorted(names)}"
+        )
+    types = get_type_hints(cls)
+    return cls(**{name: types[name](block[name]) for name in names})
+
+
 def save_model(model: TrainedModel, path: str | Path) -> Path:
     path = Path(path)
     doc = {
@@ -398,21 +471,8 @@ def save_model(model: TrainedModel, path: str | Path) -> Path:
         "float_encoding": "base64 little-endian float64",
         "schema_id": model.schema_id,
         "feature_names": list(model.feature_names),
-        "network": {
-            "input_width": model.config.input_width,
-            "hidden_layers": list(model.config.hidden_layers),
-            "init_seed": model.config.init_seed,
-            "allow_nonstandard": model.config.allow_nonstandard,
-        },
-        "training": {
-            "learning_rate": model.train_config.learning_rate,
-            "batch_size": model.train_config.batch_size,
-            "iterations": model.train_config.iterations,
-            "beta1": model.train_config.beta1,
-            "beta2": model.train_config.beta2,
-            "epsilon": model.train_config.epsilon,
-            "shuffle_seed": model.train_config.shuffle_seed,
-        },
+        "network": _config_block(model.config),
+        "training": _config_block(model.train_config),
         "scaling": {
             "offsets": _pack(model.scaling.offsets),
             "scales": _pack(model.scaling.scales),
@@ -432,23 +492,8 @@ def load_model(path: str | Path) -> TrainedModel:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {doc.get('format_version')}")
-    net = doc["network"]
-    config = NetworkConfig(
-        input_width=int(net["input_width"]),
-        hidden_layers=tuple(net["hidden_layers"]),
-        init_seed=int(net["init_seed"]),
-        allow_nonstandard=bool(net.get("allow_nonstandard", False)),
-    )
-    tr = doc["training"]
-    train_config = TrainConfig(
-        learning_rate=float(tr["learning_rate"]),
-        batch_size=int(tr["batch_size"]),
-        iterations=int(tr["iterations"]),
-        beta1=float(tr["beta1"]),
-        beta2=float(tr["beta2"]),
-        epsilon=float(tr["epsilon"]),
-        shuffle_seed=int(tr["shuffle_seed"]),
-    )
+    config = _config_from_block(NetworkConfig, doc["network"], path)
+    train_config = _config_from_block(TrainConfig, doc["training"], path)
     n_features = len(doc["feature_names"])
     scaling = FeatureScaling(
         offsets=_unpack(doc["scaling"]["offsets"], (n_features,)),

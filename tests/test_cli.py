@@ -153,6 +153,22 @@ class TestTrainEval:
         code, _, stderr = run(["eval", "--model", str(model), "--in", str(data)], capsys)
         assert code == 3 and "layer shapes" in stderr
 
+    @pytest.mark.parametrize("edit", ["missing", "unknown"])
+    def test_eval_of_model_with_other_config_keys_exits_3(self, tmp_path, capsys, edit):
+        data = tmp_path / "train.csv"
+        run(["gen", "--domain", "tort", "--kind", "unique", "--out", str(data)], capsys)
+        model = tmp_path / "model.json"
+        run(["train", "--in", str(data), "--domain", "tort", "--hidden", "12",
+             "--iterations", "5", "--seed", "1", "--out", str(model)], capsys)
+        doc = json.loads(model.read_text())
+        if edit == "missing":
+            del doc["training"]["epsilon"]
+        else:
+            doc["network"]["dropout"] = 0.5
+        model.write_text(json.dumps(doc))
+        code, _, stderr = run(["eval", "--model", str(model), "--in", str(data)], capsys)
+        assert code == 3 and "differ from its fields" in stderr
+
     def test_train_defaults_are_the_train_config_defaults(self):
         args = _build_parser().parse_args(
             ["train", "--in", "d.csv", "--domain", "tort", "--out", "m.json"]

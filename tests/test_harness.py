@@ -211,6 +211,36 @@ class TestRunPlan:
                 assert_curves_equal(curve, parallel.curves[name])
         assert serial.curves  # the curve plan has one curve cell
 
+    def test_each_model_is_evaluated_on_its_own_outputs(self, monkeypatch):
+        trained, seen = [], []
+        real_train, real_accuracy = harness_module.train, harness_module.accuracy
+
+        def recording_train(*args):
+            trained.append(real_train(*args))
+            return trained[-1]
+
+        def recording_accuracy(model, dataset):
+            seen.append((dataset, model.outputs(dataset.values)))
+            return real_accuracy(model, dataset)
+
+        monkeypatch.setattr(harness_module, "train", recording_train)
+        monkeypatch.setattr(harness_module, "accuracy", recording_accuracy)
+        run_plan(ExperimentPlan(  # a domain whose scaling is not the identity
+            domain_id="simplified",
+            train_specs=(spec("simplified", "type-b", 200),),
+            test_specs=(spec("simplified", "age-gender"), spec("simplified", "type-a", 200)),
+            architectures=((12,), (24, 6)),
+            repetitions=1,
+            iterations=60,
+            master_seed=5,
+        ))
+        assert len(trained) == 2 and len(seen) == 2 * 2
+        for dataset in {id(d): d for d, _ in seen}.values():
+            outputs = [o for d, o in seen if d is dataset]
+            for model in trained:
+                want = model.outputs(dataset.values)
+                assert sum(np.array_equal(o, want) for o in outputs) == 1
+
     def test_divergence_excluded_and_counted(self, monkeypatch):
         calls = {"n": 0}
         real_train = harness_module.train

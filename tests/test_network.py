@@ -1,6 +1,8 @@
 import base64
+import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from rationale_lab import (
     save_model,
     train,
 )
+from rationale_lab.generation import Dataset
 from rationale_lab.network import (
     STANDARD_HIDDEN_LAYERS,
     AdamState,
@@ -65,11 +68,14 @@ def reference_adam(arrays, ms, vs, grads, t, cfg):
 
 
 def reference_grads(weights, biases, x, y):
-    """Backprop with a fresh array per layer gradient."""
+    """Backprop with a fresh array per layer gradient; also returns the
+    batch loss, computed as ``.mean()``."""
     y = y.reshape(-1, 1)
     activations = [x]
     for w, b in zip(weights, biases):
-        activations.append(expit(activations[-1] @ w + b))
+        z = activations[-1] @ w + b
+        activations.append(expit(z))
+    loss = float((np.logaddexp(0.0, z) - y * z).mean())
     grad_w, grad_b = [None] * len(weights), [None] * len(weights)
     delta = (activations[-1] - y) / x.shape[0]
     for layer in range(len(weights) - 1, -1, -1):
@@ -78,12 +84,24 @@ def reference_grads(weights, biases, x, y):
         grad_b[layer] = delta.sum(axis=0)
         if layer > 0:
             delta = (delta @ weights[layer].T) * a_prev * (1.0 - a_prev)
-    return grad_w, grad_b
+    return loss, grad_w, grad_b
+
+
+def reference_batches(n, train_config):
+    """``train``'s batch schedule: (step, case indices) for every step."""
+    rng = np.random.default_rng(train_config.shuffle_seed)
+    bs = train_config.batch_size
+    order, pos = rng.permutation(n), 0
+    for step in range(1, train_config.iterations + 1):
+        if pos >= n:
+            order, pos = rng.permutation(n), 0
+        yield step, order[pos : pos + bs]
+        pos += bs
 
 
 def reference_train(dataset, network_config, train_config):
     """``train``'s batch schedule over separate per-layer arrays and
-    per-array Adam; returns the final (weights, biases)."""
+    per-array Adam; returns the final (weights, biases, loss trace)."""
     init = init_params(network_config)
     weights = [w.copy() for w in init.weights]
     biases = [b.copy() for b in init.biases]
@@ -92,17 +110,38 @@ def reference_train(dataset, network_config, train_config):
     vs = [np.zeros_like(a) for a in arrays]
     x = schema_scaling(dataset.schema_id).apply(dataset.values)
     y = dataset.labels.astype(np.float64)
-    rng = np.random.default_rng(train_config.shuffle_seed)
-    n, bs = len(dataset), train_config.batch_size
-    order, pos = rng.permutation(n), 0
-    for step in range(1, train_config.iterations + 1):
-        if pos >= n:
-            order, pos = rng.permutation(n), 0
-        batch = order[pos : pos + bs]
-        pos += bs
-        grad_w, grad_b = reference_grads(weights, biases, x[batch], y[batch])
+    trace = []
+    for step, batch in reference_batches(len(dataset), train_config):
+        loss, grad_w, grad_b = reference_grads(weights, biases, x[batch], y[batch])
+        trace.append(loss)
         reference_adam(arrays, ms, vs, grad_w + grad_b, step, train_config)
-    return weights, biases
+    return weights, biases, np.array(trace)
+
+
+def first_diverged_step(dataset, network_config, train_config):
+    """``train``'s schedule run through the public per-call ``loss_and_grads``
+    and ``adam_update``: the first step whose loss is non-finite, or None."""
+    params = init_params(network_config)
+    state = AdamState(params)
+    x = schema_scaling(dataset.schema_id).apply(dataset.values)
+    y = dataset.labels.astype(np.float64)
+    for step, batch in reference_batches(len(dataset), train_config):
+        try:
+            _, grads = loss_and_grads(params, x[batch], y[batch])
+        except TrainingDivergedError:
+            return step
+        with np.errstate(invalid="ignore"):  # an infinite gradient makes NaN moments
+            adam_update(params, state, grads, step, train_config)
+    return None
+
+
+# One training set per domain width: 4 (simplified), 10 (tort), 64 (welfare),
+# 130 cases, so that a 40-case batch schedule ends each epoch on a short batch.
+REFERENCE_SETS = {
+    4: lambda: gen_welfare("type-b", size=130, seed=3, simplified=True),
+    10: lambda: gen_tort("regular", size=130, seed=3),
+    64: lambda: gen_welfare("type-b", size=130, seed=3),
+}
 
 
 class TestConfigs:
@@ -359,6 +398,20 @@ class TestTrain:
         assert model.loss_trace.shape == (150,)
         assert np.isfinite(model.loss_trace).all()
 
+    def test_divergence_names_the_first_non_finite_step(self):
+        base = gen_tort("regular", size=130, seed=3)
+        values = base.values.astype(np.float64)
+        values[109, 0] = np.inf  # in the last batch of epoch 1: inf gradients, then NaN weights
+        ds = Dataset(base.schema_id, base.kind, values, base.labels.copy(), base.meta)
+        cfg = NetworkConfig(10, (24, 6), init_seed=2)
+        tc = TrainConfig(iterations=100, batch_size=40, shuffle_seed=5)
+        first = first_diverged_step(ds, cfg, tc)
+        assert first is not None and first > 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingDivergedError, match=f"^step {first}: non-finite loss"):
+                train(ds, cfg, tc)
+
     def test_width_mismatch_rejected(self):
         ds = gen_tort("regular", size=200, seed=3)
         with pytest.raises(ValueError, match="inputs"):
@@ -414,12 +467,15 @@ class TestPersistence:
         # identical outputs after the round trip
         assert np.array_equal(model.outputs(ds.values), back.outputs(ds.values))
 
-    def test_saved_bytes_match_per_array_reference_training(self, tmp_path):
-        ds = gen_tort("regular", size=130, seed=3)
-        cfg = NetworkConfig(10, (24, 10, 3), init_seed=2)
-        tc = TrainConfig(iterations=150, batch_size=40, shuffle_seed=5)
+    @pytest.mark.parametrize("width", sorted(REFERENCE_SETS))
+    @pytest.mark.parametrize("hidden", STANDARD_HIDDEN_LAYERS)
+    def test_saved_bytes_match_per_array_reference_training(self, tmp_path, hidden, width):
+        ds = REFERENCE_SETS[width]()
+        cfg = NetworkConfig(width, hidden, init_seed=2)
+        tc = TrainConfig(iterations=150, batch_size=40, shuffle_seed=5)  # 37.5 epochs
         model = train(ds, cfg, tc)
-        weights, biases = reference_train(ds, cfg, tc)
+        weights, biases, trace = reference_train(ds, cfg, tc)
+        assert np.array_equal(model.loss_trace, trace)
         reference = TrainedModel(
             config=cfg, train_config=tc, params=ModelParams(weights, biases),
             scaling=model.scaling, schema_id=model.schema_id,
@@ -429,11 +485,43 @@ class TestPersistence:
         want = save_model(reference, tmp_path / "reference.json").read_bytes()
         assert got == want
         layers = json.loads(got)["layers"]
-        assert [sorted(layer) for layer in layers] == [["bias", "shape", "weights"]] * 4
+        assert [sorted(layer) for layer in layers] == [["bias", "shape", "weights"]] * len(weights)
         for layer, w, b in zip(layers, weights, biases):
             assert layer["shape"] == list(w.shape)
             assert base64.b64decode(layer["weights"]) == w.astype("<f8").tobytes()
             assert base64.b64decode(layer["bias"]) == b.astype("<f8").tobytes()
+
+    def test_every_config_field_round_trips(self, tmp_path):
+        ds = gen_tort("regular", size=200, seed=3)
+        cfg = NetworkConfig(10, (5, 4), init_seed=7, allow_nonstandard=True)
+        tc = TrainConfig(learning_rate=0.002, batch_size=30, iterations=5, beta1=0.8,
+                         beta2=0.99, epsilon=1e-7, shuffle_seed=9)
+        path = save_model(train(ds, cfg, tc), tmp_path / "model.json")
+        doc = json.loads(path.read_text())
+        back = load_model(path)
+        for block, saved, loaded in (("network", cfg, back.config),
+                                     ("training", tc, back.train_config)):
+            names = [f.name for f in dataclasses.fields(saved)]
+            assert sorted(doc[block]) == sorted(names)
+            for name in names:
+                assert getattr(loaded, name) == getattr(saved, name), name
+                assert type(getattr(loaded, name)) is type(getattr(saved, name)), name
+
+    @pytest.mark.parametrize("block", ["network", "training"])
+    @pytest.mark.parametrize("edit", ["missing", "unknown"])
+    def test_rejects_config_keys_that_are_not_the_fields(self, tmp_path, block, edit):
+        path = save_model(train(gen_tort("regular", size=200, seed=3),
+                                NetworkConfig(10, (12,), init_seed=2),
+                                TrainConfig(iterations=5, shuffle_seed=5)),
+                          tmp_path / "model.json")
+        doc = json.loads(path.read_text())
+        if edit == "missing":
+            del doc[block][sorted(doc[block])[0]]
+        else:
+            doc[block]["momentum"] = 0.5
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="differ from its fields"):
+            load_model(path)
 
     @pytest.mark.parametrize("edit", ["unchained", "other-architecture"])
     def test_rejects_layers_that_do_not_fit_the_network(self, tmp_path, edit):
