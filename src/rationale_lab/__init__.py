@@ -27,9 +27,7 @@ from .dataset_io import DatasetFormatError, read_dataset, write_dataset
 from .oracle import (
     ExpectedStats,
     VerificationReport,
-    enumerate_tort,
     expected_stats,
-    uniform_positive_rate,
     verify_dataset,
 )
 from .network import (
@@ -41,20 +39,15 @@ from .network import (
     TrainedModel,
     TrainingDivergedError,
     adam_update,
-    forward,
     init_params,
     load_model,
     loss_and_grads,
-    predict,
     save_model,
     train,
 )
 from .evaluation import (
-    ConditionOracleModel,
     ConditionOutputTable,
-    ConstantOutputModel,
     CurveDeviation,
-    LabelOracleModel,
     RationaleCurve,
     TurningPointReport,
     accuracy,
@@ -74,5 +67,4 @@ from .harness import (
     load_plan,
     replay,
     run_plan,
-    save_plan,
 )

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .dataset_io import DatasetFormatError, read_dataset, write_dataset
 from .domains import DOMAIN_IDS, SchemaValidationError, build_domain
@@ -42,6 +41,12 @@ EXIT_RUNTIME = 3
 
 class UsageError(Exception):
     pass
+
+
+def _parallelism(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,12 +89,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ex = sub.add_parser("experiment", help="run a plan file and emit its reports")
     ex.add_argument("--plan", required=True)
     ex.add_argument("--out-dir", required=True)
-    ex.add_argument("--parallelism", type=int, default=1)
+    ex.add_argument("--parallelism", type=_parallelism, default=1)
 
     rep = sub.add_parser("report", help="replay a manifest and re-emit its reports")
     rep.add_argument("--manifest", required=True)
     rep.add_argument("--out-dir", required=True)
-    rep.add_argument("--parallelism", type=int, default=1)
+    rep.add_argument("--parallelism", type=_parallelism, default=1)
 
     return parser
 
@@ -178,9 +183,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    doc = json.loads(Path(args.manifest).read_text())
-    print(f"master_seed={doc['plan']['master_seed']} (replay)")
-    replay(args.manifest, args.out_dir, parallelism=args.parallelism)
+    report = replay(args.manifest, args.out_dir, parallelism=args.parallelism)
+    print(f"master_seed={report.plan.master_seed} (replay)")
     print(f"wrote report under {args.out_dir}")
     return EXIT_OK
 

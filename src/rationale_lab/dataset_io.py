@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domains import DomainSchema
+from .domains import DomainSchema, SchemaValidationError
 from .generation import Dataset, DatasetMeta
 
 LABEL_COLUMN = "label"
@@ -55,7 +55,7 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
     """Read a dataset written by :func:`write_dataset`.
 
     The header must match the schema's feature order exactly; every cell
-    must be an integer and labels must be 0 or 1.
+    must be an integer within its feature's range, and labels must be 0 or 1.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -95,6 +95,10 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
 
     data = np.array(rows, dtype=np.int64).reshape(len(rows), len(expected))
     values, labels = data[:, :-1], data[:, -1]
+    try:
+        schema.validate_matrix(values)
+    except SchemaValidationError as err:
+        raise DatasetFormatError(f"{path}: {err}") from None
     if np.any((labels != 0) & (labels != 1)):
         bad_row = int(np.flatnonzero((labels != 0) & (labels != 1))[0])
         raise DatasetFormatError(

@@ -197,9 +197,6 @@ class DomainSchema:
             [spec.encode(case[spec.name]) for spec in self.features], dtype=np.int64
         )
 
-    def row_to_case(self, row: np.ndarray) -> dict[str, int]:
-        return {name: int(v) for name, v in zip(self.feature_names, row)}
-
     # -- vectorised evaluation ----------------------------------------------
 
     def validate_matrix(self, values: np.ndarray) -> None:
@@ -214,15 +211,15 @@ class DomainSchema:
             raise SchemaValidationError(
                 f"{self.domain_id}: expected integer values, got dtype {values.dtype}"
             )
-        for i, spec in enumerate(self.features):
-            col = values[:, i]
-            bad = (col < spec.lo) | (col > spec.hi)
-            if bad.any():
-                row = int(np.argmax(bad))
-                raise SchemaValidationError(
-                    f"{spec.name}: value {int(col[row])} at row {row} outside "
-                    f"[{spec.lo}, {spec.hi}]"
-                )
+        lo, hi = np.array([(f.lo, f.hi) for f in self.features]).T
+        bad = (values < lo) | (values > hi)
+        if bad.any():  # the first offending feature in schema order, then its first row
+            i = int(np.argmax(bad.any(axis=0)))
+            row, spec = int(np.argmax(bad[:, i])), self.features[i]
+            raise SchemaValidationError(
+                f"{spec.name}: value {int(values[row, i])} at row {row} outside "
+                f"[{spec.lo}, {spec.hi}]"
+            )
 
     def _truth(self, cond: Condition, values: np.ndarray) -> np.ndarray:
         """Truth of one of this schema's conditions on every row of a

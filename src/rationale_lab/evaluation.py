@@ -15,48 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .domains import DomainSchema, SchemaValidationError, build_domain
+from .domains import SchemaValidationError, build_domain
 from .generation import Dataset
-
-
-# ---------------------------------------------------------------------------
-# Reference stubs.  These give the evaluation functions fixed points: the
-# condition stub reproduces ideal curves exactly, the label stub has
-# accuracy 1.0 on every correctly labelled dataset.
-# ---------------------------------------------------------------------------
-
-class ConstantOutputModel:
-    """Outputs the same probability for every case."""
-
-    def __init__(self, value: float):
-        self.value = float(value)
-        self.schema_id = None
-
-    def outputs(self, values) -> np.ndarray:
-        return np.full(np.asarray(values).shape[0], self.value)
-
-
-class ConditionOracleModel:
-    """Outputs 1.0 where a named condition holds and 0.0 elsewhere."""
-
-    def __init__(self, schema: DomainSchema, cond_id: str):
-        self.schema = schema
-        self.schema_id = schema.domain_id
-        self.condition = schema.condition(cond_id)
-
-    def outputs(self, values) -> np.ndarray:
-        return self.schema._truth(self.condition, np.asarray(values)).astype(np.float64)
-
-
-class LabelOracleModel:
-    """Outputs the true label rule, i.e. a perfect classifier."""
-
-    def __init__(self, schema: DomainSchema):
-        self.schema = schema
-        self.schema_id = schema.domain_id
-
-    def outputs(self, values) -> np.ndarray:
-        return self.schema.label_matrix(np.asarray(values)).astype(np.float64)
 
 
 def _check_schema(model, dataset: Dataset) -> None:
@@ -249,13 +209,6 @@ class ConditionTableRow:
 class ConditionOutputTable:
     condition_id: str
     rows: dict[bool, ConditionTableRow]
-
-    @property
-    def accuracy_under_threshold(self) -> float:
-        """Accuracy on the dedicated set implied by the per-row positive rates."""
-        t, f = self.rows[True], self.rows[False]
-        correct = t.positive_rate * t.count + (1.0 - f.positive_rate) * f.count
-        return correct / (t.count + f.count)
 
     def to_dict(self) -> dict:
         return {

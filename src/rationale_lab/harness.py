@@ -32,6 +32,7 @@ from .evaluation import (
     accuracy,
     condition_table,
     output_curve,
+    write_curve_tsv,
 )
 from .generation import (
     DEDICATED_TARGET,
@@ -148,33 +149,46 @@ _OPTIONAL_PLAN_KEYS = {
 }
 
 
+def _is_spec(entry) -> bool:
+    return (isinstance(entry, dict) and isinstance(entry.get("kind"), str)
+            and isinstance(entry.get("size"), (int, type(None))))
+
+
+def _is_arch(entry) -> bool:
+    return isinstance(entry, list) and all(isinstance(w, int) for w in entry)
+
+
 def plan_from_dict(doc: dict) -> ExperimentPlan:
     """A plan from its JSON form; keys the document omits take the
-    :class:`ExperimentPlan` defaults."""
-    domain = doc["domain"]
+    :class:`ExperimentPlan` defaults.  A value of the wrong JSON type raises
+    ValueError naming its key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a plan must be a JSON object, got {type(doc).__name__}")
 
-    def specs(entries) -> tuple[GeneratorRequest, ...]:
-        return tuple(
-            GeneratorRequest(domain, e["kind"], e.get("size")) for e in entries
-        )
+    def checked(key: str, ok):
+        if not ok(doc[key]):
+            raise ValueError(f"plan key {key!r} is malformed: {doc[key]!r}")
+        return doc[key]
+
+    def listed(key: str, ok) -> list:
+        return checked(key, lambda v: isinstance(v, list) and all(map(ok, v)))
+
+    def specs(key: str) -> tuple[GeneratorRequest, ...]:
+        return tuple(GeneratorRequest(doc["domain"], e["kind"], e.get("size"))
+                     for e in listed(key, _is_spec))
 
     return ExperimentPlan(
-        domain_id=domain,
-        train_specs=specs(doc["train"]),
-        test_specs=specs(doc["test"]),
-        architectures=tuple(tuple(a) for a in doc["architectures"]),
-        **{key: cast(doc[key]) for key, cast in _OPTIONAL_PLAN_KEYS.items() if key in doc},
+        domain_id=checked("domain", lambda v: isinstance(v, str)),
+        train_specs=specs("train"),
+        test_specs=specs("test"),
+        architectures=tuple(tuple(a) for a in listed("architectures", _is_arch)),
+        **{key: cast(checked(key, lambda v: isinstance(v, (int, float))))
+           for key, cast in _OPTIONAL_PLAN_KEYS.items() if key in doc},
     )
 
 
 def load_plan(path: str | Path) -> ExperimentPlan:
     return plan_from_dict(json.loads(Path(path).read_text()))
-
-
-def save_plan(plan: ExperimentPlan, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(plan.to_dict(), indent=2) + "\n")
-    return path
 
 
 def _arch_label(arch: tuple[int, ...]) -> str:
@@ -341,9 +355,12 @@ def run_plan(plan: ExperimentPlan, parallelism: int = 1) -> AggregateReport:
     Training divergence in one repetition excludes that repetition from the
     affected cells' statistics; the exclusion count is reported per cell.
     """
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     schedule = _schedule(plan)
-    if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    workers = min(parallelism, plan.repetitions)  # a pool starts all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_repetition, [plan] * len(schedule), schedule))
     else:
         results = [_run_repetition(plan, seeds) for seeds in schedule]
@@ -441,8 +458,6 @@ def emit_report(report: AggregateReport, out_dir: str | Path) -> dict[str, Path]
     Every file except the manifest is byte-deterministic for a given plan;
     the manifest additionally carries a wall-clock timestamp.
     """
-    from .evaluation import write_curve_tsv
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
@@ -501,6 +516,8 @@ def replay(manifest_path: str | Path, out_dir: str | Path,
     its plan derives.
     """
     doc = json.loads(Path(manifest_path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{manifest_path}: a manifest must be a JSON object")
     plan = plan_from_dict(doc["plan"])
     for key, running in (("generator_version", GENERATOR_VERSION),
                          ("package_version", _package_version)):

@@ -4,8 +4,8 @@ loss, backpropagation, and mini-batch Adam.
 Every layer, the output included, applies an elementwise sigmoid.  Inputs are
 min-max scaled to [0, 1] using the schema-declared feature ranges, recorded
 on the trained model so that train and test scaling are identical by
-construction.  Trained models accept raw case values only and scale
-internally, so scaling can never be applied twice.
+construction.  ``TrainedModel.outputs`` takes a matrix of raw case rows
+only and scales it internally, so scaling can never be applied twice.
 
 Training is single-threaded and bit-deterministic given (dataset, seeds,
 config); distinct runs may execute concurrently with independent state.
@@ -48,12 +48,12 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Sequence, get_type_hints
+from typing import Sequence, get_type_hints
 
 import numpy as np
 from scipy.special import expit
 
-from .domains import Case, build_domain
+from .domains import build_domain
 from .generation import Dataset
 
 STANDARD_HIDDEN_LAYERS = ((12,), (24, 6), (24, 10, 3))
@@ -158,10 +158,6 @@ class ModelParams:
         params = cls.__new__(cls)
         params._bind(flat, layout)
         return params
-
-    def zeros_like(self) -> "ModelParams":
-        """A zero-filled buffer of the same layout."""
-        return ModelParams._on(np.zeros(self.flat.size), self.layout)
 
     def empty_like(self) -> "ModelParams":
         """An uninitialised buffer of the same layout, e.g. for ``out=``."""
@@ -342,37 +338,16 @@ class TrainedModel:
     feature_names: tuple[str, ...]
     loss_trace: np.ndarray | None = field(default=None, repr=False)
 
-    def _encode(self, cases) -> np.ndarray:
-        if isinstance(cases, Mapping):
-            schema = build_domain(self.schema_id)
-            return schema.case_to_row(cases)[None, :]
-        arr = np.asarray(cases, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != self.config.input_width:
+    def outputs(self, values) -> np.ndarray:
+        """Probabilities for an (n, input_width) matrix of raw case rows."""
+        x = np.asarray(values, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.config.input_width:
             raise ValueError(
-                f"expected {self.config.input_width}-wide input, got shape {arr.shape}"
+                f"expected an (n, {self.config.input_width}) matrix, got shape {x.shape}"
             )
-        if not np.isfinite(arr).all():
+        if not np.isfinite(x).all():
             raise ValueError("non-finite input value")
-        return arr
-
-    def outputs(self, cases) -> np.ndarray:
-        """Probabilities for raw cases: a Case mapping, a row, or a matrix."""
-        return _scaled_outputs(self.params, self.scaling.apply(self._encode(cases)))
-
-
-def forward(model: TrainedModel, case) -> float | np.ndarray:
-    """Network output in (0, 1) for one raw case, or per row of a matrix."""
-    out = model.outputs(case)
-    if isinstance(case, Mapping) or np.asarray(case).ndim == 1:
-        return float(out[0])
-    return out
-
-
-def predict(model: TrainedModel, case: Case) -> bool:
-    """Thresholded decision; an output of exactly 0.5 counts as positive."""
-    return bool(model.outputs(case)[0] >= 0.5)
+        return _scaled_outputs(self.params, self.scaling.apply(x))
 
 
 def train(
@@ -488,7 +463,7 @@ def save_model(model: TrainedModel, path: str | Path) -> Path:
 
 def load_model(path: str | Path) -> TrainedModel:
     doc = json.loads(Path(path).read_text())
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {doc.get('format_version')}")

@@ -229,12 +229,3 @@ def verify_dataset(dataset: Dataset, schema: DomainSchema) -> VerificationReport
         duplicate_count=duplicate_count,
     )
 
-
-def uniform_positive_rate(domain_id: str, n: int, seed: int = 0) -> float:
-    """Positive-label rate among n cases drawn uniformly over all features."""
-    schema = build_domain(domain_id)
-    rng = np.random.default_rng(seed)
-    values = np.empty((n, schema.n_features), dtype=np.int64)
-    for i, spec in enumerate(schema.features):
-        values[:, i] = rng.integers(spec.lo, spec.hi + 1, n)
-    return float(labels_of(schema, values).mean())

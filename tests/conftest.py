@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import base64
+import json
 
 import numpy as np
 import pytest
 
-from rationale_lab import network
+from rationale_lab import DomainSchema, network
 
 
 def finite_difference_grads(
@@ -15,7 +16,7 @@ def finite_difference_grads(
     step: float = 1e-5,
 ) -> network.ModelParams:
     """Central-difference loss gradients, the oracle for backpropagation."""
-    grads = params.zeros_like()
+    grads = params.empty_like()  # every entry is written below
     for arrays, out in ((params.weights, grads.weights), (params.biases, grads.biases)):
         for a, g in zip(arrays, out):
             it = np.nditer(a, flags=["multi_index"])
@@ -59,6 +60,52 @@ def mismatched_model_doc(doc: dict, edit: str) -> dict:
     else:
         doc["layers"] = [layer(10, 12), layer(12, 1)]
     return doc
+
+
+def write_plan(plan, path):
+    """A plan file as ``load_plan`` reads it."""
+    path.write_text(json.dumps(plan.to_dict(), indent=2) + "\n")
+    return path
+
+
+# ---------------------------------------------------------------------------
+# Reference stubs.  These give the evaluation functions fixed points: the
+# condition stub reproduces ideal curves exactly, the label stub has
+# accuracy 1.0 on every correctly labelled dataset.
+# ---------------------------------------------------------------------------
+
+class ConstantOutputModel:
+    """Outputs the same probability for every case."""
+
+    def __init__(self, value: float):
+        self.value = float(value)
+        self.schema_id = None
+
+    def outputs(self, values) -> np.ndarray:
+        return np.full(np.asarray(values).shape[0], self.value)
+
+
+class ConditionOracleModel:
+    """Outputs 1.0 where a named condition holds and 0.0 elsewhere."""
+
+    def __init__(self, schema: DomainSchema, cond_id: str):
+        self.schema = schema
+        self.schema_id = schema.domain_id
+        self.condition = schema.condition(cond_id)
+
+    def outputs(self, values) -> np.ndarray:
+        return self.schema._truth(self.condition, np.asarray(values)).astype(np.float64)
+
+
+class LabelOracleModel:
+    """Outputs the true label rule, i.e. a perfect classifier."""
+
+    def __init__(self, schema: DomainSchema):
+        self.schema = schema
+        self.schema_id = schema.domain_id
+
+    def outputs(self, values) -> np.ndarray:
+        return self.schema.label_matrix(np.asarray(values)).astype(np.float64)
 
 
 @pytest.fixture(scope="session")

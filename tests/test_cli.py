@@ -3,11 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from rationale_lab import ExperimentPlan, GeneratorRequest, TrainConfig, save_plan
+from rationale_lab import ExperimentPlan, GeneratorRequest, TrainConfig
 from rationale_lab import harness as harness_module
 from rationale_lab.cli import _build_parser, main
 
-from conftest import mismatched_model_doc
+from conftest import mismatched_model_doc, write_plan
 
 PLANS_DIR = Path(__file__).resolve().parent.parent / "plans"
 
@@ -178,6 +178,21 @@ class TestTrainEval:
             defaults.iterations, defaults.learning_rate, defaults.batch_size
         )
 
+    def test_train_on_out_of_range_cell_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        run(["gen", "--domain", "tort", "--kind", "unique", "--out", str(data)], capsys)
+        lines = data.read_text().splitlines()
+        lines[1] = "7" + lines[1][1:]  # cau is boolean
+        data.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "m.json"
+        code, _, stderr = run(
+            ["train", "--in", str(data), "--domain", "tort", "--iterations", "10",
+             "--out", str(model)],
+            capsys,
+        )
+        assert code == 3 and "cau: value 7 at row 0" in stderr
+        assert not model.exists()
+
     def test_bad_hidden_spec_exits_2(self, tmp_path, capsys):
         data = tmp_path / "train.csv"
         run(["gen", "--domain", "tort", "--kind", "unique", "--out", str(data)], capsys)
@@ -201,7 +216,7 @@ class TestExperiment:
             iterations=80,
             master_seed=55,
         )
-        return save_plan(plan, tmp_path / "plan.json")
+        return write_plan(plan, tmp_path / "plan.json")
 
     def test_experiment_and_report_replay(self, tmp_path, tiny_plan, capsys):
         out1 = tmp_path / "out1"
@@ -267,6 +282,19 @@ class TestExperiment:
         assert calls == [] and stdout == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["experiment", "report"])
+    @pytest.mark.parametrize("parallelism", ["0", "-1"])
+    def test_parallelism_below_one_exits_2(self, tmp_path, tiny_plan, capsys, command,
+                                           parallelism):
+        source = ["--plan", str(tiny_plan)] if command == "experiment" else [
+            "--manifest", str(tmp_path / "manifest.json")]
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            [command, *source, "--out-dir", str(out), "--parallelism", parallelism], capsys
+        )
+        assert code == 2 and "--parallelism" in err and stdout == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["generator_version", "package_version"])
     def test_report_of_manifest_from_other_version_exits_3(self, tmp_path, tiny_plan,
                                                            capsys, key):
@@ -283,6 +311,32 @@ class TestExperiment:
         assert code == 3
         assert key in err
         assert not out2.exists()
+
+
+PLAN = {"domain": "tort", "train": [{"kind": "regular", "size": 200}],
+        "test": [{"kind": "unique"}], "architectures": [[12]], "repetitions": 1,
+        "iterations": 10}
+
+
+@pytest.mark.parametrize("command,document,named", [
+    ("eval", [], "not a rationale-lab-model file"),
+    ("experiment", [], "a plan must be a JSON object"),
+    ("experiment", dict(PLAN, train=[{"kind": "regular", "size": "500"}]), "'train'"),
+    ("experiment", dict(PLAN, architectures=[12]), "'architectures'"),
+    ("report", [], "a manifest must be a JSON object"),
+], ids=["model-list", "plan-list", "plan-size-string", "plan-flat-architectures",
+        "manifest-list"])
+def test_malformed_json_exits_3(tmp_path, capsys, command, document, named):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    data = tmp_path / "u.csv"
+    run(["gen", "--domain", "tort", "--kind", "unique", "--out", str(data)], capsys)
+    source = {"eval": ["--model", str(path), "--in", str(data)],
+              "experiment": ["--plan", str(path), "--out-dir", str(tmp_path / "out")],
+              "report": ["--manifest", str(path), "--out-dir", str(tmp_path / "out")]}
+    code, _, err = run([command, *source[command]], capsys)
+    assert code == 3 and named in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestBundledPlans:

@@ -75,6 +75,16 @@ def test_label_outside_binary_rejected(tmp_path, tort_schema):
         read_dataset(path, tort_schema)
 
 
+def test_cell_outside_feature_range_rejected(tmp_path, tort_schema):
+    path = tmp_path / "bad.csv"
+    write_dataset(gen_tort("unique"), path)
+    lines = path.read_text().splitlines()
+    lines[4] = "7" + lines[4][1:]  # cau is boolean
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match=r"cau: value 7 at row 3 outside \[0, 1\]"):
+        read_dataset(path, tort_schema)
+
+
 def test_read_without_sidecar_still_works(tmp_path, tort_schema):
     ds = gen_tort("unique")
     for sidecar in (None, "{}"):  # a missing and an empty sidecar read the same

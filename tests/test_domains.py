@@ -150,6 +150,38 @@ class TestLabelExamples:
         with pytest.raises(SchemaValidationError, match="unknown feature"):
             eval_label(tort_schema, dict(tort_case(), bogus=1))
 
+    def test_matrix_range_check_names_first_feature_then_its_first_row(self, welfare_schema):
+        values = np.zeros((50, welfare_schema.n_features), dtype=np.int64)
+        welfare_schema.validate_matrix(values)
+        values[10, welfare_schema.index_of("Resources")] = -1  # an earlier row, a later feature
+        values[40, welfare_schema.index_of("Age")] = -5
+        values[30, welfare_schema.index_of("Age")] = 101
+        with pytest.raises(SchemaValidationError,
+                           match=r"^Age: value 101 at row 30 outside \[0, 100\]$"):
+            welfare_schema.validate_matrix(values)
+        values[:, welfare_schema.index_of("Age")] = 0
+        with pytest.raises(SchemaValidationError, match=r"^Resources: value -1 at row 10 "):
+            welfare_schema.validate_matrix(values)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matrix_range_check_agrees_with_a_per_column_loop(self, welfare_schema, seed):
+        rng = np.random.default_rng(seed)
+        specs = welfare_schema.features
+        values = np.column_stack([rng.integers(f.lo, f.hi + 1, 300) for f in specs])
+        for _ in range(rng.integers(1, 6)):  # a few cells one step outside their range
+            row, col = rng.integers(300), rng.integers(len(specs))
+            values[row, col] = specs[col].hi + 1 if rng.random() < 0.5 else specs[col].lo - 1
+        want = None
+        for i, f in enumerate(specs):  # the loop the broadcast check replaced
+            bad = np.flatnonzero((values[:, i] < f.lo) | (values[:, i] > f.hi))
+            if len(bad):
+                row = bad[0]
+                want = f"{f.name}: value {values[row, i]} at row {row} outside [{f.lo}, {f.hi}]"
+                break
+        with pytest.raises(SchemaValidationError) as err:
+            welfare_schema.validate_matrix(values)
+        assert str(err.value) == want
+
 
 class TestConjunctionStructure:
     def test_tort_exhaustive(self, tort_schema):
@@ -162,7 +194,7 @@ class TestConjunctionStructure:
         assert np.array_equal(tort_schema.label_matrix(values), per_condition.all(axis=1))
         # scalar and vector paths agree
         for i in range(0, 1024, 37):
-            case = tort_schema.row_to_case(values[i])
+            case = dict(zip(tort_schema.feature_names, values[i].tolist()))
             assert eval_label(tort_schema, case) == bool(per_condition[i].all())
             for j, cond in enumerate(tort_schema.conditions):
                 assert eval_condition(tort_schema, cond.id, case) == bool(per_condition[i, j])
@@ -179,7 +211,7 @@ class TestConjunctionStructure:
         )
         # spot-check the scalar path against the vector path
         for i in range(0, n, 9973):
-            case = welfare_schema.row_to_case(values[i])
+            case = dict(zip(welfare_schema.feature_names, values[i].tolist()))
             assert eval_label(welfare_schema, case) == bool(
                 welfare_schema.label_matrix(values[i : i + 1])[0]
             )

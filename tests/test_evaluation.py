@@ -2,9 +2,6 @@ import numpy as np
 import pytest
 
 from rationale_lab import (
-    ConditionOracleModel,
-    ConstantOutputModel,
-    LabelOracleModel,
     SchemaValidationError,
     accuracy,
     build_domain,
@@ -18,6 +15,8 @@ from rationale_lab import (
     write_curve_tsv,
 )
 from rationale_lab.evaluation import CurveGroup, RationaleCurve
+
+from conftest import ConditionOracleModel, ConstantOutputModel, LabelOracleModel
 
 
 def make_curve(points_by_group, x_feature="Age", group_feature="Gender"):
@@ -210,18 +209,16 @@ class TestConditionTable:
             assert outputs.min() <= row.mean_output <= outputs.max()
 
     def test_accuracy_identity_on_dedicated_sets(self, tort_schema):
-        """Accuracy is recoverable from the table's per-row positive rates."""
+        """Accuracy is recoverable from the table's per-row positive rates:
+        on a dedicated set the label is the isolated condition's truth."""
         ds = gen_tort("imputability")
-        model = LabelOracleModel(tort_schema)
-        table = condition_table(model, ds, "c2")
-        assert table.accuracy_under_threshold == pytest.approx(
-            accuracy(model, ds), abs=1e-12
-        )
-        half = ConstantOutputModel(0.51)
-        table = condition_table(half, ds, "c2")
-        assert table.accuracy_under_threshold == pytest.approx(
-            accuracy(half, ds), abs=1e-12
-        )
+        for model in (LabelOracleModel(tort_schema), ConstantOutputModel(0.51)):
+            rows = condition_table(model, ds, "c2").rows
+            t, f = rows[True], rows[False]
+            correct = t.positive_rate * t.count + (1.0 - f.positive_rate) * f.count
+            assert correct / (t.count + f.count) == pytest.approx(
+                accuracy(model, ds), abs=1e-12
+            )
 
 
 class TestCurveDeviation:

@@ -13,9 +13,10 @@ from rationale_lab import (
     load_plan,
     replay,
     run_plan,
-    save_plan,
 )
 from rationale_lab import harness as harness_module
+
+from conftest import write_plan
 
 
 def spec(domain, kind, size=None):
@@ -145,7 +146,7 @@ class TestPlanStructure:
 
     def test_plan_file_round_trip(self, tmp_path):
         plan = tiny_tort_plan()
-        path = save_plan(plan, tmp_path / "plan.json")
+        path = write_plan(plan, tmp_path / "plan.json")
         assert load_plan(path) == plan
 
 
@@ -210,6 +211,32 @@ class TestRunPlan:
             for name, curve in serial.curves.items():
                 assert_curves_equal(curve, parallel.curves[name])
         assert serial.curves  # the curve plan has one curve cell
+
+    @pytest.mark.parametrize("parallelism,workers", [(1, []), (2, [2]), (8, [2])])
+    def test_pool_is_sized_to_the_repetitions(self, monkeypatch, parallelism, workers):
+        started = []
+
+        class RecordingPool:  # runs the jobs in this process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(harness_module, "ProcessPoolExecutor", RecordingPool)
+        plan = tiny_tort_plan(test_specs=(spec("tort", "unique"),), iterations=5)
+        assert run_plan(plan, parallelism=parallelism).cells == run_plan(plan).cells
+        assert started == workers
+
+    @pytest.mark.parametrize("parallelism", [0, -1])
+    def test_parallelism_below_one_rejected(self, parallelism):
+        with pytest.raises(ValueError, match="parallelism must be >= 1"):
+            run_plan(tiny_tort_plan(), parallelism=parallelism)
 
     def test_each_model_is_evaluated_on_its_own_outputs(self, monkeypatch):
         trained, seen = [], []

@@ -18,7 +18,6 @@ from rationale_lab import (
     init_params,
     load_model,
     loss_and_grads,
-    predict,
     save_model,
     train,
 )
@@ -29,7 +28,6 @@ from rationale_lab.network import (
     ModelParams,
     TrainedModel,
     adam_update,
-    forward,
     schema_scaling,
 )
 
@@ -240,29 +238,30 @@ class TestForward:
         w2 = [[0.7], [-0.6]]
         b2 = [0.2]
         model = tiny_model([w1, w2], [b1, b2])
-        x = [0.4, 0.9]
 
         sig = lambda v: 1.0 / (1.0 + math.exp(-v))
         h1 = sig(0.4 * 0.5 + 0.9 * 0.1 + 0.05)
         h2 = sig(0.4 * -0.25 + 0.9 * 0.3 - 0.1)
         expected = sig(h1 * 0.7 + h2 * -0.6 + 0.2)
-        assert abs(forward(model, np.array(x)) - expected) < 1e-12
+        assert abs(model.outputs([[0.4, 0.9]])[0] - expected) < 1e-12
 
     def test_sigmoid_monotone_end_to_end(self):
         model = tiny_model([[[2.0]]], [[0.0]])
-        outputs = [forward(model, np.array([x])) for x in (-3.0, -1.0, 0.0, 1.0, 3.0)]
-        assert outputs == sorted(outputs)
-        assert all(0.0 < o < 1.0 for o in outputs)
+        outputs = model.outputs([[-3.0], [-1.0], [0.0], [1.0], [3.0]])
+        assert np.all(np.diff(outputs) > 0)
+        assert np.all((0.0 < outputs) & (outputs < 1.0))
 
     def test_width_mismatch_rejected(self):
         model = tiny_model([np.zeros((4, 1))], [np.zeros(1)])
-        with pytest.raises(ValueError, match="4-wide"):
+        with pytest.raises(ValueError, match=r"\(n, 4\) matrix"):
             model.outputs(np.zeros((3, 5)))
+        with pytest.raises(ValueError, match=r"\(n, 4\) matrix"):
+            model.outputs(np.zeros(4))  # a single row is a (1, 4) matrix
 
     def test_non_finite_input_rejected(self):
         model = tiny_model([np.zeros((2, 1))], [np.zeros(1)])
         with pytest.raises(ValueError, match="non-finite"):
-            model.outputs(np.array([np.nan, 0.0]))
+            model.outputs(np.array([[np.nan, 0.0]]))
 
 
 class TestLossAndGrads:
@@ -317,7 +316,7 @@ class TestAdam:
     def test_zero_gradient_is_a_no_op_from_rest(self):
         params = ModelParams([np.array([[1.5]])], [np.array([0.25])])
         state = AdamState(params)
-        zero = params.zeros_like()
+        zero = ModelParams._on(np.zeros(params.flat.size), params.layout)
         for t in (1, 2, 3):
             adam_update(params, state, zero, t, TrainConfig(iterations=1))
         assert params.weights[0][0, 0] == 1.5 and params.biases[0][0] == 0.25
@@ -328,7 +327,7 @@ class TestAdam:
         state = AdamState(params)
         state.m.weights[0][:] = 0.8
         state.v.weights[0][:] = 0.4
-        zero = params.zeros_like()
+        zero = ModelParams._on(np.zeros(params.flat.size), params.layout)
         adam_update(params, state, zero, 1, TrainConfig(iterations=1))
         assert state.m.weights[0][0, 0] == pytest.approx(0.8 * 0.9)
         assert state.v.weights[0][0, 0] == pytest.approx(0.4 * 0.999)
@@ -427,26 +426,32 @@ class TestTrain:
         assert scaled[0, age] == 1.0 and scaled[0, resources] == 1.0
         assert scaling.scales.min() >= 1
 
-    def test_case_row_and_matrix_agree(self, tort_schema):
-        """Raw cases are scaled exactly once regardless of input form."""
-        ds = gen_tort("regular", size=200, seed=3)
-        model = train(ds, NetworkConfig(10, (12,), init_seed=2),
+    def test_outputs_scale_raw_rows_exactly_once(self):
+        """On simplified, whose scaling is not the identity, ``outputs`` of
+        raw rows equals the forward pass on the rows scaled once."""
+        ds = gen_welfare("type-b", size=200, seed=3, simplified=True)
+        model = train(ds, NetworkConfig(4, (12,), init_seed=2),
                       TrainConfig(iterations=100, shuffle_seed=5))
-        case = tort_schema.row_to_case(ds.values[0])
-        via_case = forward(model, case)
-        via_row = forward(model, ds.values[0])
-        via_matrix = model.outputs(ds.values[:1])[0]
-        assert via_case == via_row == via_matrix
+        scaling = schema_scaling("simplified")
+
+        def forward(x):
+            for w, b in zip(model.params.weights, model.params.biases):
+                x = expit(x @ w + b)
+            return x[:, 0]
+
+        got = model.outputs(ds.values)
+        assert np.array_equal(got, forward(scaling.apply(ds.values)))
+        assert not np.allclose(got, forward(scaling.apply(scaling.apply(ds.values))))
 
 
 class TestPredict:
     def test_tie_breaks_positive(self):
+        """An output of exactly 0.5 counts as a positive prediction."""
         model = tiny_model([np.zeros((10, 1))], [np.zeros(1)],
                            schema_id="tort")
         ds = gen_tort("unique")
-        assert forward(model, ds.values[0]) == 0.5
-        assert predict(model, ds.values[0]) is True
-        assert (model.outputs(ds.values) >= 0.5).all()
+        assert (model.outputs(ds.values) == 0.5).all()
+        assert accuracy(model, ds) == ds.labels.mean() == 112 / 1024
 
 
 class TestPersistence:

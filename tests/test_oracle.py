@@ -6,16 +6,15 @@ import pytest
 from rationale_lab import (
     SchemaValidationError,
     build_domain,
-    enumerate_tort,
     eval_label,
     expected_stats,
     gen_tort,
     gen_welfare,
     generate,
-    uniform_positive_rate,
     verify_dataset,
 )
 from rationale_lab.generation import Dataset, DatasetMeta, GeneratorRequest
+from rationale_lab.oracle import enumerate_tort, labels_of
 
 
 class TestEnumerateTort:
@@ -32,7 +31,7 @@ class TestEnumerateTort:
         )
         # and against the scalar evaluator on a stride of cases
         for i in range(0, 1024, 101):
-            case = tort_schema.row_to_case(ds.values[i])
+            case = dict(zip(tort_schema.feature_names, ds.values[i].tolist()))
             assert eval_label(tort_schema, case) == bool(ds.labels[i])
 
     def test_all_false_case_is_negative(self):
@@ -158,6 +157,11 @@ class TestVerifyDataset:
 def test_uniform_welfare_positives_are_rare():
     """The 50/50 balance of type A/B is engineered, not chance: a uniform
     draw over all 64 features is almost never eligible."""
-    rate = uniform_positive_rate("welfare", 1_000_000, seed=97)
+    schema = build_domain("welfare")
+    rng = np.random.default_rng(97)
+    values = np.column_stack(
+        [rng.integers(spec.lo, spec.hi + 1, 1_000_000) for spec in schema.features]
+    )
+    rate = float(labels_of(schema, values).mean())
     assert rate < 0.05
     assert rate > 0  # but not impossible
