@@ -153,19 +153,17 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if (args.curve is None) != (args.curve_out is None):
+        raise UsageError("--curve and --curve-out must be given together")
+    if args.curve is not None and args.curve.count(":") != 1:
+        raise UsageError("--curve takes X_FEATURE:GROUP_FEATURE")
     model = load_model(args.model)
     schema = build_domain(model.schema_id)
     dataset = read_dataset(args.path, schema)
     result = {"accuracy": accuracy(model, dataset), "cases": len(dataset)}
-    if args.curve:
-        try:
-            x_feature, group_feature = args.curve.split(":")
-        except ValueError:
-            raise UsageError("--curve takes X_FEATURE:GROUP_FEATURE") from None
-        curve = output_curve(model, dataset, x_feature, group_feature)
-        if args.curve_out:
-            write_curve_tsv(curve, args.curve_out)
-            result["curve"] = args.curve_out
+    if args.curve is not None:
+        write_curve_tsv(output_curve(model, dataset, *args.curve.split(":")), args.curve_out)
+        result["curve"] = args.curve_out
     if args.cond:
         result["condition_table"] = condition_table(model, dataset, args.cond).to_dict()
     print(json.dumps(result, indent=2, sort_keys=True))

@@ -10,7 +10,11 @@ reconstructable.  Writes are deterministic byte-for-byte.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import re
+import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -39,14 +43,7 @@ def write_dataset(dataset: Dataset, path: str | Path) -> Path:
         writer.writerow(header)
         rows = np.column_stack([dataset.values, dataset.labels.astype(np.int64)])
         writer.writerows(rows.tolist())
-    sidecar = {
-        "schema_id": dataset.schema_id,
-        "kind": dataset.kind,
-        "seed": dataset.meta.seed,
-        "generator_version": dataset.meta.generator_version,
-        "size": dataset.meta.size,
-        "positive_fraction": dataset.meta.positive_fraction,
-    }
+    sidecar = {"schema_id": dataset.schema_id, "kind": dataset.kind, **asdict(dataset.meta)}
     meta_path(path).write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     return path
 
@@ -54,17 +51,17 @@ def write_dataset(dataset: Dataset, path: str | Path) -> Path:
 def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
     """Read a dataset written by :func:`write_dataset`.
 
-    The header must match the schema's feature order exactly; every cell
-    must be an integer within its feature's range, and labels must be 0 or 1.
+    The header must match the schema's feature order exactly.  The body is
+    parsed by one ``np.loadtxt`` call: blank lines are skipped, and every
+    cell must be a plain base-10 int64 within its feature's range (labels 0
+    or 1).  A file holding only the header reads as a dataset of 0 cases.
     """
     path = Path(path)
+    expected = list(schema.feature_names) + [LABEL_COLUMN]
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError(f"{path}: empty file") from None
-        expected = list(schema.feature_names) + [LABEL_COLUMN]
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise DatasetFormatError(f"{path}: empty file")
         if header != expected:
             missing = [c for c in expected if c not in header]
             if missing:
@@ -78,22 +75,20 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
                 f"{path}: header does not match the {schema.domain_id} "
                 f"feature order; got {header[:4]}..."
             )
-        rows: list[list[int]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(expected):
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: expected {len(expected)} cells, got {len(row)}"
-                )
-            try:
-                rows.append([int(cell) for cell in row])
-            except ValueError:
-                bad = next(c for c in row if not _is_int(c))
-                col = expected[row.index(bad)]
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: non-numeric cell {bad!r} in column {col!r}"
-                ) from None
-
-    data = np.array(rows, dtype=np.int64).reshape(len(rows), len(expected))
+        body = fh.read()
+    if not body.isascii():  # np.loadtxt 2.4.6 can crash on code points above U+3FFFF
+        cell = re.search(r"[^,\n]*[^\x00-\x7f][^,\n]*", body)[0]
+        raise DatasetFormatError(f"{path}: cell {cell[:100]!r} is not a base-10 int64")
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(io.StringIO(body), np.int64, comments=None, delimiter=",", ndmin=2)
+    except ValueError as err:
+        raise _body_error(path, str(err), expected) from None
+    if data.size and data.shape[1] != len(expected):
+        raise DatasetFormatError(f"{path}: every data row has {data.shape[1]} cells, "
+                                 f"expected {len(expected)}")
+    data = data.reshape(-1, len(expected))
     values, labels = data[:, :-1], data[:, -1]
     try:
         schema.validate_matrix(values)
@@ -108,6 +103,8 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
 
     mp = meta_path(path)
     sidecar = json.loads(mp.read_text()) if mp.exists() else {}
+    if not isinstance(sidecar, dict):
+        raise DatasetFormatError(f"{mp}: a dataset sidecar must be a JSON object")
     kind = sidecar.get("kind", "unknown")
     meta = DatasetMeta(
         seed=int(sidecar.get("seed", 0)),
@@ -120,9 +117,18 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
     return Dataset(schema.domain_id, kind, values, labels.astype(np.uint8), meta)
 
 
-def _is_int(cell: str) -> bool:
-    try:
-        int(cell)
-        return True
-    except ValueError:
-        return False
+def _body_error(path: Path, message: str, columns: list[str]) -> DatasetFormatError:
+    """The error for np.loadtxt's ``message``, counting data rows from 0:
+    loadtxt does in conversion errors, but from 1 in column-count errors."""
+    if cell := re.search(r"convert string (.*) to int64 at row (\d+), column (\d+)", message):
+        col = int(cell[3])
+        name = repr(columns[col - 1]) if col <= len(columns) else f"{col} of {len(columns)}"
+        return DatasetFormatError(f"{path}: cell {cell[1]} at data row {cell[2]}, "
+                                  f"column {name}, is not a base-10 int64")
+    if width := re.search(r"columns changed from (\d+) to (\d+) at row (\d+)", message):
+        first, got, row = (int(g) for g in width.groups())
+        if first != len(columns):  # the first data row is already the wrong width
+            got, row = first, 1
+        return DatasetFormatError(f"{path}: data row {row - 1} has {got} cells, "
+                                  f"expected {len(columns)}")
+    return DatasetFormatError(f"{path}: every cell must be a base-10 int64")

@@ -34,11 +34,6 @@ batch is a slice, and enters ``np.errstate`` once.  The public
 same kernels per call.  Matrix products use ``np.dot``: on the 2-d
 float64 operands of every standard layer shape it gave the same bits as
 ``@``, for less call overhead.
-
-Buffer ownership.  ``loss_and_grads(params, x, y, out=grads)`` writes the
-gradients into the caller's ``grads`` and returns it.  Without ``out`` the
-gradients go to a new buffer that nothing else references, so the result
-of one call is never overwritten by the next.
 """
 
 from __future__ import annotations
@@ -212,24 +207,17 @@ def _backprop(params: ModelParams, x: np.ndarray, y: np.ndarray, out: ModelParam
     return loss
 
 
-def loss_and_grads(
-    params: ModelParams, x: np.ndarray, y: np.ndarray, out: ModelParams | None = None
-) -> tuple[float, ModelParams]:
+def loss_and_grads(params: ModelParams, x: np.ndarray, y: np.ndarray) -> tuple[float, ModelParams]:
     """Mean binary cross-entropy over a batch and its backprop gradients.
 
     ``x`` is already scaled, shape (n, input_width); ``y`` holds 0/1 labels.
     The loss is evaluated from the output pre-activation z as
-    softplus(z) - y*z, which is exact and overflow-free.
-
-    The gradients are written into ``out`` when given (it must have the
-    layout of ``params``, and is returned); otherwise into a new buffer.
+    softplus(z) - y*z, which is exact and overflow-free.  The gradients go
+    to a new buffer that nothing else references.
     """
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("batch must be a non-empty 2-d array")
-    if out is None:
-        out = params.empty_like()
-    elif out.layout != params.layout:
-        raise ValueError(f"gradient layout {out.layout} differs from {params.layout}")
+    out = params.empty_like()
     with np.errstate(invalid="ignore"):
         loss = _backprop(params, x, np.asarray(y, dtype=np.float64).reshape(-1, 1), out)
     return loss, out
@@ -467,21 +455,28 @@ def load_model(path: str | Path) -> TrainedModel:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {doc.get('format_version')}")
-    config = _config_from_block(NetworkConfig, doc["network"], path)
-    train_config = _config_from_block(TrainConfig, doc["training"], path)
-    n_features = len(doc["feature_names"])
+
+    def section(key: str, kind: type):
+        if not isinstance(doc.get(key), kind):
+            raise ValueError(f"{path}: model key {key!r} must be a {kind.__name__}")
+        return doc[key]
+
+    config = _config_from_block(NetworkConfig, section("network", dict), path)
+    train_config = _config_from_block(TrainConfig, section("training", dict), path)
+    n_features, packed = len(section("feature_names", list)), section("scaling", dict)
     scaling = FeatureScaling(
-        offsets=_unpack(doc["scaling"]["offsets"], (n_features,)),
-        scales=_unpack(doc["scaling"]["scales"], (n_features,)),
+        offsets=_unpack(packed["offsets"], (n_features,)),
+        scales=_unpack(packed["scales"], (n_features,)),
     )
-    shapes = [tuple(layer["shape"]) for layer in doc["layers"]]
+    layers = section("layers", list)
+    shapes = [tuple(layer["shape"]) for layer in layers]
     sizes = config.layer_sizes
     if shapes != list(zip(sizes[:-1], sizes[1:])):
         raise ValueError(
             f"{path}: layer shapes {shapes} do not match the network's layer sizes {sizes}"
         )
-    weights = [_unpack(layer["weights"], shape) for layer, shape in zip(doc["layers"], shapes)]
-    biases = [_unpack(layer["bias"], (shape[1],)) for layer, shape in zip(doc["layers"], shapes)]
+    weights = [_unpack(layer["weights"], shape) for layer, shape in zip(layers, shapes)]
+    biases = [_unpack(layer["bias"], (shape[1],)) for layer, shape in zip(layers, shapes)]
     return TrainedModel(
         config=config,
         train_config=train_config,

@@ -142,6 +142,14 @@ class TestTrainEval:
         assert code == 0
         assert curve.read_text().startswith("group\tx\tmean_output\tn")
 
+    @pytest.mark.parametrize("flag", [["--curve", "Age:Gender"], ["--curve-out", "c.tsv"]],
+                             ids=["curve", "curve-out"])
+    def test_eval_curve_flag_alone_exits_2(self, tmp_path, capsys, flag):
+        # neither file exists: the flag is rejected before any file is read
+        code, _, stderr = run(["eval", "--model", str(tmp_path / "m.json"),
+                               "--in", str(tmp_path / "d.csv"), *flag], capsys)
+        assert code == 2 and "given together" in stderr
+
     @pytest.mark.parametrize("edit", ["unchained", "other-architecture"])
     def test_eval_of_mismatched_model_exits_3(self, tmp_path, capsys, edit):
         data = tmp_path / "train.csv"
@@ -320,17 +328,23 @@ PLAN = {"domain": "tort", "train": [{"kind": "regular", "size": 200}],
 
 @pytest.mark.parametrize("command,document,named", [
     ("eval", [], "not a rationale-lab-model file"),
+    ("eval", {"layers": 5}, "'layers'"),
+    ("eval", {"scaling": []}, "'scaling'"),
     ("experiment", [], "a plan must be a JSON object"),
     ("experiment", dict(PLAN, train=[{"kind": "regular", "size": "500"}]), "'train'"),
     ("experiment", dict(PLAN, architectures=[12]), "'architectures'"),
     ("report", [], "a manifest must be a JSON object"),
-], ids=["model-list", "plan-list", "plan-size-string", "plan-flat-architectures",
-        "manifest-list"])
+], ids=["model-list", "model-layers-int", "model-scaling-list", "plan-list",
+        "plan-size-string", "plan-flat-architectures", "manifest-list"])
 def test_malformed_json_exits_3(tmp_path, capsys, command, document, named):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(document))
     data = tmp_path / "u.csv"
     run(["gen", "--domain", "tort", "--kind", "unique", "--out", str(data)], capsys)
+    if command == "eval" and isinstance(document, dict):  # one key of a trained model edited
+        run(["train", "--in", str(data), "--domain", "tort", "--iterations", "1",
+             "--out", str(path)], capsys)
+        document = {**json.loads(path.read_text()), **document}
+    path.write_text(json.dumps(document))
     source = {"eval": ["--model", str(path), "--in", str(data)],
               "experiment": ["--plan", str(path), "--out-dir", str(tmp_path / "out")],
               "report": ["--manifest", str(path), "--out-dir", str(tmp_path / "out")]}

@@ -340,25 +340,29 @@ class TestEmitAndReplay:
         real_generate, real_train = harness_module.generate, harness_module.train
 
         def recording_generate(request):
-            if request.seed is not None:
-                generated.append((request.label(), request.seed))
+            generated.append((request.label(), request.seed))
             return real_generate(request)
 
         def recording_train(dataset, net_cfg, train_cfg):
             trained.append((net_cfg.init_seed, train_cfg.shuffle_seed))
             return real_train(dataset, net_cfg, train_cfg)
 
+        monkeypatch.setattr(harness_module, "_dataset_cache", {})
         monkeypatch.setattr(harness_module, "generate", recording_generate)
         monkeypatch.setattr(harness_module, "train", recording_train)
         paths = emit_report(run_plan(plan), tmp_path / "out")
         seeds = json.loads(paths["manifest"].read_text())["seeds"]
 
         assert [entry["repetition"] for entry in seeds] == [0, 1]
+        # the enumerated set comes from the plan's own spec, once, in repetition 0
+        enumerated = (plan.test_specs[1].label(), plan.test_specs[1].seed)
+        assert enumerated == ("unlawfulness", 0)
         assert generated == [
             pair
             for entry in seeds
-            for pair in [*entry["train_data"].items(), ("regular-100",
-                                                        entry["test_data"]["regular-100"])]
+            for pair in [*entry["train_data"].items(),
+                         ("regular-100", entry["test_data"]["regular-100"]),
+                         *([enumerated] if entry["repetition"] == 0 else [])]
         ]
         jobs = ["regular-200__12", "regular-200__24-6", "regular-300__12", "regular-300__24-6"]
         assert trained == [
