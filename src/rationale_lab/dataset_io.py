@@ -4,7 +4,11 @@ The CSV carries a header row in the schema's canonical feature order plus a
 final ``label`` column, one case per row, integer cells only.  The sidecar
 (same basename, ``.meta.json``) records domain, kind, seed, generator
 version, size, and positive fraction, making a written dataset fully
-reconstructable.  Writes are deterministic byte-for-byte.
+reconstructable.  Writes are deterministic byte-for-byte, and range-check
+every cell before the file is opened: a dataset that reading would reject
+is never written.  Reading rejects a sidecar key of the wrong JSON type
+(``seed`` and ``size`` integers, ``positive_fraction`` a number, ``kind``
+and ``generator_version`` strings) with an error naming the sidecar.
 """
 
 from __future__ import annotations
@@ -23,6 +27,14 @@ from .domains import DomainSchema, SchemaValidationError
 from .generation import Dataset, DatasetMeta
 
 LABEL_COLUMN = "label"
+# the Python types json.loads gives each sidecar key's JSON type (a bool is no integer)
+_SIDECAR_TYPES = {
+    "kind": ((str,), "a string"),
+    "generator_version": ((str,), "a string"),
+    "seed": ((int,), "an integer"),
+    "size": ((int,), "an integer"),
+    "positive_fraction": ((int, float), "a number"),
+}
 
 
 class DatasetFormatError(ValueError):
@@ -35,14 +47,21 @@ def meta_path(path: str | Path) -> Path:
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> Path:
-    """Write a dataset as CSV plus its ``.meta.json`` sidecar."""
+    """Write a dataset as CSV plus its ``.meta.json`` sidecar.  Each cell is
+    gathered from one table of the strings of every value a column can hold."""
     path = Path(path)
-    header = list(dataset.schema.feature_names) + [LABEL_COLUMN]
+    schema = dataset.schema
+    schema.validate_matrix(dataset.values)
+    if np.any(bad := (dataset.labels != 0) & (dataset.labels != 1)):
+        row = int(np.argmax(bad))
+        raise SchemaValidationError(f"label {dataset.labels[row]} at row {row} outside {{0, 1}}")
+    lo, hi = min(0, *(f.lo for f in schema.features)), max(1, *(f.hi for f in schema.features))
+    # the strings of 0..hi, then of lo..-1: a negative value indexes its string from the end
+    cells = np.array([str(i) for i in (*range(hi + 1), *range(lo, 0))], dtype=object)
+    rows = cells[np.column_stack([dataset.values, dataset.labels])]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        rows = np.column_stack([dataset.values, dataset.labels.astype(np.int64)])
-        writer.writerows(rows.tolist())
+        csv.writer(fh, lineterminator="\n").writerow(list(schema.feature_names) + [LABEL_COLUMN])
+        fh.writelines(",".join(row) + "\n" for row in rows.tolist())
     sidecar = {"schema_id": dataset.schema_id, "kind": dataset.kind, **asdict(dataset.meta)}
     meta_path(path).write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     return path
@@ -105,11 +124,14 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
     sidecar = json.loads(mp.read_text()) if mp.exists() else {}
     if not isinstance(sidecar, dict):
         raise DatasetFormatError(f"{mp}: a dataset sidecar must be a JSON object")
+    for key, (types, what) in _SIDECAR_TYPES.items():
+        if key in sidecar and type(sidecar[key]) not in types:
+            raise DatasetFormatError(f"{mp}: sidecar key {key!r} must be {what}")
     kind = sidecar.get("kind", "unknown")
     meta = DatasetMeta(
-        seed=int(sidecar.get("seed", 0)),
-        generator_version=str(sidecar.get("generator_version", "unknown")),
-        size=int(sidecar.get("size", len(values))),
+        seed=sidecar.get("seed", 0),
+        generator_version=sidecar.get("generator_version", "unknown"),
+        size=sidecar.get("size", len(values)),
         positive_fraction=float(
             sidecar.get("positive_fraction", labels.mean() if len(labels) else 0.0)
         ),

@@ -43,7 +43,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from typing import Sequence, get_origin, get_type_hints
 
 import numpy as np
 from scipy.special import expit
@@ -410,20 +410,38 @@ def _unpack(s: str, shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(base64.b64decode(s), dtype="<f8").reshape(shape)
 
 
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,)}
+
+
+def _has_json_type(value, hint) -> bool:
+    """Whether a model-file value has the JSON type of a config field whose
+    annotation is ``hint`` (a bool is no number)."""
+    if get_origin(hint) is tuple:
+        return type(value) is list and all(type(v) is int for v in value)
+    return type(value) in _JSON_TYPES[hint]
+
+
 def _config_block(config: NetworkConfig | TrainConfig) -> dict:
     return {f.name: getattr(config, f.name) for f in fields(config)}
 
 
 def _config_from_block(cls, block: dict, path: str | Path):
     """A config from its model-file block, which must name every field of
-    ``cls`` and nothing else; each value is cast to its field's type."""
+    ``cls`` and nothing else, each with its field's JSON type; each value is
+    then cast to its field's type."""
     names = [f.name for f in fields(cls)]
     if sorted(block) != sorted(names):
         raise ValueError(
             f"{path}: {cls.__name__} keys {sorted(block)} differ from its fields {sorted(names)}"
         )
     types = get_type_hints(cls)
-    return cls(**{name: types[name](block[name]) for name in names})
+    for name in names:
+        if not _has_json_type(block[name], types[name]):
+            raise ValueError(f"{path}: {cls.__name__} key {name!r} has the wrong JSON type")
+    try:
+        return cls(**{name: types[name](block[name]) for name in names})
+    except OverflowError:  # an integer too large for a float field
+        raise ValueError(f"{path}: a {cls.__name__} value is out of range") from None
 
 
 def save_model(model: TrainedModel, path: str | Path) -> Path:
@@ -461,28 +479,43 @@ def load_model(path: str | Path) -> TrainedModel:
             raise ValueError(f"{path}: model key {key!r} must be a {kind.__name__}")
         return doc[key]
 
+    def array(block: dict, key: str, shape: tuple[int, ...], where: str) -> np.ndarray:
+        if type(block.get(key)) is not str:
+            raise ValueError(f"{path}: model key {where!r} must be a base64 string")
+        try:
+            return _unpack(block[key], shape)
+        except ValueError as err:  # not base64 (binascii.Error), or the wrong length
+            raise ValueError(f"{path}: model key {where!r}: {err}") from None
+
     config = _config_from_block(NetworkConfig, section("network", dict), path)
     train_config = _config_from_block(TrainConfig, section("training", dict), path)
     n_features, packed = len(section("feature_names", list)), section("scaling", dict)
     scaling = FeatureScaling(
-        offsets=_unpack(packed["offsets"], (n_features,)),
-        scales=_unpack(packed["scales"], (n_features,)),
+        offsets=array(packed, "offsets", (n_features,), "scaling.offsets"),
+        scales=array(packed, "scales", (n_features,), "scaling.scales"),
     )
     layers = section("layers", list)
+    for i, layer in enumerate(layers):
+        shape = layer.get("shape") if isinstance(layer, dict) else None
+        if type(shape) is not list or len(shape) != 2 or any(type(w) is not int for w in shape):
+            raise ValueError(f"{path}: model key 'layers[{i}]' must be an object "
+                             "with an integer-pair 'shape'")
     shapes = [tuple(layer["shape"]) for layer in layers]
     sizes = config.layer_sizes
     if shapes != list(zip(sizes[:-1], sizes[1:])):
         raise ValueError(
             f"{path}: layer shapes {shapes} do not match the network's layer sizes {sizes}"
         )
-    weights = [_unpack(layer["weights"], shape) for layer, shape in zip(layers, shapes)]
-    biases = [_unpack(layer["bias"], (shape[1],)) for layer, shape in zip(layers, shapes)]
+    weights = [array(layer, "weights", shape, f"layers[{i}].weights")
+               for i, (layer, shape) in enumerate(zip(layers, shapes))]
+    biases = [array(layer, "bias", (shape[1],), f"layers[{i}].bias")
+              for i, (layer, shape) in enumerate(zip(layers, shapes))]
     return TrainedModel(
         config=config,
         train_config=train_config,
         params=ModelParams(weights, biases),
         scaling=scaling,
-        schema_id=doc["schema_id"],
+        schema_id=section("schema_id", str),
         feature_names=tuple(doc["feature_names"]),
         loss_trace=None,
     )

@@ -326,24 +326,51 @@ PLAN = {"domain": "tort", "train": [{"kind": "regular", "size": 200}],
         "iterations": 10}
 
 
+def _edit_layer(key, value):
+    """An edit of a trained model that sets ``key`` of its first layer,
+    or deletes it when ``value`` is None."""
+    def edit(model):
+        layer = {k: v for k, v in model["layers"][0].items() if k != key}
+        if value is not None:
+            layer[key] = value
+        return {**model, "layers": [layer, *model["layers"][1:]]}
+    return edit
+
+
 @pytest.mark.parametrize("command,document,named", [
     ("eval", [], "not a rationale-lab-model file"),
     ("eval", {"layers": 5}, "'layers'"),
     ("eval", {"scaling": []}, "'scaling'"),
+    ("eval", {"layers": [5]}, "'layers[0]'"),
+    ("eval", _edit_layer("shape", None), "'layers[0]'"),
+    ("eval", _edit_layer("shape", [10, True]), "'layers[0]'"),
+    ("eval", _edit_layer("weights", 5), "'layers[0].weights'"),
+    ("eval", _edit_layer("bias", "A"), "'layers[0].bias'"),
+    ("eval", _edit_layer("bias", "AAAA"), "'layers[0].bias'"),
+    ("eval", {"scaling": {"offsets": 5, "scales": 5}}, "'scaling.offsets'"),
+    ("eval", {"schema_id": 5}, "'schema_id'"),
+    ("eval", lambda model: {**model, "network": {**model["network"], "input_width": None}},
+     "'input_width'"),
+    ("eval", lambda model: {**model, "training": {**model["training"], "beta1": 10**400}},
+     "TrainConfig value is out of range"),
     ("experiment", [], "a plan must be a JSON object"),
     ("experiment", dict(PLAN, train=[{"kind": "regular", "size": "500"}]), "'train'"),
     ("experiment", dict(PLAN, architectures=[12]), "'architectures'"),
     ("report", [], "a manifest must be a JSON object"),
-], ids=["model-list", "model-layers-int", "model-scaling-list", "plan-list",
-        "plan-size-string", "plan-flat-architectures", "manifest-list"])
+], ids=["model-list", "model-layers-int", "model-scaling-list", "model-layer-int",
+        "model-layer-without-shape", "model-shape-bool", "model-weights-int",
+        "model-bias-not-base64", "model-bias-short", "model-scaling-ints",
+        "model-schema-id-int", "model-input-width-null", "model-beta1-beyond-float",
+        "plan-list", "plan-size-string", "plan-flat-architectures", "manifest-list"])
 def test_malformed_json_exits_3(tmp_path, capsys, command, document, named):
     path = tmp_path / "doc.json"
     data = tmp_path / "u.csv"
     run(["gen", "--domain", "tort", "--kind", "unique", "--out", str(data)], capsys)
-    if command == "eval" and isinstance(document, dict):  # one key of a trained model edited
+    if command == "eval" and not isinstance(document, list):  # a trained model edited
         run(["train", "--in", str(data), "--domain", "tort", "--iterations", "1",
              "--out", str(path)], capsys)
-        document = {**json.loads(path.read_text()), **document}
+        model = json.loads(path.read_text())
+        document = document(model) if callable(document) else {**model, **document}
     path.write_text(json.dumps(document))
     source = {"eval": ["--model", str(path), "--in", str(data)],
               "experiment": ["--plan", str(path), "--out-dir", str(tmp_path / "out")],

@@ -1,5 +1,7 @@
 import csv
 import io
+import json
+import re
 import warnings
 
 import numpy as np
@@ -10,14 +12,25 @@ from hypothesis import strategies as st
 from rationale_lab import (
     DatasetFormatError,
     DatasetMeta,
+    DomainSchema,
+    SchemaValidationError,
     build_domain,
     gen_tort,
     gen_welfare,
+    generate,
     read_dataset,
     write_dataset,
 )
 from rationale_lab.cli import main
-from rationale_lab.dataset_io import meta_path
+from rationale_lab.dataset_io import LABEL_COLUMN, meta_path
+from rationale_lab.domains import FeatureSpec
+from rationale_lab.generation import (
+    SIZED_KINDS,
+    TORT_KINDS,
+    WELFARE_KINDS,
+    Dataset,
+    GeneratorRequest,
+)
 
 
 def test_round_trip_tort_unique(tmp_path, tort_schema):
@@ -42,6 +55,69 @@ def test_writes_are_byte_deterministic(tmp_path):
     write_dataset(gen_welfare("type-a", size=300, seed=8), b)
     assert a.read_bytes() == b.read_bytes()
     assert meta_path(a).read_bytes() == meta_path(b).read_bytes()
+
+
+def _reference_csv(dataset: Dataset) -> bytes:
+    """The CSV as ``csv.writer`` writes it from Python ints, cell by cell."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(list(dataset.schema.feature_names) + [LABEL_COLUMN])
+    writer.writerows([*map(int, row), int(label)]
+                     for row, label in zip(dataset.values, dataset.labels))
+    return out.getvalue().encode()
+
+
+EVERY_KIND = [(domain, kind) for domain, kinds in (("welfare", WELFARE_KINDS),
+                                                   ("simplified", WELFARE_KINDS),
+                                                   ("tort", TORT_KINDS)) for kind in kinds]
+
+
+@pytest.mark.parametrize("domain,kind", EVERY_KIND)
+def test_written_bytes_match_csv_writer_reference(tmp_path, domain, kind):
+    dataset = generate(GeneratorRequest(domain, kind, 300 if kind in SIZED_KINDS else None, 5))
+    path = write_dataset(dataset, tmp_path / "d.csv")
+    assert path.read_bytes() == _reference_csv(dataset)
+
+
+def test_zero_row_and_non_contiguous_writes_match_reference(tmp_path, welfare_schema):
+    ds = gen_welfare("type-b", size=200, seed=3)
+    for values, labels in ((ds.values[:0], ds.labels[:0]),
+                           (ds.values[::3], ds.labels[::3]),
+                           (np.asfortranarray(ds.values), ds.labels.astype(bool))):
+        dataset = Dataset(ds.schema_id, ds.kind, values, labels, ds.meta)
+        path = write_dataset(dataset, tmp_path / "d.csv")
+        assert path.read_bytes() == _reference_csv(dataset)
+        assert np.array_equal(read_dataset(path, welfare_schema).values, values)
+
+
+def test_negative_cells_written_as_their_own_strings(tmp_path, monkeypatch):
+    schema = DomainSchema("signed", (FeatureSpec("t", "int_range", -3, 2),
+                                     FeatureSpec("u", "int_range", 0, 4)), (), "label")
+    monkeypatch.setattr(Dataset, "schema", property(lambda self: schema))
+    values = np.array([[-3, 0], [-1, 4], [0, 1], [2, 2], [-2, 3]])
+    labels = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
+    dataset = Dataset("signed", "kind", values, labels, DatasetMeta(0, "v", 5, 0.6))
+    path = write_dataset(dataset, tmp_path / "d.csv")
+    assert path.read_bytes() == _reference_csv(dataset)
+    assert path.read_text().splitlines()[1:3] == ["-3,0,0", "-1,4,1"]
+    assert read_dataset(path, schema).equals(dataset)
+
+
+@pytest.mark.parametrize("column,value,message", [
+    (0, 7, r"cau: value 7 at row 5 outside \[0, 1\]"),
+    (3, -1, r"ift: value -1 at row 5 outside \[0, 1\]"),
+    (-1, 2, r"label 2 at row 5 outside \{0, 1\}"),
+    (-1, -1, r"label -1 at row 5 outside \{0, 1\}"),
+], ids=["value-above", "value-below", "label-2", "label-negative"])
+def test_out_of_range_cell_is_not_written(tmp_path, column, value, message):
+    ds = gen_tort("unique")
+    rows = np.column_stack([ds.values, ds.labels]).astype(np.int64)
+    rows[5, column] = value
+    broken = Dataset(ds.schema_id, ds.kind, rows[:, :-1], rows[:, -1], ds.meta)
+    path = tmp_path / "bad.csv"
+    with pytest.raises(SchemaValidationError, match=message):
+        write_dataset(broken, path)
+    assert not path.exists() and not meta_path(path).exists()
 
 
 def test_missing_label_column_named(tmp_path, tort_schema):
@@ -172,6 +248,29 @@ def test_sidecar_that_is_not_an_object_rejected(tmp_path, tort_schema, capsys):
     with pytest.raises(DatasetFormatError, match="JSON object"):
         read_dataset(path, tort_schema)
     assert main(["verify", "--in", str(path), "--domain", "tort"]) == 3
+
+
+@pytest.mark.parametrize("key,value,what", [
+    ("seed", [1], "an integer"),
+    ("seed", "x", "an integer"),
+    ("seed", True, "an integer"),
+    ("size", 1.5, "an integer"),
+    ("positive_fraction", "0.5", "a number"),
+    ("kind", 3, "a string"),
+    ("generator_version", None, "a string"),
+], ids=["seed-list", "seed-string", "seed-bool", "size-float", "fraction-string", "kind-int",
+        "version-null"])
+def test_sidecar_key_of_wrong_json_type_rejected(tmp_path, tort_schema, capsys, key, value,
+                                                 what):
+    path = tmp_path / "u.csv"
+    write_dataset(gen_tort("unique"), path)
+    sidecar = json.loads(meta_path(path).read_text())
+    meta_path(path).write_text(json.dumps({**sidecar, key: value}))
+    message = f"{meta_path(path)}: sidecar key '{key}' must be {what}"
+    with pytest.raises(DatasetFormatError, match=re.escape(message)):
+        read_dataset(path, tort_schema)
+    assert main(["verify", "--in", str(path), "--domain", "tort"]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_header_only_file_reads_as_zero_cases(tmp_path, tort_schema):

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from rationale_lab import (
@@ -525,6 +527,51 @@ class TestPersistence:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="not a"):
             load_model(path)
+
+
+def _key_paths(value, path=()):
+    """The path of every value inside a JSON document, its own root excluded."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield path + (key,)
+        yield from _key_paths(inner, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def saved_tort_model(tmp_path_factory):
+    """The path and document of a tort model saved after 1 iteration."""
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(train(gen_tort("regular", size=200, seed=3), NetworkConfig(10, (24, 6)),
+                     TrainConfig(iterations=1)), path)
+    return path, json.loads(path.read_text())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_model_loads_or_raises_value_error(saved_tort_model, data):
+    """One JSON value of a saved model, at any key path, replaced by any JSON value."""
+    path, doc = saved_tort_model
+    doc = json.loads(json.dumps(doc))
+    key_path = data.draw(st.sampled_from(list(_key_paths(doc))))
+    parent = doc
+    for key in key_path[:-1]:
+        parent = parent[key]
+    parent[key_path[-1]] = data.draw(JSON_VALUES)
+    edited = path.with_name("edited.json")
+    edited.write_text(json.dumps(doc))
+    try:
+        load_model(edited)
+    except ValueError:
+        pass
 
 
 class TestFullBudgetBehaviour:

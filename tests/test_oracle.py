@@ -102,6 +102,25 @@ class TestVerifyDataset:
         assert report.positive_fraction == 112 / 168
         assert report.duplicate_count == 0
 
+    @pytest.mark.parametrize("case", ["simplified-type-a", "repeated-rows", "fortran-order"])
+    def test_duplicate_count_matches_a_set_of_row_tuples(self, case):
+        if case == "simplified-type-a":
+            ds = gen_welfare("type-a", size=5000, seed=2, simplified=True)
+        else:
+            base = gen_welfare("type-b", size=300, seed=4)
+            take = np.r_[np.arange(300), [7, 7, 7, 120, 299, 0]]  # 6 repeats of 4 rows
+            values, labels = base.values[take], base.labels[take]
+            if case == "fortran-order":
+                values = np.asfortranarray(values)
+            ds = Dataset(base.schema_id, base.kind, values, labels, base.meta)
+        report = verify_dataset(ds, build_domain(ds.schema_id))
+        rows = ds.values.tolist()
+        assert report.duplicate_count == len(rows) - len(set(map(tuple, rows)))
+        if case != "simplified-type-a":
+            assert report.duplicate_count == 6
+        else:
+            assert report.duplicate_count > 0
+
     def test_flipped_label_detected(self, tort_schema):
         ds = gen_tort("unique")
         labels = ds.labels.copy()
