@@ -6,16 +6,18 @@ final ``label`` column, one case per row, integer cells only.  The sidecar
 version, size, and positive fraction, making a written dataset fully
 reconstructable.  Writes are deterministic byte-for-byte, and range-check
 every cell before the file is opened: a dataset that reading would reject
-is never written.  Reading rejects a sidecar key of the wrong JSON type
-(``seed`` and ``size`` integers, ``positive_fraction`` a number, ``kind``
-and ``generator_version`` strings) with an error naming the sidecar.
+is never written.  Reading takes each sidecar key's JSON type from the field
+it fills (``DatasetMeta``'s, and ``Dataset``'s ``schema_id`` and ``kind``):
+``seed`` and ``size`` integers, ``positive_fraction`` a number, the rest
+strings.  A key of the wrong type, an unknown key, a sidecar that is not a
+JSON object or not valid JSON is rejected with an error naming the sidecar;
+a missing sidecar, or a missing key, reads as its default.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import re
 import warnings
 from dataclasses import asdict
@@ -23,19 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
+from ._jsonfile import read_json, typed_fields, write_json
 from .domains import DomainSchema, SchemaValidationError
 from .generation import Dataset, DatasetMeta
 
 LABEL_COLUMN = "label"
-# the Python types json.loads gives each sidecar key's JSON type (a bool is no integer)
-_SIDECAR_TYPES = {
-    "kind": ((str,), "a string"),
-    "generator_version": ((str,), "a string"),
-    "seed": ((int,), "an integer"),
-    "size": ((int,), "an integer"),
-    "positive_fraction": ((int, float), "a number"),
-}
-
 
 class DatasetFormatError(ValueError):
     """A dataset file does not match the expected layout."""
@@ -62,8 +56,8 @@ def write_dataset(dataset: Dataset, path: str | Path) -> Path:
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(list(schema.feature_names) + [LABEL_COLUMN])
         fh.writelines(",".join(row) + "\n" for row in rows.tolist())
-    sidecar = {"schema_id": dataset.schema_id, "kind": dataset.kind, **asdict(dataset.meta)}
-    meta_path(path).write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    write_json(meta_path(path), {"schema_id": dataset.schema_id, "kind": dataset.kind,
+                                 **asdict(dataset.meta)})
     return path
 
 
@@ -121,21 +115,18 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
         )
 
     mp = meta_path(path)
-    sidecar = json.loads(mp.read_text()) if mp.exists() else {}
-    if not isinstance(sidecar, dict):
-        raise DatasetFormatError(f"{mp}: a dataset sidecar must be a JSON object")
-    for key, (types, what) in _SIDECAR_TYPES.items():
-        if key in sidecar and type(sidecar[key]) not in types:
-            raise DatasetFormatError(f"{mp}: sidecar key {key!r} must be {what}")
-    kind = sidecar.get("kind", "unknown")
-    meta = DatasetMeta(
-        seed=sidecar.get("seed", 0),
-        generator_version=sidecar.get("generator_version", "unknown"),
-        size=sidecar.get("size", len(values)),
-        positive_fraction=float(
-            sidecar.get("positive_fraction", labels.mean() if len(labels) else 0.0)
-        ),
-    )
+    try:
+        sidecar = read_json(mp, "a dataset sidecar") if mp.exists() else {}
+        head = {key: sidecar.pop(key) for key in ("schema_id", "kind") if key in sidecar}
+        head = typed_fields(Dataset, head, f"{mp}: sidecar", names=("schema_id", "kind"))
+        meta = DatasetMeta(**{
+            "seed": 0, "generator_version": "unknown", "size": len(values),
+            "positive_fraction": float(labels.mean()) if len(labels) else 0.0,
+            **typed_fields(DatasetMeta, sidecar, f"{mp}: sidecar"),
+        })
+    except ValueError as err:
+        raise DatasetFormatError(str(err)) from None
+    kind = head.get("kind", "unknown")
     return Dataset(schema.domain_id, kind, values, labels.astype(np.uint8), meta)
 
 

@@ -99,9 +99,6 @@ class FeatureSpec:
             return bool(code)
         return int(code)
 
-    def contains(self, code: int) -> bool:
-        return self.lo <= code <= self.hi
-
 
 @dataclass(frozen=True)
 class Condition:
@@ -172,30 +169,19 @@ class DomainSchema:
 
     # -- case handling -----------------------------------------------------
 
-    def validate_case(self, case: Case) -> None:
-        """Check that every schema feature has exactly one in-range value."""
-        unknown = set(case) - set(self.feature_names)
-        if unknown:
-            raise SchemaValidationError(
-                f"{self.domain_id}: unknown feature(s) {sorted(unknown)}"
-            )
-        for spec in self.features:
-            if spec.name not in case:
-                raise SchemaValidationError(
-                    f"{self.domain_id}: missing value for feature {spec.name!r}"
-                )
-            code = spec.encode(case[spec.name])
-            if not spec.contains(code):
-                raise SchemaValidationError(
-                    f"{spec.name}: value {code} outside [{spec.lo}, {spec.hi}]"
-                )
-
     def case_to_row(self, case: Case) -> np.ndarray:
-        """Encode a validated case as an int64 row in canonical feature order."""
-        self.validate_case(case)
-        return np.array(
-            [spec.encode(case[spec.name]) for spec in self.features], dtype=np.int64
-        )
+        """Encode a case as an int64 row in canonical feature order; every
+        schema feature must have exactly one value, in its range."""
+        if unknown := set(case) - set(self.feature_names):
+            raise SchemaValidationError(f"{self.domain_id}: unknown feature(s) {sorted(unknown)}")
+        if missing := [name for name in self.feature_names if name not in case]:
+            raise SchemaValidationError(
+                f"{self.domain_id}: missing value for feature {missing[0]!r}"
+            )
+        # a code beyond int64 makes a float or object row, which the matrix check rejects
+        row = np.array([spec.encode(case[spec.name]) for spec in self.features])
+        self.validate_matrix(row[None])
+        return row.astype(np.int64)
 
     # -- vectorised evaluation ----------------------------------------------
 

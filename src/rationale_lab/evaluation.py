@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .domains import SchemaValidationError, build_domain
-from .generation import Dataset
+from .generation import CURVE_GRIDS, Dataset
 
 
 def _check_schema(model, dataset: Dataset) -> None:
@@ -96,17 +96,6 @@ def output_curve(
             )
         )
     return RationaleCurve(x_feature, group_feature, tuple(groups))
-
-
-# The dedicated sets read as curves rather than condition tables, keyed by
-# the condition they isolate (generation.DEDICATED_TARGET):
-# (domain, condition) -> (x feature, group feature, xs, cases per grid cell)
-CURVE_GRIDS = {
-    ("welfare", "C1"): ("Age", "Gender", np.arange(5, 101, 5), 1000),
-    ("welfare", "C6"): ("Distance", "Type", np.arange(5, 101, 5), 1000),
-    ("simplified", "C1"): ("Age", "Gender", np.arange(0, 101), 21),
-    ("simplified", "C6"): ("Distance", "Type", np.arange(0, 101, 5), 77),
-}
 
 
 def ideal_curve(domain_id: str, cond_id: str) -> RationaleCurve:

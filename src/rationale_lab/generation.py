@@ -62,6 +62,17 @@ DEDICATED_TARGET = {
     ("tort", "imputability"): "c2",
 }
 
+# The dedicated sets read as curves rather than condition tables, keyed by
+# the condition they isolate (DEDICATED_TARGET):
+# (domain, condition) -> (x feature, group feature, xs, cases per grid cell).
+# The welfare sets are built from their entries.
+CURVE_GRIDS = {
+    ("welfare", "C1"): ("Age", "Gender", np.arange(5, 101, 5), 1000),
+    ("welfare", "C6"): ("Distance", "Type", np.arange(5, 101, 5), 1000),
+    ("simplified", "C1"): ("Age", "Gender", np.arange(0, 101), 21),
+    ("simplified", "C6"): ("Distance", "Type", np.arange(0, 101, 5), 77),
+}
+
 
 class GenerationError(ValueError):
     """A generator request violates the kind's size or domain rules."""
@@ -273,49 +284,40 @@ def _gen_welfare_ab(schema: DomainSchema, kind: str, size: int, seed: int) -> Da
 
 
 def _gen_welfare_dedicated(schema: DomainSchema, kind: str, seed: int) -> Dataset:
-    rng = np.random.default_rng(seed)
-    simplified = schema.domain_id == "simplified"
+    if schema.domain_id == "simplified" and kind == "age-gender":
+        # Exhaustive: every (age, gender) x every distance grid value,
+        # patient type chosen so C6 holds.
+        rows = [
+            (age, gender, IN_PATIENT if dist < 50 else OUT_PATIENT, dist)
+            for age in range(0, 101)
+            for gender in (MALE, FEMALE)
+            for dist in range(0, 101, 5)
+        ]
+        return _finish(schema, kind, np.array(rows, dtype=np.int64), seed)
+    if schema.domain_id == "simplified":
+        # Exhaustive: every (distance, type) grid cell x all 77
+        # (age, gender) pairs satisfying C1.
+        pairs = [
+            (age, g)
+            for g in (MALE, FEMALE)
+            for age in range(_C1_THRESHOLDS[g], 101)
+        ]
+        rows = [
+            (age, gender, ptype, dist)
+            for dist in range(0, 101, 5)
+            for ptype in (IN_PATIENT, OUT_PATIENT)
+            for age, gender in pairs
+        ]
+        return _finish(schema, kind, np.array(rows, dtype=np.int64), seed)
 
-    if kind == "age-gender":
-        if simplified:
-            # Exhaustive: every (age, gender) x every distance grid value,
-            # patient type chosen so C6 holds.
-            rows = [
-                (age, gender, IN_PATIENT if dist < 50 else OUT_PATIENT, dist)
-                for age in range(0, 101)
-                for gender in (MALE, FEMALE)
-                for dist in range(0, 101, 5)
-            ]
-            return _finish(schema, kind, np.array(rows, dtype=np.int64), seed)
-        grid = [(age, g) for age in range(5, 101, 5) for g in (MALE, FEMALE)]
-        free, forced = ("Age", "Gender"), {"C2": True, "C3": True, "C4": True,
-                                           "C5": True, "C6": True}
-    else:
-        if simplified:
-            # Exhaustive: every (distance, type) grid cell x all 77
-            # (age, gender) pairs satisfying C1.
-            pairs = [
-                (age, g)
-                for g in (MALE, FEMALE)
-                for age in range(_C1_THRESHOLDS[g], 101)
-            ]
-            rows = [
-                (age, gender, ptype, dist)
-                for dist in range(0, 101, 5)
-                for ptype in (IN_PATIENT, OUT_PATIENT)
-                for age, gender in pairs
-            ]
-            return _finish(schema, kind, np.array(rows, dtype=np.int64), seed)
-        grid = [(d, t) for d in range(5, 101, 5) for t in (IN_PATIENT, OUT_PATIENT)]
-        free, forced = ("Distance", "Type"), {"C1": True, "C2": True, "C3": True,
-                                              "C4": True, "C5": True}
-
-    reps = 1000
-    n = len(grid) * reps
-    values = _welfare_block(schema, rng, n, forced)
-    grid_arr = np.repeat(np.array(grid, dtype=np.int64), reps, axis=0)
-    values[:, schema.index_of(free[0])] = grid_arr[:, 0]
-    values[:, schema.index_of(free[1])] = grid_arr[:, 1]
+    # Welfare: the curve grid's (x, group) cells, each cell's cases in one
+    # block, group 0 before group 1; every condition but the target holds.
+    target = DEDICATED_TARGET[(schema.domain_id, kind)]
+    x_feature, group_feature, xs, per_cell = CURVE_GRIDS[(schema.domain_id, target)]
+    values = _welfare_block(schema, np.random.default_rng(seed), len(xs) * 2 * per_cell,
+                            {c.id: True for c in schema.conditions if c.id != target})
+    values[:, schema.index_of(x_feature)] = np.repeat(xs, 2 * per_cell)
+    values[:, schema.index_of(group_feature)] = np.tile(np.repeat([0, 1], per_cell), len(xs))
     return _finish(schema, kind, values, seed)
 
 

@@ -8,12 +8,16 @@ aggregate to mean +- population standard deviation over repetitions.
 
 Repetitions are independent jobs and may run in parallel processes; results
 are folded in repetition order, so reports are identical at any parallelism.
+
+A plan file holds ``domain``, ``train``, ``test`` and ``architectures``, plus
+any of ``ExperimentPlan``'s scalar fields, each of its field's JSON type.
+An unknown key, a value of the wrong type, or a file that is not valid JSON
+is rejected, naming the key or the file, before anything runs.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -22,9 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _package_version
+from ._jsonfile import read_json, typed_fields, write_json
 from .domains import build_domain
 from .evaluation import (
-    CURVE_GRIDS,
     ConditionOutputTable,
     ConditionTableRow,
     CurveGroup,
@@ -35,6 +39,7 @@ from .evaluation import (
     write_curve_tsv,
 )
 from .generation import (
+    CURVE_GRIDS,
     DEDICATED_TARGET,
     GENERATOR_VERSION,
     Dataset,
@@ -140,32 +145,29 @@ class ExperimentPlan:
         }
 
 
-_OPTIONAL_PLAN_KEYS = {
-    "repetitions": int,
-    "iterations": int,
-    "learning_rate": float,
-    "batch_size": int,
-    "master_seed": int,
-}
+# the plan keys that fill ExperimentPlan's scalar fields
+_PLAN_SCALARS = ("repetitions", "iterations", "learning_rate", "batch_size", "master_seed")
 
 
 def _is_spec(entry) -> bool:
-    return (isinstance(entry, dict) and isinstance(entry.get("kind"), str)
-            and isinstance(entry.get("size"), (int, type(None))))
+    return (isinstance(entry, dict) and set(entry) <= {"kind", "size"}
+            and type(entry.get("kind")) is str and type(entry.get("size")) in (int, type(None)))
 
 
 def _is_arch(entry) -> bool:
-    return isinstance(entry, list) and all(isinstance(w, int) for w in entry)
+    return isinstance(entry, list) and all(type(w) is int for w in entry)
 
 
 def plan_from_dict(doc: dict) -> ExperimentPlan:
-    """A plan from its JSON form; keys the document omits take the
-    :class:`ExperimentPlan` defaults.  A value of the wrong JSON type raises
-    ValueError naming its key."""
+    """A plan from its JSON form; scalar keys the document omits take the
+    :class:`ExperimentPlan` defaults.  A missing or unknown key, or a value
+    of the wrong JSON type, raises ValueError naming its key."""
     if not isinstance(doc, dict):
         raise ValueError(f"a plan must be a JSON object, got {type(doc).__name__}")
 
     def checked(key: str, ok):
+        if key not in doc:
+            raise ValueError(f"plan key {key!r} is missing")
         if not ok(doc[key]):
             raise ValueError(f"plan key {key!r} is malformed: {doc[key]!r}")
         return doc[key]
@@ -177,18 +179,19 @@ def plan_from_dict(doc: dict) -> ExperimentPlan:
         return tuple(GeneratorRequest(doc["domain"], e["kind"], e.get("size"))
                      for e in listed(key, _is_spec))
 
+    lists = ("domain", "train", "test", "architectures")
+    scalars = {key: value for key, value in doc.items() if key not in lists}
     return ExperimentPlan(
         domain_id=checked("domain", lambda v: isinstance(v, str)),
         train_specs=specs("train"),
         test_specs=specs("test"),
         architectures=tuple(tuple(a) for a in listed("architectures", _is_arch)),
-        **{key: cast(checked(key, lambda v: isinstance(v, (int, float))))
-           for key, cast in _OPTIONAL_PLAN_KEYS.items() if key in doc},
+        **typed_fields(ExperimentPlan, scalars, "plan", names=_PLAN_SCALARS),
     )
 
 
 def load_plan(path: str | Path) -> ExperimentPlan:
-    return plan_from_dict(json.loads(Path(path).read_text()))
+    return plan_from_dict(read_json(path, "a plan"))
 
 
 def _arch_label(arch: tuple[int, ...]) -> str:
@@ -463,9 +466,7 @@ def emit_report(report: AggregateReport, out_dir: str | Path) -> dict[str, Path]
     paths: dict[str, Path] = {}
 
     doc = summary_dict(report)
-    summary = out / "summary.json"
-    summary.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    paths["summary"] = summary
+    paths["summary"] = write_json(out / "summary.json", doc)
 
     matrix = out / "accuracy_matrix.csv"
     lines = ["train,test,arch,mean_pct,std_pct,repetitions,excluded"]
@@ -483,27 +484,16 @@ def emit_report(report: AggregateReport, out_dir: str | Path) -> dict[str, Path]
             paths[f"curve:{name}"] = write_curve_tsv(curve, curve_dir / f"{name}.tsv")
 
     if report.tables:
-        tables = out / "condition_tables.json"
-        tables.write_text(json.dumps(doc["condition_tables"], sort_keys=True, indent=2) + "\n")
-        paths["condition_tables"] = tables
+        paths["condition_tables"] = write_json(out / "condition_tables.json",
+                                               doc["condition_tables"])
 
-    manifest = out / "manifest.json"
-    manifest.write_text(
-        json.dumps(
-            {
-                "plan": report.plan.to_dict(),
-                "master_seed": report.plan.master_seed,
-                "generator_version": GENERATOR_VERSION,
-                "package_version": _package_version,
-                "created_unix": int(time.time()),
-                "seeds": _seed_table(report.plan),
-            },
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n"
-    )
-    paths["manifest"] = manifest
+    paths["manifest"] = write_json(out / "manifest.json", {
+        "plan": report.plan.to_dict(),
+        "generator_version": GENERATOR_VERSION,
+        "package_version": _package_version,
+        "created_unix": int(time.time()),
+        "seeds": _seed_table(report.plan),
+    })
     return paths
 
 
@@ -515,15 +505,14 @@ def replay(manifest_path: str | Path, out_dir: str | Path,
     by another generator or package version or its seeds are not the ones
     its plan derives.
     """
-    doc = json.loads(Path(manifest_path).read_text())
-    if not isinstance(doc, dict):
-        raise ValueError(f"{manifest_path}: a manifest must be a JSON object")
-    plan = plan_from_dict(doc["plan"])
+    doc = read_json(manifest_path, "a manifest")
+    plan = plan_from_dict(doc.get("plan"))
     for key, running in (("generator_version", GENERATOR_VERSION),
                          ("package_version", _package_version)):
         if doc.get(key) != running:
             raise ValueError(f"manifest {key} is {doc.get(key)!r}, running {running!r}")
-    if doc.get("seeds") != _seed_table(plan):
+    seeds = doc.get("seeds")  # its length first: a plan's repetitions may be any integer
+    if not isinstance(seeds, list) or len(seeds) != plan.repetitions or seeds != _seed_table(plan):
         raise ValueError("manifest seeds differ from the schedule its plan derives")
     report = run_plan(plan, parallelism=parallelism)
     emit_report(report, out_dir)

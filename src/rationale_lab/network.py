@@ -39,15 +39,15 @@ float64 operands of every standard layer shape it gave the same bits as
 from __future__ import annotations
 
 import base64
-import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Sequence, get_origin, get_type_hints
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
 
+from ._jsonfile import read_json, typed_fields, write_json
 from .domains import build_domain
 from .generation import Dataset
 
@@ -410,42 +410,22 @@ def _unpack(s: str, shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(base64.b64decode(s), dtype="<f8").reshape(shape)
 
 
-_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,)}
-
-
-def _has_json_type(value, hint) -> bool:
-    """Whether a model-file value has the JSON type of a config field whose
-    annotation is ``hint`` (a bool is no number)."""
-    if get_origin(hint) is tuple:
-        return type(value) is list and all(type(v) is int for v in value)
-    return type(value) in _JSON_TYPES[hint]
-
-
 def _config_block(config: NetworkConfig | TrainConfig) -> dict:
     return {f.name: getattr(config, f.name) for f in fields(config)}
 
 
 def _config_from_block(cls, block: dict, path: str | Path):
     """A config from its model-file block, which must name every field of
-    ``cls`` and nothing else, each with its field's JSON type; each value is
-    then cast to its field's type."""
-    names = [f.name for f in fields(cls)]
-    if sorted(block) != sorted(names):
+    ``cls`` and nothing else, each with its field's JSON type."""
+    names = sorted(f.name for f in fields(cls))
+    if sorted(block) != names:
         raise ValueError(
-            f"{path}: {cls.__name__} keys {sorted(block)} differ from its fields {sorted(names)}"
+            f"{path}: {cls.__name__} keys {sorted(block)} differ from its fields {names}"
         )
-    types = get_type_hints(cls)
-    for name in names:
-        if not _has_json_type(block[name], types[name]):
-            raise ValueError(f"{path}: {cls.__name__} key {name!r} has the wrong JSON type")
-    try:
-        return cls(**{name: types[name](block[name]) for name in names})
-    except OverflowError:  # an integer too large for a float field
-        raise ValueError(f"{path}: a {cls.__name__} value is out of range") from None
+    return cls(**typed_fields(cls, block, f"{path}: {cls.__name__}"))
 
 
 def save_model(model: TrainedModel, path: str | Path) -> Path:
-    path = Path(path)
     doc = {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
@@ -463,13 +443,12 @@ def save_model(model: TrainedModel, path: str | Path) -> Path:
             for w, b in zip(model.params.weights, model.params.biases)
         ],
     }
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    return path
+    return write_json(path, doc)
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+    doc = read_json(path, f"a {MODEL_FORMAT} file")
+    if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {doc.get('format_version')}")

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from rationale_lab import DomainSchema, network
 
@@ -66,6 +67,38 @@ def write_plan(plan, path):
     """A plan file as ``load_plan`` reads it."""
     path.write_text(json.dumps(plan.to_dict(), indent=2) + "\n")
     return path
+
+
+# ---------------------------------------------------------------------------
+# JSON fuzzing: one value of a document, at any key path, replaced by any
+# JSON value.
+# ---------------------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=8,
+)
+
+
+def key_paths(value, path=()):
+    """The path of every value inside a JSON document, its own root excluded."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield path + (key,)
+        yield from key_paths(inner, path + (key,))
+
+
+def replaced(doc, key_path, value):
+    """A deep copy of a JSON document with the value at ``key_path`` replaced."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in key_path[:-1]:
+        parent = parent[key]
+    parent[key_path[-1]] = value
+    return doc
 
 
 # ---------------------------------------------------------------------------

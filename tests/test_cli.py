@@ -6,6 +6,7 @@ import pytest
 from rationale_lab import ExperimentPlan, GeneratorRequest, TrainConfig
 from rationale_lab import harness as harness_module
 from rationale_lab.cli import _build_parser, main
+from rationale_lab.dataset_io import meta_path
 
 from conftest import mismatched_model_doc, write_plan
 
@@ -338,7 +339,7 @@ def _edit_layer(key, value):
 
 
 @pytest.mark.parametrize("command,document,named", [
-    ("eval", [], "not a rationale-lab-model file"),
+    ("eval", [], "a rationale-lab-model file must be a JSON object"),
     ("eval", {"layers": 5}, "'layers'"),
     ("eval", {"scaling": []}, "'scaling'"),
     ("eval", {"layers": [5]}, "'layers[0]'"),
@@ -356,12 +357,22 @@ def _edit_layer(key, value):
     ("experiment", [], "a plan must be a JSON object"),
     ("experiment", dict(PLAN, train=[{"kind": "regular", "size": "500"}]), "'train'"),
     ("experiment", dict(PLAN, architectures=[12]), "'architectures'"),
+    ("experiment", dict(PLAN, repetitions=2.7), "'repetitions'"),
+    ("experiment", dict(PLAN, repetitions=True), "'repetitions'"),
+    ("experiment", dict(PLAN, learning_rate=True), "'learning_rate'"),
+    ("experiment", dict(PLAN, learning_rate=10**400), "'learning_rate'"),
+    ("experiment", dict(PLAN, repetitons=3), "'repetitons'"),
+    ("experiment", dict(PLAN, test=[{"kind": "unique", "sise": 5}]), "'test'"),
+    ("experiment", dict(PLAN, architectures=[[12], [24, True]]), "'architectures'"),
     ("report", [], "a manifest must be a JSON object"),
 ], ids=["model-list", "model-layers-int", "model-scaling-list", "model-layer-int",
         "model-layer-without-shape", "model-shape-bool", "model-weights-int",
         "model-bias-not-base64", "model-bias-short", "model-scaling-ints",
         "model-schema-id-int", "model-input-width-null", "model-beta1-beyond-float",
-        "plan-list", "plan-size-string", "plan-flat-architectures", "manifest-list"])
+        "plan-list", "plan-size-string", "plan-flat-architectures", "plan-repetitions-float",
+        "plan-repetitions-bool", "plan-learning-rate-bool", "plan-learning-rate-beyond-float",
+        "plan-misspelt-key", "plan-spec-misspelt-key", "plan-architecture-bool",
+        "manifest-list"])
 def test_malformed_json_exits_3(tmp_path, capsys, command, document, named):
     path = tmp_path / "doc.json"
     data = tmp_path / "u.csv"
@@ -377,6 +388,31 @@ def test_malformed_json_exits_3(tmp_path, capsys, command, document, named):
               "report": ["--manifest", str(path), "--out-dir", str(tmp_path / "out")]}
     code, _, err = run([command, *source[command]], capsys)
     assert code == 3 and named in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["plan", "manifest", "model", "sidecar"])
+def test_truncated_json_exits_3_naming_the_file(tmp_path, capsys, source):
+    data, plan, model = tmp_path / "u.csv", tmp_path / "plan.json", tmp_path / "model.json"
+    manifest = tmp_path / "run" / "manifest.json"
+    run(["gen", "--domain", "tort", "--kind", "unique", "--out", str(data)], capsys)
+    plan.write_text(json.dumps(PLAN))
+    if source == "manifest":
+        run(["experiment", "--plan", str(plan), "--out-dir", str(manifest.parent)], capsys)
+    if source == "model":
+        run(["train", "--in", str(data), "--domain", "tort", "--iterations", "1",
+             "--out", str(model)], capsys)
+    path, command = {
+        "plan": (plan, ["experiment", "--plan", str(plan), "--out-dir", str(tmp_path / "out")]),
+        "manifest": (manifest, ["report", "--manifest", str(manifest),
+                                "--out-dir", str(tmp_path / "out")]),
+        "model": (model, ["eval", "--model", str(model), "--in", str(data)]),
+        "sidecar": (meta_path(data), ["verify", "--in", str(data), "--domain", "tort"]),
+    }[source]
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    code, _, err = run(command, capsys)
+    assert code == 3 and err.startswith(f"error: {path}: not valid JSON: ")
     assert not (tmp_path / "out").exists()
 
 

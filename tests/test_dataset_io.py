@@ -273,6 +273,16 @@ def test_sidecar_key_of_wrong_json_type_rejected(tmp_path, tort_schema, capsys, 
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_sidecar_with_unknown_key_rejected(tmp_path, tort_schema):
+    path = tmp_path / "u.csv"
+    write_dataset(gen_tort("unique"), path)
+    sidecar = json.loads(meta_path(path).read_text())
+    meta_path(path).write_text(json.dumps({**sidecar, "sede": 3}))
+    with pytest.raises(DatasetFormatError,
+                       match=re.escape(f"{meta_path(path)}: sidecar key 'sede' is unknown")):
+        read_dataset(path, tort_schema)
+
+
 def test_header_only_file_reads_as_zero_cases(tmp_path, tort_schema):
     path = tmp_path / "h.csv"
     path.write_text(_tort_lines(tmp_path)[0] + "\n")

@@ -1,7 +1,10 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rationale_lab import (
     ExperimentPlan,
@@ -16,7 +19,7 @@ from rationale_lab import (
 )
 from rationale_lab import harness as harness_module
 
-from conftest import write_plan
+from conftest import JSON_VALUES, key_paths, replaced, write_plan
 
 
 def spec(domain, kind, size=None):
@@ -387,3 +390,61 @@ class TestEmitAndReplay:
         assert "created_unix" not in json.dumps(doc)
         assert doc["plan"]["master_seed"] == 77
         assert len(doc["cells"]) == 3
+
+    def test_manifest_keeps_the_master_seed_in_its_plan_only(self, tmp_path):
+        plan = tiny_tort_plan(repetitions=1, iterations=5)
+        paths = emit_report(run_plan(plan), tmp_path / "out")
+        manifest = json.loads(paths["manifest"].read_text())
+        assert "master_seed" not in manifest and manifest["plan"]["master_seed"] == 77
+        manifest["master_seed"] = 77  # as manifests written before it was dropped
+        paths["manifest"].write_text(json.dumps(manifest))
+        assert replay(paths["manifest"], tmp_path / "replayed").plan == plan
+
+
+PLAN_DOC = tiny_tort_plan().to_dict()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(key_path=st.sampled_from(list(key_paths(PLAN_DOC))), value=JSON_VALUES)
+@example(key_path=("learning_rate",), value=10**400)
+def test_fuzzed_plan_loads_or_raises_value_error(fuzz_dir, key_path, value):
+    """One JSON value of a plan, at any key path, replaced by any JSON value."""
+    path = fuzz_dir / "plan.json"
+    path.write_text(json.dumps(replaced(PLAN_DOC, key_path, value)))
+    try:
+        load_plan(path)
+    except ValueError:
+        pass
+
+
+class _Replayed(Exception):
+    """Raised in place of running a plan that a replay accepted."""
+
+
+@pytest.fixture(scope="module")
+def saved_manifest(report, fuzz_dir):
+    """The path and document of the manifest of ``report``."""
+    path = emit_report(report, fuzz_dir / "report")["manifest"]
+    return path, json.loads(path.read_text())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_manifest_replays_or_raises_value_error(saved_manifest, data):
+    """One JSON value of a manifest, at any key path, replaced by any JSON
+    value.  A fuzzed ``iterations`` keeps the seeds, so the run is stubbed."""
+    path, doc = saved_manifest
+    key_path = data.draw(st.sampled_from(list(key_paths(doc))))
+    edited = path.with_name("edited.json")
+    edited.write_text(json.dumps(replaced(doc, key_path, data.draw(JSON_VALUES))))
+    with mock.patch.object(harness_module, "run_plan", side_effect=_Replayed):
+        try:
+            replay(edited, path.parent / "replayed")
+        except (ValueError, _Replayed):
+            pass
+    assert not (path.parent / "replayed").exists()

@@ -33,7 +33,14 @@ from rationale_lab.network import (
     schema_scaling,
 )
 
-from conftest import finite_difference_grads, max_relative_error, mismatched_model_doc
+from conftest import (
+    JSON_VALUES,
+    finite_difference_grads,
+    key_paths,
+    max_relative_error,
+    mismatched_model_doc,
+    replaced,
+)
 
 
 def tiny_model(weights, biases, schema_id="tort", feature_names=None, input_width=None):
@@ -529,23 +536,6 @@ class TestPersistence:
             load_model(path)
 
 
-def _key_paths(value, path=()):
-    """The path of every value inside a JSON document, its own root excluded."""
-    items = value.items() if isinstance(value, dict) else (
-        enumerate(value) if isinstance(value, list) else ())
-    for key, inner in items:
-        yield path + (key,)
-        yield from _key_paths(inner, path + (key,))
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
-                                                                max_size=4),
-    max_leaves=8,
-)
-
-
 @pytest.fixture(scope="module")
 def saved_tort_model(tmp_path_factory):
     """The path and document of a tort model saved after 1 iteration."""
@@ -560,14 +550,9 @@ def saved_tort_model(tmp_path_factory):
 def test_fuzzed_model_loads_or_raises_value_error(saved_tort_model, data):
     """One JSON value of a saved model, at any key path, replaced by any JSON value."""
     path, doc = saved_tort_model
-    doc = json.loads(json.dumps(doc))
-    key_path = data.draw(st.sampled_from(list(_key_paths(doc))))
-    parent = doc
-    for key in key_path[:-1]:
-        parent = parent[key]
-    parent[key_path[-1]] = data.draw(JSON_VALUES)
+    key_path = data.draw(st.sampled_from(list(key_paths(doc))))
     edited = path.with_name("edited.json")
-    edited.write_text(json.dumps(doc))
+    edited.write_text(json.dumps(replaced(doc, key_path, data.draw(JSON_VALUES))))
     try:
         load_model(edited)
     except ValueError:
