@@ -100,12 +100,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    request = GeneratorRequest(args.domain, args.kind, args.size, args.seed)
     try:
-        request.validate()
+        dataset = generate(GeneratorRequest(args.domain, args.kind, args.size, args.seed))
     except GenerationError as err:
         raise UsageError(str(err)) from None
-    dataset = generate(request)
     write_dataset(dataset, args.out)
     print(
         f"wrote {args.out}: {len(dataset)} cases, "

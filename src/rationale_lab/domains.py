@@ -324,7 +324,7 @@ _WELFARE_CONDITIONS = (
 
 # c2 and c3 carry the legal notions of unlawfulness and imputability; note
 # that the dedicated test sets of the same names vary the *other* condition's
-# features (see generation.DEDICATED_TARGET).
+# features (see the targets of the tort entries of generation.KINDS).
 _TORT_CONDITIONS = (
     Condition("c1", "causation", ("cau",), _tort_c1),
     Condition("c2", "unlawfulness", ("ico", "ila", "ift"), _tort_c2),

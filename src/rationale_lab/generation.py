@@ -1,19 +1,12 @@
-"""Seeded generators for the ten dataset recipes, one per domain and kind.
+"""Seeded generators for every dataset kind, one recipe per (domain, kind).
 
-Welfare / simplified kinds
-    ``type-a``            balanced; ineligible cases fail >= 1 condition
-    ``type-b``            balanced; ineligible cases fail exactly 1 condition
-    ``age-gender``        dedicated test set isolating the age-gender condition
-    ``patient-distance``  dedicated test set isolating the patient-distance condition
-
-Tort kinds
-    ``unique``            all 2^10 feature assignments, labelled
-    ``regular``           balanced resample of the unique cases
-    ``unlawfulness``      dedicated test set isolating condition c3
-    ``imputability``      dedicated test set isolating condition c2
+``KINDS`` is the registry: for each (domain, kind) pair it says whether the
+kind takes a size, whether it is seed-independent, which condition a
+dedicated test set isolates, and which builder makes its cases.  The README's
+dataset table describes each kind.
 
 Generators are pure functions of (request, seed): the same request yields an
-identical dataset on any host.  Grid and enumeration kinds ignore the seed
+identical dataset on any host.  Seed-independent kinds ignore the seed
 entirely.
 """
 
@@ -21,13 +14,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .domains import (
     FEMALE,
     IN_PATIENT,
-    MALE,
     OUT_PATIENT,
     DomainSchema,
     build_domain,
@@ -35,37 +28,10 @@ from .domains import (
 
 GENERATOR_VERSION = "1"
 
-WELFARE_KINDS = ("type-a", "type-b", "age-gender", "patient-distance")
-TORT_KINDS = ("unique", "regular", "unlawfulness", "imputability")
-
-# Kinds that take a --size; all others are fixed by their grid or enumeration.
-SIZED_KINDS = ("type-a", "type-b", "regular")
-
-# Kinds whose cases are fully determined (no random features at all).
-DETERMINISTIC_KINDS = {
-    ("simplified", "age-gender"),
-    ("simplified", "patient-distance"),
-    ("tort", "unique"),
-    ("tort", "unlawfulness"),
-    ("tort", "imputability"),
-}
-
-# Which condition each dedicated test set isolates.  The unlawfulness set
-# varies c3's features and the imputability set varies c2's: the pairing
-# under which the enumerations have 168 and 128 unique rows.
-DEDICATED_TARGET = {
-    ("welfare", "age-gender"): "C1",
-    ("welfare", "patient-distance"): "C6",
-    ("simplified", "age-gender"): "C1",
-    ("simplified", "patient-distance"): "C6",
-    ("tort", "unlawfulness"): "c3",
-    ("tort", "imputability"): "c2",
-}
-
 # The dedicated sets read as curves rather than condition tables, keyed by
 # the condition they isolate (DEDICATED_TARGET):
 # (domain, condition) -> (x feature, group feature, xs, cases per grid cell).
-# The welfare sets are built from their entries.
+# All four curve sets are built from their entries.
 CURVE_GRIDS = {
     ("welfare", "C1"): ("Age", "Gender", np.arange(5, 101, 5), 1000),
     ("welfare", "C6"): ("Distance", "Type", np.arange(5, 101, 5), 1000),
@@ -133,18 +99,16 @@ class GeneratorRequest:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.domain_id in ("welfare", "simplified"):
-            kinds = WELFARE_KINDS
-        elif self.domain_id == "tort":
-            kinds = TORT_KINDS
-        else:
+        known = tuple(k for d, k in KINDS if d == self.domain_id)
+        if not known:
             raise GenerationError(f"unknown domain {self.domain_id!r}")
-        if self.kind not in kinds:
+        kind = KINDS.get((self.domain_id, self.kind))
+        if kind is None:
             raise GenerationError(
                 f"unknown kind {self.kind!r} for domain {self.domain_id!r} "
-                f"(expected one of {kinds})"
+                f"(expected one of {known})"
             )
-        if self.kind in SIZED_KINDS:
+        if kind.sized:
             if self.size is None:
                 raise GenerationError(f"kind {self.kind!r} requires a size")
             if self.size <= 0 or self.size % 2 != 0:
@@ -158,23 +122,11 @@ class GeneratorRequest:
 
     @property
     def deterministic(self) -> bool:
-        return (self.domain_id, self.kind) in DETERMINISTIC_KINDS
+        kind = KINDS.get((self.domain_id, self.kind))
+        return kind is not None and kind.seed_independent
 
     def label(self) -> str:
         return self.kind if self.size is None else f"{self.kind}-{self.size}"
-
-
-def _finish(schema: DomainSchema, kind: str, values: np.ndarray,
-            seed: int) -> Dataset:
-    values = np.ascontiguousarray(values, dtype=np.int64)
-    labels = schema.label_matrix(values).astype(np.uint8)
-    meta = DatasetMeta(
-        seed=int(seed),
-        generator_version=GENERATOR_VERSION,
-        size=values.shape[0],
-        positive_fraction=float(labels.mean()) if len(labels) else 0.0,
-    )
-    return Dataset(schema.domain_id, kind, values, labels, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +137,6 @@ def _finish(schema: DomainSchema, kind: str, values: np.ndarray,
 # patient type then a distance in the qualifying or complementary half-range.
 # ---------------------------------------------------------------------------
 
-_C1_THRESHOLDS = {FEMALE: 60, MALE: 65}
-
 _CON_PATTERNS = np.array(list(itertools.product((0, 1), repeat=5)), dtype=np.int64)
 _CONS_SATISFYING = _CON_PATTERNS[_CON_PATTERNS.sum(axis=1) >= 4]  # 6 patterns
 _CONS_FAILING = _CON_PATTERNS[_CON_PATTERNS.sum(axis=1) <= 3]  # 26 patterns
@@ -194,7 +144,7 @@ _CONS_FAILING = _CON_PATTERNS[_CON_PATTERNS.sum(axis=1) <= 3]  # 26 patterns
 
 def _gender_age(rng: np.random.Generator, n: int, satisfy: bool) -> tuple[np.ndarray, np.ndarray]:
     gender = rng.integers(0, 2, n)
-    threshold = np.where(gender == FEMALE, _C1_THRESHOLDS[FEMALE], _C1_THRESHOLDS[MALE])
+    threshold = np.where(gender == FEMALE, 60, 65)
     if satisfy:
         age = rng.integers(threshold, 101)
     else:
@@ -218,21 +168,14 @@ def _type_distance(rng: np.random.Generator, n: int, satisfy: bool) -> tuple[np.
     return ptype, distance
 
 
-_WELFARE_UNIFORM_HIGH = {
-    "Age": 101, "Gender": 2, "Con1": 2, "Con2": 2, "Con3": 2, "Con4": 2,
-    "Con5": 2, "Spouse": 2, "Absent": 2, "Resources": 10_001, "Type": 2,
-    "Distance": 101,
-}
-
-
 def _welfare_block(
     schema: DomainSchema,
     rng: np.random.Generator,
     n: int,
     force: dict[str, bool],
 ) -> np.ndarray:
-    """Sample n cases; conditions in ``force`` are made true/false, the rest
-    of the substantive features are uniform over their full ranges."""
+    """Sample n cases; conditions in ``force`` are made true/false, every
+    other feature is uniform over its schema range."""
     cols: dict[str, np.ndarray] = {}
     if "C1" in force:
         cols["Gender"], cols["Age"] = _gender_age(rng, n, force["C1"])
@@ -251,92 +194,60 @@ def _welfare_block(
 
     out = np.empty((n, schema.n_features), dtype=np.int64)
     for j, spec in enumerate(schema.features):
-        if spec.name in cols:
-            out[:, j] = cols[spec.name]
-        elif spec.role == "noise":
-            out[:, j] = rng.integers(0, 101, n)
-        else:
-            out[:, j] = rng.integers(0, _WELFARE_UNIFORM_HIGH[spec.name], n)
+        out[:, j] = cols[spec.name] if spec.name in cols else rng.integers(spec.lo, spec.hi + 1, n)
     return out
 
 
-def _bucket_sizes(total: int, buckets: int) -> list[int]:
-    base, rem = divmod(total, buckets)
-    return [base + (1 if i < rem else 0) for i in range(buckets)]
-
-
-def _gen_welfare_ab(schema: DomainSchema, kind: str, size: int, seed: int) -> Dataset:
-    rng = np.random.default_rng(seed)
+def _balanced(schema: DomainSchema, request: GeneratorRequest,
+              kind: DatasetKind) -> np.ndarray:
+    """type-a / type-b: half eligible, the other half split evenly over the
+    conditions; each negative fails its condition (type-b: only that one)."""
+    rng = np.random.default_rng(request.seed)
     cond_ids = [c.id for c in schema.conditions]
     all_true = {cid: True for cid in cond_ids}
 
-    n_pos = size // 2
+    n_pos = request.size // 2
     blocks = [_welfare_block(schema, rng, n_pos, all_true)]
-    for cid, m in zip(cond_ids, _bucket_sizes(size - n_pos, len(cond_ids))):
-        if kind == "type-b":
-            force = dict(all_true, **{cid: False})
-        else:
-            force = {cid: False}
+    base, rem = divmod(request.size - n_pos, len(cond_ids))
+    for i, cid in enumerate(cond_ids):
+        m = base + (1 if i < rem else 0)
+        force = dict(all_true if request.kind == "type-b" else {}, **{cid: False})
         blocks.append(_welfare_block(schema, rng, m, force))
     values = np.concatenate(blocks, axis=0)
-    values = values[rng.permutation(values.shape[0])]
-    return _finish(schema, kind, values, seed)
+    return values[rng.permutation(values.shape[0])]
 
 
-def _gen_welfare_dedicated(schema: DomainSchema, kind: str, seed: int) -> Dataset:
-    if schema.domain_id == "simplified" and kind == "age-gender":
-        # Exhaustive: every (age, gender) x every distance grid value,
-        # patient type chosen so C6 holds.
-        rows = [
-            (age, gender, IN_PATIENT if dist < 50 else OUT_PATIENT, dist)
-            for age in range(0, 101)
-            for gender in (MALE, FEMALE)
-            for dist in range(0, 101, 5)
-        ]
-        return _finish(schema, kind, np.array(rows, dtype=np.int64), seed)
-    if schema.domain_id == "simplified":
-        # Exhaustive: every (distance, type) grid cell x all 77
-        # (age, gender) pairs satisfying C1.
-        pairs = [
-            (age, g)
-            for g in (MALE, FEMALE)
-            for age in range(_C1_THRESHOLDS[g], 101)
-        ]
-        rows = [
-            (age, gender, ptype, dist)
-            for dist in range(0, 101, 5)
-            for ptype in (IN_PATIENT, OUT_PATIENT)
-            for age, gender in pairs
-        ]
-        return _finish(schema, kind, np.array(rows, dtype=np.int64), seed)
+def _curve_set(schema: DomainSchema, request: GeneratorRequest,
+               kind: DatasetKind) -> np.ndarray:
+    """A dedicated set on its curve grid: the (x, group) cells in x order,
+    group 0 before group 1, each cell's cases in one block, with every
+    condition but the target holding.
 
-    # Welfare: the curve grid's (x, group) cells, each cell's cases in one
-    # block, group 0 before group 1; every condition but the target holds.
-    target = DEDICATED_TARGET[(schema.domain_id, kind)]
-    x_feature, group_feature, xs, per_cell = CURVE_GRIDS[(schema.domain_id, target)]
-    values = _welfare_block(schema, np.random.default_rng(seed), len(xs) * 2 * per_cell,
-                            {c.id: True for c in schema.conditions if c.id != target})
+    A seeded set samples each cell's other features.  A seed-independent
+    (simplified) set gives every cell the same cases: the cells of the other
+    condition's grid where that condition holds, group-major."""
+    x_feature, group_feature, xs, per_cell = CURVE_GRIDS[(schema.domain_id, kind.target)]
+    n = len(xs) * 2 * per_cell
+    if kind.seed_independent:
+        (other,) = [c for c in schema.conditions if c.id != kind.target]
+        ox, og, oxs, _ = CURVE_GRIDS[(schema.domain_id, other.id)]
+        cells = np.zeros((2 * len(oxs), schema.n_features), dtype=np.int64)
+        cells[:, schema.index_of(og)] = np.repeat([0, 1], len(oxs))
+        cells[:, schema.index_of(ox)] = np.tile(oxs, 2)
+        values = np.tile(cells[schema._truth(other, cells)], (n // per_cell, 1))
+    else:
+        values = _welfare_block(schema, np.random.default_rng(request.seed), n,
+                                {c.id: True for c in schema.conditions if c.id != kind.target})
     values[:, schema.index_of(x_feature)] = np.repeat(xs, 2 * per_cell)
     values[:, schema.index_of(group_feature)] = np.tile(np.repeat([0, 1], per_cell), len(xs))
-    return _finish(schema, kind, values, seed)
-
-
-def gen_welfare(kind: str, size: int | None = None, seed: int = 0,
-                simplified: bool = False) -> Dataset:
-    """Generate one welfare-domain dataset (or its simplified-domain variant)."""
-    domain_id = "simplified" if simplified else "welfare"
-    GeneratorRequest(domain_id, kind, size, seed).validate()
-    schema = build_domain(domain_id)
-    if kind in ("type-a", "type-b"):
-        return _gen_welfare_ab(schema, kind, size, seed)
-    return _gen_welfare_dedicated(schema, kind, seed)
+    return values
 
 
 # ---------------------------------------------------------------------------
 # Tort generators
 # ---------------------------------------------------------------------------
 
-def _tort_universe(schema: DomainSchema) -> np.ndarray:
+def _tort_universe(schema: DomainSchema, *_) -> np.ndarray:
     """All 1024 assignments, lexicographic over the canonical feature order."""
     n = schema.n_features
     codes = np.arange(2 ** n, dtype=np.int64)
@@ -344,52 +255,93 @@ def _tort_universe(schema: DomainSchema) -> np.ndarray:
     return (codes[:, None] >> shifts) & 1
 
 
-def gen_tort(kind: str, size: int | None = None, seed: int = 0) -> Dataset:
-    """Generate one tort-law dataset."""
-    GeneratorRequest("tort", kind, size, seed).validate()
-    schema = build_domain("tort")
+def _tort_regular(schema: DomainSchema, request: GeneratorRequest,
+                  kind: DatasetKind) -> np.ndarray:
+    """A balanced resample of the unique cases."""
     universe = _tort_universe(schema)
+    labels = schema.label_matrix(universe)
+    positives = universe[labels]
+    negatives = universe[~labels]
+    rng = np.random.default_rng(request.seed)
+    half = request.size // 2
+    rows = np.concatenate(
+        [
+            positives[rng.integers(0, len(positives), half)],
+            negatives[rng.integers(0, len(negatives), half)],
+        ],
+        axis=0,
+    )
+    return rows[rng.permutation(request.size)]
 
-    if kind == "unique":
-        return _finish(schema, kind, universe, seed)
 
+def _tort_dedicated(schema: DomainSchema, request: GeneratorRequest,
+                    kind: DatasetKind) -> np.ndarray:
+    """The unique cases on which every condition but the target holds, so
+    the label tracks the target condition alone."""
+    universe = _tort_universe(schema)
     truth = schema.condition_matrix(universe)
-    cond = {c.id: truth[:, j] for j, c in enumerate(schema.conditions)}
+    others = [j for j, c in enumerate(schema.conditions) if c.id != kind.target]
+    return universe[truth[:, others].all(axis=1)]
 
-    if kind == "regular":
-        labels = truth.all(axis=1)
-        positives = universe[labels]
-        negatives = universe[~labels]
-        rng = np.random.default_rng(seed)
-        half = size // 2
-        rows = np.concatenate(
-            [
-                positives[rng.integers(0, len(positives), half)],
-                negatives[rng.integers(0, len(negatives), half)],
-            ],
-            axis=0,
-        )
-        rows = rows[rng.permutation(size)]
-        return _finish(schema, kind, rows, seed)
 
-    # Dedicated subsets of the unique cases: all conditions other than the
-    # target hold, so the label tracks the target condition alone.
-    target = DEDICATED_TARGET[("tort", kind)]
-    keep = np.ones(len(universe), dtype=bool)
-    for cid in cond:
-        if cid != target:
-            keep &= cond[cid]
-    return _finish(schema, kind, universe[keep], seed)
+# ---------------------------------------------------------------------------
+# The kind registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DatasetKind:
+    """One (domain, kind) entry of ``KINDS``."""
+
+    build: Callable[[DomainSchema, GeneratorRequest, "DatasetKind"], np.ndarray]
+    sized: bool = False  # takes a size; otherwise fixed by its grid or enumeration
+    seed_independent: bool = False  # no random feature at all
+    target: str | None = None  # the condition a dedicated test set isolates
+
+
+# The unlawfulness set varies c3's features and the imputability set varies
+# c2's: the pairing under which the enumerations have 168 and 128 unique rows.
+KINDS: dict[tuple[str, str], DatasetKind] = {
+    ("welfare", "type-a"): DatasetKind(_balanced, sized=True),
+    ("welfare", "type-b"): DatasetKind(_balanced, sized=True),
+    ("welfare", "age-gender"): DatasetKind(_curve_set, target="C1"),
+    ("welfare", "patient-distance"): DatasetKind(_curve_set, target="C6"),
+    ("simplified", "type-a"): DatasetKind(_balanced, sized=True),
+    ("simplified", "type-b"): DatasetKind(_balanced, sized=True),
+    ("simplified", "age-gender"): DatasetKind(_curve_set, seed_independent=True, target="C1"),
+    ("simplified", "patient-distance"): DatasetKind(_curve_set, seed_independent=True,
+                                                    target="C6"),
+    ("tort", "unique"): DatasetKind(_tort_universe, seed_independent=True),
+    ("tort", "regular"): DatasetKind(_tort_regular, sized=True),
+    ("tort", "unlawfulness"): DatasetKind(_tort_dedicated, seed_independent=True, target="c3"),
+    ("tort", "imputability"): DatasetKind(_tort_dedicated, seed_independent=True, target="c2"),
+}
+
+# Which condition each dedicated test set isolates.
+DEDICATED_TARGET = {key: kind.target for key, kind in KINDS.items() if kind.target}
 
 
 def generate(request: GeneratorRequest) -> Dataset:
-    """Dispatch a validated request to the owning domain generator."""
+    """Validate a request and build its dataset with the kind's builder."""
     request.validate()
-    if request.domain_id == "tort":
-        return gen_tort(request.kind, request.size, request.seed)
-    return gen_welfare(
-        request.kind,
-        request.size,
-        request.seed,
-        simplified=request.domain_id == "simplified",
+    kind = KINDS[(request.domain_id, request.kind)]
+    schema = build_domain(request.domain_id)
+    values = np.ascontiguousarray(kind.build(schema, request, kind), dtype=np.int64)
+    labels = schema.label_matrix(values).astype(np.uint8)
+    meta = DatasetMeta(
+        seed=int(request.seed),
+        generator_version=GENERATOR_VERSION,
+        size=values.shape[0],
+        positive_fraction=float(labels.mean()) if len(labels) else 0.0,
     )
+    return Dataset(schema.domain_id, request.kind, values, labels, meta)
+
+
+def gen_welfare(kind: str, size: int | None = None, seed: int = 0,
+                simplified: bool = False) -> Dataset:
+    """Generate one welfare-domain dataset (or its simplified-domain variant)."""
+    return generate(GeneratorRequest("simplified" if simplified else "welfare", kind, size, seed))
+
+
+def gen_tort(kind: str, size: int | None = None, seed: int = 0) -> Dataset:
+    """Generate one tort-law dataset."""
+    return generate(GeneratorRequest("tort", kind, size, seed))

@@ -191,7 +191,11 @@ def plan_from_dict(doc: dict) -> ExperimentPlan:
 
 
 def load_plan(path: str | Path) -> ExperimentPlan:
-    return plan_from_dict(read_json(path, "a plan"))
+    doc = read_json(path, "a plan")
+    try:
+        return plan_from_dict(doc)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _arch_label(arch: tuple[int, ...]) -> str:
@@ -506,14 +510,18 @@ def replay(manifest_path: str | Path, out_dir: str | Path,
     its plan derives.
     """
     doc = read_json(manifest_path, "a manifest")
-    plan = plan_from_dict(doc.get("plan"))
-    for key, running in (("generator_version", GENERATOR_VERSION),
-                         ("package_version", _package_version)):
-        if doc.get(key) != running:
-            raise ValueError(f"manifest {key} is {doc.get(key)!r}, running {running!r}")
-    seeds = doc.get("seeds")  # its length first: a plan's repetitions may be any integer
-    if not isinstance(seeds, list) or len(seeds) != plan.repetitions or seeds != _seed_table(plan):
-        raise ValueError("manifest seeds differ from the schedule its plan derives")
+    try:
+        plan = plan_from_dict(doc.get("plan"))
+        for key, running in (("generator_version", GENERATOR_VERSION),
+                             ("package_version", _package_version)):
+            if doc.get(key) != running:
+                raise ValueError(f"manifest {key} is {doc.get(key)!r}, running {running!r}")
+        seeds = doc.get("seeds")  # its length first: a plan's repetitions may be any integer
+        if (not isinstance(seeds, list) or len(seeds) != plan.repetitions
+                or seeds != _seed_table(plan)):
+            raise ValueError("manifest seeds differ from the schedule its plan derives")
+    except ValueError as err:
+        raise ValueError(f"{manifest_path}: {err}") from None
     report = run_plan(plan, parallelism=parallelism)
     emit_report(report, out_dir)
     return report

@@ -388,6 +388,8 @@ def test_malformed_json_exits_3(tmp_path, capsys, command, document, named):
               "report": ["--manifest", str(path), "--out-dir", str(tmp_path / "out")]}
     code, _, err = run([command, *source[command]], capsys)
     assert code == 3 and named in err
+    if command in ("experiment", "report"):
+        assert str(path) in err
     assert not (tmp_path / "out").exists()
 
 

@@ -24,13 +24,7 @@ from rationale_lab import (
 from rationale_lab.cli import main
 from rationale_lab.dataset_io import LABEL_COLUMN, meta_path
 from rationale_lab.domains import FeatureSpec
-from rationale_lab.generation import (
-    SIZED_KINDS,
-    TORT_KINDS,
-    WELFARE_KINDS,
-    Dataset,
-    GeneratorRequest,
-)
+from rationale_lab.generation import KINDS, Dataset, GeneratorRequest
 
 
 def test_round_trip_tort_unique(tmp_path, tort_schema):
@@ -67,14 +61,10 @@ def _reference_csv(dataset: Dataset) -> bytes:
     return out.getvalue().encode()
 
 
-EVERY_KIND = [(domain, kind) for domain, kinds in (("welfare", WELFARE_KINDS),
-                                                   ("simplified", WELFARE_KINDS),
-                                                   ("tort", TORT_KINDS)) for kind in kinds]
-
-
-@pytest.mark.parametrize("domain,kind", EVERY_KIND)
+@pytest.mark.parametrize("domain,kind", list(KINDS))
 def test_written_bytes_match_csv_writer_reference(tmp_path, domain, kind):
-    dataset = generate(GeneratorRequest(domain, kind, 300 if kind in SIZED_KINDS else None, 5))
+    size = 300 if KINDS[domain, kind].sized else None
+    dataset = generate(GeneratorRequest(domain, kind, size, 5))
     path = write_dataset(dataset, tmp_path / "d.csv")
     assert path.read_bytes() == _reference_csv(dataset)
 

@@ -126,9 +126,12 @@ class TestPlanStructure:
             ({"architectures": ((12,), (7,))}, "not one of the standard shapes"),
             ({"iterations": 0}, "iterations must be >= 1"),
             ({"learning_rate": 0.0}, "learning_rate must be positive"),
+            ({"learning_rate": float("nan")}, "learning_rate must be positive and finite"),
+            ({"learning_rate": float("inf")}, "learning_rate must be positive and finite"),
             ({"batch_size": 0}, "batch_size must be >= 1"),
         ],
-        ids=["architecture", "iterations", "learning_rate", "batch_size"],
+        ids=["architecture", "iterations", "learning_rate", "learning_rate-nan",
+             "learning_rate-inf", "batch_size"],
     )
     def test_plan_the_network_refuses_rejected_at_construction(self, overrides, match):
         with pytest.raises(ValueError, match=match):
