@@ -6,7 +6,9 @@ final ``label`` column, one case per row, integer cells only.  The sidecar
 version, size, and positive fraction, making a written dataset fully
 reconstructable.  Writes are deterministic byte-for-byte, and range-check
 every cell before the file is opened: a dataset that reading would reject
-is never written.  Reading takes each sidecar key's JSON type from the field
+is never written.  The body is ASCII bytes both ways: written from one
+gather of each cell's text out of a byte table, read by ``np.loadtxt`` from
+a byte stream.  Reading takes each sidecar key's JSON type from the field
 it fills (``DatasetMeta``'s, and ``Dataset``'s ``schema_id`` and ``kind``):
 ``seed`` and ``size`` integers, ``positive_fraction`` a number, the rest
 strings.  A key of the wrong type, an unknown key, a sidecar that is not a
@@ -41,21 +43,28 @@ def meta_path(path: str | Path) -> Path:
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> Path:
-    """Write a dataset as CSV plus its ``.meta.json`` sidecar.  Each cell is
-    gathered from one table of the strings of every value a column can hold."""
+    """Write a dataset as CSV plus its ``.meta.json`` sidecar.  The body is each
+    cell's text and separator, gathered from one NUL-padded ``S`` table of
+    every value a column can hold, with the NULs dropped."""
     path = Path(path)
     schema = dataset.schema
     schema.validate_matrix(dataset.values)
     if np.any(bad := (dataset.labels != 0) & (dataset.labels != 1)):
         row = int(np.argmax(bad))
         raise SchemaValidationError(f"label {dataset.labels[row]} at row {row} outside {{0, 1}}")
-    lo, hi = min(0, *(f.lo for f in schema.features)), max(1, *(f.hi for f in schema.features))
-    # the strings of 0..hi, then of lo..-1: a negative value indexes its string from the end
-    cells = np.array([str(i) for i in (*range(hi + 1), *range(lo, 0))], dtype=object)
-    rows = cells[np.column_stack([dataset.values, dataset.labels])]
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(list(schema.feature_names) + [LABEL_COLUMN])
-        fh.writelines(",".join(row) + "\n" for row in rows.tolist())
+    lo, hi = min(0, *(f.lo for f in schema.features)), max(0, *(f.hi for f in schema.features))
+    # each cell's text and separator, NUL-padded: "0," .. "hi,", the labels' "0\n" and "1\n",
+    # then "lo," .. "-1,", so that a negative value indexes its entry from the end
+    table = np.array([f"{i}," for i in range(hi + 1)] + ["0\n", "1\n"]
+                     + [f"{i}," for i in range(lo, 0)], dtype="S")
+    labels = np.add(dataset.labels, hi + 1, dtype=np.intp)
+    cells = table[np.column_stack([dataset.values.astype(np.intp, copy=False), labels])]
+    cells = cells.reshape(-1).view(np.uint8)
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(list(schema.feature_names) + [LABEL_COLUMN])
+    with open(path, "wb") as fh:
+        fh.write(header.getvalue().encode())
+        fh.write(cells[cells != 0])
     write_json(meta_path(path), {"schema_id": dataset.schema_id, "kind": dataset.kind,
                                  **asdict(dataset.meta)})
     return path
@@ -64,10 +73,11 @@ def write_dataset(dataset: Dataset, path: str | Path) -> Path:
 def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
     """Read a dataset written by :func:`write_dataset`.
 
-    The header must match the schema's feature order exactly.  The body is
-    parsed by one ``np.loadtxt`` call: blank lines are skipped, and every
-    cell must be a plain base-10 int64 within its feature's range (labels 0
-    or 1).  A file holding only the header reads as a dataset of 0 cases.
+    The header must match the schema's feature order exactly.  The body must
+    be ASCII, and is parsed by one ``np.loadtxt`` call over a stream of its
+    bytes that ends lines at ``"\\n"`` only: blank lines are skipped, and
+    every cell must be a plain base-10 int64 within its feature's range
+    (labels 0 or 1).  A file holding only the header reads as 0 cases.
     """
     path = Path(path)
     expected = list(schema.feature_names) + [LABEL_COLUMN]
@@ -92,10 +102,13 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
     if not body.isascii():  # np.loadtxt 2.4.6 can crash on code points above U+3FFFF
         cell = re.search(r"[^,\n]*[^\x00-\x7f][^,\n]*", body)[0]
         raise DatasetFormatError(f"{path}: cell {cell[:100]!r} is not a base-10 int64")
+    # split at "\n" only, as io.StringIO does, but from 1 byte a character rather than 4
+    stream = io.TextIOWrapper(io.BytesIO(body.encode("ascii")), "ascii", newline="\n")
+    del body  # the stream's bytes are the one copy of the body that loadtxt needs
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            data = np.loadtxt(io.StringIO(body), np.int64, comments=None, delimiter=",", ndmin=2)
+            data = np.loadtxt(stream, np.int64, comments=None, delimiter=",", ndmin=2)
     except ValueError as err:
         raise _body_error(path, str(err), expected) from None
     if data.size and data.shape[1] != len(expected):
@@ -107,12 +120,10 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
         schema.validate_matrix(values)
     except SchemaValidationError as err:
         raise DatasetFormatError(f"{path}: {err}") from None
-    if np.any((labels != 0) & (labels != 1)):
-        bad_row = int(np.flatnonzero((labels != 0) & (labels != 1))[0])
-        raise DatasetFormatError(
-            f"{path}: label {int(labels[bad_row])} at data row {bad_row} is "
-            "outside {0, 1}"
-        )
+    if np.any(bad := (labels != 0) & (labels != 1)):
+        row = int(np.argmax(bad))
+        raise DatasetFormatError(f"{path}: label {labels[row]} at data row {row} "
+                                 "is outside {0, 1}")
 
     mp = meta_path(path)
     try:

@@ -198,8 +198,8 @@ class DomainSchema:
                 f"{self.domain_id}: expected integer values, got dtype {values.dtype}"
             )
         lo, hi = np.array([(f.lo, f.hi) for f in self.features]).T
-        bad = (values < lo) | (values > hi)
-        if bad.any():  # the first offending feature in schema order, then its first row
+        if len(values) and ((values.min(axis=0) < lo) | (values.max(axis=0) > hi)).any():
+            bad = (values < lo) | (values > hi)  # name the first bad feature, then its first row
             i = int(np.argmax(bad.any(axis=0)))
             row, spec = int(np.argmax(bad[:, i])), self.features[i]
             raise SchemaValidationError(

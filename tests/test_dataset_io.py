@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -91,6 +92,38 @@ def test_negative_cells_written_as_their_own_strings(tmp_path, monkeypatch):
     assert path.read_bytes() == _reference_csv(dataset)
     assert path.read_text().splitlines()[1:3] == ["-3,0,0", "-1,4,1"]
     assert read_dataset(path, schema).equals(dataset)
+
+
+@st.composite
+def _stand_in_datasets(draw):
+    """A dataset of a stand-in schema with ranges inside [-50, 3000]: 0-40
+    rows, C or Fortran order or a ``[::k]`` slice, bool or uint8 labels."""
+    ranges = draw(st.lists(st.lists(st.integers(-50, 3000), min_size=2, max_size=2).map(sorted),
+                           min_size=1, max_size=6))
+    schema = DomainSchema("stand-in", tuple(FeatureSpec(f"f{i}", "int_range", lo, hi)
+                                            for i, (lo, hi) in enumerate(ranges)), (), "label")
+    rows, layout = draw(st.integers(0, 40)), draw(st.sampled_from(["C", "F", "slice"]))
+    step = draw(st.integers(2, 4)) if layout == "slice" else 1
+    values = np.column_stack([draw(st.lists(st.integers(lo, hi), min_size=rows * step,
+                                            max_size=rows * step)) for lo, hi in ranges])
+    values = values.astype(np.int64)[::step]
+    if layout == "F":
+        values = np.asfortranarray(values)
+    labels = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)),
+                      dtype=draw(st.sampled_from([np.bool_, np.uint8])))
+    meta = DatasetMeta(0, "v", rows, float(labels.mean()) if rows else 0.0)
+    return schema, Dataset("stand-in", "kind", values, labels, meta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=_stand_in_datasets())
+def test_written_bytes_of_any_schema_match_reference_and_read_back(tmp_path_factory, drawn):
+    schema, dataset = drawn
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Dataset, "schema", property(lambda self: schema))
+        path = write_dataset(dataset, tmp_path_factory.getbasetemp() / "stand-in.csv")
+        assert path.read_bytes() == _reference_csv(dataset)
+        assert read_dataset(path, schema).equals(dataset)
 
 
 @pytest.mark.parametrize("column,value,message", [
@@ -289,6 +322,38 @@ def test_blank_lines_skipped(tmp_path, tort_schema):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:5] + ["", ""] + lines[5:]) + "\n\n")
     assert read_dataset(path, tort_schema).equals(ds)
+
+
+def test_read_peak_memory_stays_below_six_times_the_file(tmp_path, welfare_schema):
+    path = write_dataset(gen_welfare("type-b", size=20_000, seed=2), tmp_path / "b.csv")
+    read_dataset(path, welfare_schema)  # first-call allocations are not the read's own
+    tracemalloc.start()
+    try:
+        read_dataset(path, welfare_schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * path.stat().st_size
+
+
+@pytest.mark.parametrize("name", ["crlf", "cr-only", "form-feed-line"])
+def test_line_endings(tmp_path, tort_schema, capsys, name):
+    """Lines split at "\n" only: "\r\n" reads as the original, a lone "\r"
+    ends no line and a line holding only "\x0c" is not a blank line."""
+    ds = gen_tort("unique")
+    path = write_dataset(ds, tmp_path / "u.csv")
+    text = path.read_bytes()
+    if name == "crlf":
+        path.write_bytes(text.replace(b"\n", b"\r\n"))
+        assert read_dataset(path, tort_schema).equals(ds)
+        return
+    lines = text.split(b"\n")
+    path.write_bytes(text.replace(b"\n", b"\r") if name == "cr-only"
+                     else b"\n".join(lines[:3] + [b"\x0c"] + lines[3:]))
+    with pytest.raises(DatasetFormatError, match=re.escape(str(path))):
+        read_dataset(path, tort_schema)
+    assert main(["verify", "--in", str(path), "--domain", "tort"]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {path}")
 
 
 def _reference_rows(text: str) -> list[list[int]]:

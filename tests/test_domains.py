@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rationale_lab import (
+    DomainSchema,
     SchemaValidationError,
     build_domain,
     complete_case,
@@ -171,16 +172,49 @@ class TestLabelExamples:
         for _ in range(rng.integers(1, 6)):  # a few cells one step outside their range
             row, col = rng.integers(300), rng.integers(len(specs))
             values[row, col] = specs[col].hi + 1 if rng.random() < 0.5 else specs[col].lo - 1
-        want = None
-        for i, f in enumerate(specs):  # the loop the broadcast check replaced
-            bad = np.flatnonzero((values[:, i] < f.lo) | (values[:, i] > f.hi))
-            if len(bad):
-                row = bad[0]
-                want = f"{f.name}: value {values[row, i]} at row {row} outside [{f.lo}, {f.hi}]"
-                break
+        with pytest.raises(SchemaValidationError) as err:
+            welfare_schema.validate_matrix(values)
+        assert str(err.value) == _per_column_message(welfare_schema, values)
+
+    @pytest.mark.parametrize("case", ["zero-rows", "uint8-above-hi", "first-row", "last-row"])
+    def test_matrix_range_check_edge_cases_agree_with_a_per_column_loop(self, welfare_schema,
+                                                                        case):
+        values = np.zeros((0 if case == "zero-rows" else 40, welfare_schema.n_features),
+                          dtype=np.uint8 if case == "uint8-above-hi" else np.int64)
+        age, resources = welfare_schema.index_of("Age"), welfare_schema.index_of("Resources")
+        if case == "uint8-above-hi":
+            values[17, age] = 255
+        elif case == "first-row":
+            values[0, resources], values[5, resources] = -1, 10_001
+        elif case == "last-row":
+            values[-1, age], values[-1, resources] = 101, 10_001
+        want = _per_column_message(welfare_schema, values)
+        if want is None:
+            welfare_schema.validate_matrix(values)
+            return
         with pytest.raises(SchemaValidationError) as err:
             welfare_schema.validate_matrix(values)
         assert str(err.value) == want
+
+    def test_matrix_range_check_compares_each_column_with_its_own_bounds(self):
+        schema = DomainSchema("stand-in", (FeatureSpec("a", "int_range", -5, 5),
+                                           FeatureSpec("b", "int_range", 1, 9)), (), "label")
+        values = np.array([[-5, 9], [5, 1], [0, 0], [1, 2]])  # b's 0 is above a's bound
+        with pytest.raises(SchemaValidationError) as err:
+            schema.validate_matrix(values)
+        assert str(err.value) == _per_column_message(schema, values) == (
+            "b: value 0 at row 2 outside [1, 9]")
+
+
+def _per_column_message(schema, values):
+    """The first out-of-range cell's message from the per-column loop the
+    broadcast check replaced, or None when every cell is in range."""
+    for i, f in enumerate(schema.features):
+        bad = np.flatnonzero((values[:, i] < f.lo) | (values[:, i] > f.hi))
+        if len(bad):
+            row = bad[0]
+            return f"{f.name}: value {values[row, i]} at row {row} outside [{f.lo}, {f.hi}]"
+    return None
 
 
 class TestConjunctionStructure:
