@@ -35,7 +35,7 @@ print(f"same applicant at 40 miles => {eval_label(welfare, closer)}")
 
 # ---------------------------------------------------------------------------
 # Tort law: ten booleans, five conditions, with one feature (vst) shared
-# between the imputability condition c3 and the exception c5.
+# between the unlawfulness condition c3 and the exception c5.
 # ---------------------------------------------------------------------------
 tort = build_domain("tort")
 print(f"\ntort: {tort.n_features} boolean features -> {tort.label_name}")

@@ -73,15 +73,18 @@ def write_dataset(dataset: Dataset, path: str | Path) -> Path:
 def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
     """Read a dataset written by :func:`write_dataset`.
 
-    The header must match the schema's feature order exactly.  The body must
-    be ASCII, and is parsed by one ``np.loadtxt`` call over a stream of its
-    bytes that ends lines at ``"\\n"`` only: blank lines are skipped, and
-    every cell must be a plain base-10 int64 within its feature's range
-    (labels 0 or 1).  A file holding only the header reads as 0 cases.
+    The header must match the schema's feature order exactly.  The body may
+    hold only the bytes ``0-9``, ``,``, ``-`` and ``\\n``, and ``\\r``
+    directly before ``\\n``; it is parsed by one ``np.loadtxt`` call over a
+    stream of its bytes that ends lines at ``"\\n"`` only.  Blank lines are
+    skipped, and every cell must be a base-10 int64 within its feature's range
+    (labels 0 or 1): ``"01"`` reads as 1 and ``"-0"`` as 0, but a sign ``+``
+    or a space is rejected.  A file holding only the header reads as 0 cases.
     """
     path = Path(path)
     expected = list(schema.feature_names) + [LABEL_COLUMN]
-    with open(path, newline="") as fh:
+    # a byte that is not UTF-8 reads as a surrogate and encodes back to itself
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise DatasetFormatError(f"{path}: empty file")
@@ -98,12 +101,16 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
                 f"{path}: header does not match the {schema.domain_id} "
                 f"feature order; got {header[:4]}..."
             )
-        body = fh.read()
-    if not body.isascii():  # np.loadtxt 2.4.6 can crash on code points above U+3FFFF
-        cell = re.search(r"[^,\n]*[^\x00-\x7f][^,\n]*", body)[0]
-        raise DatasetFormatError(f"{path}: cell {cell[:100]!r} is not a base-10 int64")
+        body = fh.read().encode("utf-8", "surrogateescape")
+    # np.loadtxt reads " 1", "+1" and "1\x1c" as 1, and numpy 2.4.6's can crash on
+    # code points above U+3FFFF, so it sees only the bytes write_dataset writes,
+    # and a "\r" only where a CRLF line ends
+    other = body.translate(None, b"0123456789,-\n")
+    if other and (other.strip(b"\r") or len(other) != body.count(b"\r\n")):
+        bad = re.search(rb"[^0-9,\n\r-]|\r(?!\n)", body)
+        raise _cell_error(path, body, bad.start(), expected)
     # split at "\n" only, as io.StringIO does, but from 1 byte a character rather than 4
-    stream = io.TextIOWrapper(io.BytesIO(body.encode("ascii")), "ascii", newline="\n")
+    stream = io.TextIOWrapper(io.BytesIO(body), "ascii", newline="\n")
     del body  # the stream's bytes are the one copy of the body that loadtxt needs
     try:
         with warnings.catch_warnings():
@@ -141,14 +148,31 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
     return Dataset(schema.domain_id, kind, values, labels.astype(np.uint8), meta)
 
 
+def _bad_cell(path: Path, cell: str, row: int, col: int,
+              columns: list[str]) -> DatasetFormatError:
+    """The error for ``cell`` (already quoted), in data row ``row`` from 0 and
+    column ``col`` from 1."""
+    name = repr(columns[col - 1]) if col <= len(columns) else f"{col} of {len(columns)}"
+    return DatasetFormatError(f"{path}: cell {cell} at data row {row}, column {name}, "
+                              "is not a base-10 int64")
+
+
+def _cell_error(path: Path, body: bytes, pos: int, columns: list[str]) -> DatasetFormatError:
+    """The error for the cell holding byte ``pos`` of ``body``, its data row
+    counted as loadtxt counts it, without the blank lines before it."""
+    start, end = body.rfind(b"\n", 0, pos) + 1, body.find(b"\n", pos)
+    line = body[start:end if end >= 0 else None]
+    col = line.count(b",", 0, pos - start) + 1
+    cell = line.split(b",")[col - 1].removesuffix(b"\r").decode("utf-8", "backslashreplace")
+    row = sum(1 for text in body[:start].split(b"\n") if text.strip(b"\r"))
+    return _bad_cell(path, repr(cell[:100]), row, col, columns)
+
+
 def _body_error(path: Path, message: str, columns: list[str]) -> DatasetFormatError:
     """The error for np.loadtxt's ``message``, counting data rows from 0:
     loadtxt does in conversion errors, but from 1 in column-count errors."""
     if cell := re.search(r"convert string (.*) to int64 at row (\d+), column (\d+)", message):
-        col = int(cell[3])
-        name = repr(columns[col - 1]) if col <= len(columns) else f"{col} of {len(columns)}"
-        return DatasetFormatError(f"{path}: cell {cell[1]} at data row {cell[2]}, "
-                                  f"column {name}, is not a base-10 int64")
+        return _bad_cell(path, cell[1], int(cell[2]), int(cell[3]), columns)
     if width := re.search(r"columns changed from (\d+) to (\d+) at row (\d+)", message):
         first, got, row = (int(g) for g in width.groups())
         if first != len(columns):  # the first data row is already the wrong width

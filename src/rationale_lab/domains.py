@@ -322,13 +322,10 @@ _WELFARE_CONDITIONS = (
     Condition("C6", "patient-distance", ("Type", "Distance"), _welfare_c6),
 )
 
-# c2 and c3 carry the legal notions of unlawfulness and imputability; note
-# that the dedicated test sets of the same names vary the *other* condition's
-# features (see the targets of the tort entries of generation.KINDS).
 _TORT_CONDITIONS = (
     Condition("c1", "causation", ("cau",), _tort_c1),
-    Condition("c2", "unlawfulness", ("ico", "ila", "ift"), _tort_c2),
-    Condition("c3", "imputability", ("vun", "vst", "vrt", "jus"), _tort_c3),
+    Condition("c2", "imputability", ("ico", "ila", "ift"), _tort_c2),
+    Condition("c3", "unlawfulness", ("vun", "vst", "vrt", "jus"), _tort_c3),
     Condition("c4", "damages", ("dmg",), _tort_c4),
     Condition("c5", "violation-exception", ("vst", "prp"), _tort_c5),
 )

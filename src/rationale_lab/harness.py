@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -137,16 +137,12 @@ class ExperimentPlan:
             "train": [spec_dict(s) for s in self.train_specs],
             "test": [spec_dict(s) for s in self.test_specs],
             "architectures": [list(a) for a in self.architectures],
-            "repetitions": self.repetitions,
-            "iterations": self.iterations,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "master_seed": self.master_seed,
+            **{name: getattr(self, name) for name in _PLAN_SCALARS},
         }
 
 
-# the plan keys that fill ExperimentPlan's scalar fields
-_PLAN_SCALARS = ("repetitions", "iterations", "learning_rate", "batch_size", "master_seed")
+# the plan keys that fill ExperimentPlan's scalar fields: those with a default
+_PLAN_SCALARS = tuple(f.name for f in fields(ExperimentPlan) if f.default is not MISSING)
 
 
 def _is_spec(entry) -> bool:
@@ -202,6 +198,11 @@ def _arch_label(arch: tuple[int, ...]) -> str:
     return "-".join(str(w) for w in arch)
 
 
+def _model_label(train_spec: GeneratorRequest, arch: tuple[int, ...]) -> str:
+    """``train__arch``: names a model in the seed schedule and its cells."""
+    return f"{train_spec.label()}__{_arch_label(arch)}"
+
+
 @dataclass(frozen=True)
 class CellAggregate:
     """One (train set, test set, architecture) cell of the result matrix."""
@@ -226,27 +227,35 @@ class AggregateReport:
 
 @dataclass(frozen=True)
 class _RepSeeds:
-    """Every seed one repetition uses.  ``init`` and ``shuffle`` are keyed by
-    (train set index, architecture index)."""
+    """Every seed one repetition uses, as the manifest records it: data seeds
+    keyed by set label, ``init`` and ``shuffle`` by :func:`_model_label`."""
 
-    train_data: tuple[int, ...]
-    test_data: tuple[int, ...]
-    init: dict[tuple[int, int], int]
-    shuffle: dict[tuple[int, int], int]
+    repetition: int
+    train_data: dict[str, int]
+    test_data: dict[str, int]
+    init: dict[str, int]
+    shuffle: dict[str, int]
 
 
 def _schedule(plan: ExperimentPlan) -> list[_RepSeeds]:
     """The run schedule: the only place a plan's seeds are derived.  Running
-    the plan and writing its manifest both read it."""
+    the plan and writing its manifest both read it.  A seed is derived from
+    the indices of its sets and architecture in the plan, not their labels."""
     m = plan.master_seed
-    n_train, n_test = len(plan.train_specs), len(plan.test_specs)
-    jobs = [(ti, ai) for ti in range(n_train) for ai in range(len(plan.architectures))]
+    jobs = {
+        _model_label(spec, arch): (ti, ai)
+        for ti, spec in enumerate(plan.train_specs)
+        for ai, arch in enumerate(plan.architectures)
+    }
     return [
         _RepSeeds(
-            train_data=tuple(derive_seed(m, "train-data", rep, ti) for ti in range(n_train)),
-            test_data=tuple(derive_seed(m, "test-data", rep, si) for si in range(n_test)),
-            init={job: derive_seed(m, "init", rep, *job) for job in jobs},
-            shuffle={job: derive_seed(m, "shuffle", rep, *job) for job in jobs},
+            repetition=rep,
+            train_data={s.label(): derive_seed(m, "train-data", rep, i)
+                        for i, s in enumerate(plan.train_specs)},
+            test_data={s.label(): derive_seed(m, "test-data", rep, i)
+                       for i, s in enumerate(plan.test_specs)},
+            init={job: derive_seed(m, "init", rep, *at) for job, at in jobs.items()},
+            shuffle={job: derive_seed(m, "shuffle", rep, *at) for job, at in jobs.items()},
         )
         for rep in range(plan.repetitions)
     ]
@@ -292,17 +301,18 @@ def _run_repetition(plan: ExperimentPlan, seeds: _RepSeeds) -> _RepResult:
     )
     curves: dict[tuple[int, int, int], RationaleCurve] = {}
     tables: dict[tuple[int, int, int], ConditionOutputTable] = {}
-    train_sets = [_dataset(spec, seed) for spec, seed in zip(plan.train_specs, seeds.train_data)]
-    test_sets = [_dataset(spec, seed) for spec, seed in zip(plan.test_specs, seeds.test_data)]
+    train_sets = [_dataset(spec, seeds.train_data[spec.label()]) for spec in plan.train_specs]
+    test_sets = [_dataset(spec, seeds.test_data[spec.label()]) for spec in plan.test_specs]
 
     models = {}
-    for ti, train_set in enumerate(train_sets):
+    for ti, (train_spec, train_set) in enumerate(zip(plan.train_specs, train_sets)):
         for ai, arch in enumerate(plan.architectures):
+            job = _model_label(train_spec, arch)
             try:
                 models[ti, ai] = train(
                     train_set,
-                    plan._network_config(arch, seeds.init[ti, ai]),
-                    plan._train_config(seeds.shuffle[ti, ai]),
+                    plan._network_config(arch, seeds.init[job]),
+                    plan._train_config(seeds.shuffle[job]),
                 )
             except TrainingDivergedError:
                 continue
@@ -381,7 +391,7 @@ def run_plan(plan: ExperimentPlan, parallelism: int = 1) -> AggregateReport:
         for si, test_spec in enumerate(plan.test_specs):
             for ai, arch in enumerate(plan.architectures):
                 key = (ti, ai, si)
-                name = f"{train_spec.label()}__{_arch_label(arch)}__{test_spec.label()}"
+                name = f"{_model_label(train_spec, arch)}__{test_spec.label()}"
                 rep_curves = [r.curves[key] for r in results if key in r.curves]
                 if rep_curves:
                     curves[name] = _mean_curve(rep_curves)
@@ -409,25 +419,13 @@ def run_plan(plan: ExperimentPlan, parallelism: int = 1) -> AggregateReport:
 # Report emission and replay
 # ---------------------------------------------------------------------------
 
+# the versions a report records, and a replay must run under
+_VERSIONS = {"generator_version": GENERATOR_VERSION, "package_version": _package_version}
+
+
 def _seed_table(plan: ExperimentPlan) -> list[dict]:
-    """The run schedule as the manifest records it, keyed by labels."""
-    train = [spec.label() for spec in plan.train_specs]
-    test = [spec.label() for spec in plan.test_specs]
-    job = {
-        (ti, ai): f"{train[ti]}__{_arch_label(arch)}"
-        for ti in range(len(train))
-        for ai, arch in enumerate(plan.architectures)
-    }
-    return [
-        {
-            "repetition": rep,
-            "train_data": dict(zip(train, seeds.train_data)),
-            "test_data": dict(zip(test, seeds.test_data)),
-            "init": {job[k]: seed for k, seed in seeds.init.items()},
-            "shuffle": {job[k]: seed for k, seed in seeds.shuffle.items()},
-        }
-        for rep, seeds in enumerate(_schedule(plan))
-    ]
+    """The manifest's seeds, which a replay checks against its own."""
+    return [asdict(seeds) for seeds in _schedule(plan)]
 
 
 def _json_safe(value: float) -> float | None:
@@ -439,19 +437,10 @@ def summary_dict(report: AggregateReport) -> dict:
     ``condition_tables``."""
     return {
         "plan": report.plan.to_dict(),
-        "generator_version": GENERATOR_VERSION,
-        "package_version": _package_version,
+        **_VERSIONS,
         "cells": [
-            {
-                "train": c.train,
-                "test": c.test,
-                "arch": c.arch,
-                "mean": _json_safe(c.mean),
-                "std": _json_safe(c.std),
-                "repetitions": c.repetitions,
-                "excluded": c.excluded,
-                "accuracies": [_json_safe(a) for a in c.accuracies],
-            }
+            {**asdict(c), "mean": _json_safe(c.mean), "std": _json_safe(c.std),
+             "accuracies": [_json_safe(a) for a in c.accuracies]}
             for c in report.cells
         ],
         "condition_tables": {k: t.to_dict() for k, t in sorted(report.tables.items())},
@@ -493,8 +482,7 @@ def emit_report(report: AggregateReport, out_dir: str | Path) -> dict[str, Path]
 
     paths["manifest"] = write_json(out / "manifest.json", {
         "plan": report.plan.to_dict(),
-        "generator_version": GENERATOR_VERSION,
-        "package_version": _package_version,
+        **_VERSIONS,
         "created_unix": int(time.time()),
         "seeds": _seed_table(report.plan),
     })
@@ -512,8 +500,7 @@ def replay(manifest_path: str | Path, out_dir: str | Path,
     doc = read_json(manifest_path, "a manifest")
     try:
         plan = plan_from_dict(doc.get("plan"))
-        for key, running in (("generator_version", GENERATOR_VERSION),
-                             ("package_version", _package_version)):
+        for key, running in _VERSIONS.items():
             if doc.get(key) != running:
                 raise ValueError(f"manifest {key} is {doc.get(key)!r}, running {running!r}")
         seeds = doc.get("seeds")  # its length first: a plan's repetitions may be any integer

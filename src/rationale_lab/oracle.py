@@ -10,7 +10,7 @@ dataset kinds are computed by enumeration, never copied in as constants.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -164,19 +164,8 @@ class VerificationReport:
         return self.size_ok and self.label_mismatches == 0
 
     def to_dict(self) -> dict:
-        return {
-            "dataset_kind": self.dataset_kind,
-            "size_ok": self.size_ok,
-            "label_mismatches": self.label_mismatches,
-            "mismatch_rows": list(self.mismatch_rows),
-            "positive_fraction": self.positive_fraction,
-            "per_condition_failure_counts": dict(self.per_condition_failure_counts),
-            "failed_condition_histogram": {
-                str(k): v for k, v in sorted(self.failed_condition_histogram.items())
-            },
-            "duplicate_count": self.duplicate_count,
-            "passed": self.passed,
-        }
+        """Every field and ``passed``; JSON writes the histogram's keys as strings."""
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_dataset(dataset: Dataset, schema: DomainSchema) -> VerificationReport:

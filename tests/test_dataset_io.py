@@ -228,6 +228,11 @@ def _without_last_cell(line: str) -> str:
     return line.rsplit(",", 1)[0]
 
 
+def _first_cell_of_row_2(cell: str):
+    """An edit that sets data row 2's first cell (a "0", column 'cau')."""
+    return lambda ls: ls[:3] + [cell + ls[3][1:]] + ls[4:]
+
+
 # edits of the lines of a tort `unique` file (10 features plus the label):
 # ls[0] is the header, ls[1] data row 0
 MALFORMED_BODIES = {
@@ -235,8 +240,17 @@ MALFORMED_BODIES = {
                     r"cell 'maybe' at data row 2, column 'cau'"),
     "beyond-int64": (lambda ls: ls[:3] + ["9" * 20 + ls[3][1:]] + ls[4:],
                      r"cell '9{20}' at data row 2, column 'cau'"),
-    "non-ascii": (lambda ls: ls[:3] + ["\U000e0000" + ls[3][1:]] + ls[4:],
-                  r"cell '\\U000e0000' is not a base-10 int64"),
+    "non-ascii": (_first_cell_of_row_2("\U000e0000"),
+                  r"cell '\\U000e0000' at data row 2, column 'cau', is not a base-10 int64"),
+    "leading-space": (_first_cell_of_row_2(" 1"), r"cell ' 1' at data row 2, column 'cau'"),
+    "trailing-space": (_first_cell_of_row_2("1 "), r"cell '1 ' at data row 2, column 'cau'"),
+    "plus-sign": (_first_cell_of_row_2("+1"), r"cell '\+1' at data row 2, column 'cau'"),
+    "tab": (_first_cell_of_row_2("\t1"), r"cell '\\t1' at data row 2, column 'cau'"),
+    "file-separator": (_first_cell_of_row_2("1\x1c"),
+                       r"cell '1\\x1c' at data row 2, column 'cau'"),
+    "lone-cr": (_first_cell_of_row_2("1\r1"), r"cell '1\\r1' at data row 2, column 'cau'"),
+    "after-blank-lines": (lambda ls: ls[:3] + ["", "\r"] + [ls[3][:4] + "+1" + ls[3][5:]]
+                          + ls[4:], r"cell '\+1' at data row 2, column 'ila'"),
     "hash": (lambda ls: ls[:3] + ["#" + ls[3]] + ls[4:], r"cell '#\d' at data row 2"),
     "quoted": (lambda ls: ls[:3] + ['"' + ls[3].replace(",", '",', 1)] + ls[4:],
                r"""cell '"\d"' at data row 2"""),
@@ -262,6 +276,27 @@ def test_malformed_body_rejected_and_verify_exits_3(tmp_path, tort_schema, capsy
         read_dataset(path, tort_schema)
     assert main(["verify", "--in", str(path), "--domain", "tort"]) == 3
     assert capsys.readouterr().err.startswith(f"error: {path}")
+
+
+def test_leading_zero_and_negative_zero_read_as_their_values(tmp_path, tort_schema):
+    ds = gen_tort("unique")
+    lines = _tort_lines(tmp_path)
+    assert lines[3].startswith("0,0,") and lines[-1].startswith("1,")
+    lines[3] = "00,-0" + lines[3][3:]
+    lines[-1] = "0" + lines[-1]
+    path = write_dataset(ds, tmp_path / "u.csv")
+    path.write_text("\n".join(lines) + "\n")
+    assert read_dataset(path, tort_schema).equals(ds)
+
+
+def test_byte_that_is_not_utf8_named(tmp_path, tort_schema):
+    path = tmp_path / "u.csv"
+    write_dataset(gen_tort("unique"), path)
+    text = path.read_bytes()
+    path.write_bytes(text.replace(b"\n0,", b"\n\xff0,", 1))
+    with pytest.raises(DatasetFormatError,
+                       match=r"cell '\\\\xff0' at data row 0, column 'cau'"):
+        read_dataset(path, tort_schema)
 
 
 def test_sidecar_that_is_not_an_object_rejected(tmp_path, tort_schema, capsys):
@@ -357,8 +392,11 @@ def test_line_endings(tmp_path, tort_schema, capsys, name):
 
 
 def _reference_rows(text: str) -> list[list[int]]:
-    """The body parsed cell by cell with ``csv`` and ``int``, blank lines skipped."""
-    return [[int(cell) for cell in row] for row in list(csv.reader(io.StringIO(text)))[1:] if row]
+    """The body parsed cell by cell with ``csv`` and ``int``, blank lines
+    skipped; every cell must be an optional "-" and digits."""
+    rows = [row for row in list(csv.reader(io.StringIO(text)))[1:] if row]
+    assert all(re.fullmatch("-?[0-9]+", cell) for row in rows for cell in row), rows
+    return [[int(cell) for cell in row] for row in rows]
 
 
 @pytest.fixture(scope="module")

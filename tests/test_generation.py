@@ -161,6 +161,10 @@ class TestTortSets:
         assert truth[:, others].all()
         assert np.array_equal(ds.labels.astype(bool), truth[:, 1])
 
+    @pytest.mark.parametrize("kind", ["unlawfulness", "imputability"])
+    def test_dedicated_set_isolates_the_condition_it_is_named_for(self, tort_schema, kind):
+        assert tort_schema.condition(DEDICATED_TARGET[("tort", kind)]).notion == kind
+
     def test_regular_is_balanced_resample(self, tort_schema):
         ds = gen_tort("regular", size=5000, seed=21)
         assert int(ds.labels.sum()) == 2500
