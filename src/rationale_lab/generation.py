@@ -214,6 +214,7 @@ def _balanced(schema: DomainSchema, request: GeneratorRequest,
         force = dict(all_true if request.kind == "type-b" else {}, **{cid: False})
         blocks.append(_welfare_block(schema, rng, m, force))
     values = np.concatenate(blocks, axis=0)
+    del blocks  # two full copies at the gather below, not three
     return values[rng.permutation(values.shape[0])]
 
 

@@ -6,6 +6,11 @@ dataset from seeds derived off the master seed, trains each architecture on
 each training set, and evaluates every model on every test set.  Cells
 aggregate to mean +- population standard deviation over repetitions.
 
+A repetition holds one large dataset at a time: each train set is generated
+just before its models are trained and dropped before the next is generated;
+each test set is generated, scaled and evaluated only after every model is
+trained, and dropped before the next.
+
 Repetitions are independent jobs and may run in parallel processes; results
 are folded in repetition order, so reports are identical at any parallelism.
 
@@ -301,11 +306,10 @@ def _run_repetition(plan: ExperimentPlan, seeds: _RepSeeds) -> _RepResult:
     )
     curves: dict[tuple[int, int, int], RationaleCurve] = {}
     tables: dict[tuple[int, int, int], ConditionOutputTable] = {}
-    train_sets = [_dataset(spec, seeds.train_data[spec.label()]) for spec in plan.train_specs]
-    test_sets = [_dataset(spec, seeds.test_data[spec.label()]) for spec in plan.test_specs]
 
     models = {}
-    for ti, (train_spec, train_set) in enumerate(zip(plan.train_specs, train_sets)):
+    for ti, train_spec in enumerate(plan.train_specs):
+        train_set = _dataset(train_spec, seeds.train_data[train_spec.label()])
         for ai, arch in enumerate(plan.architectures):
             job = _model_label(train_spec, arch)
             try:
@@ -316,11 +320,13 @@ def _run_repetition(plan: ExperimentPlan, seeds: _RepSeeds) -> _RepResult:
                 )
             except TrainingDivergedError:
                 continue
+        del train_set  # before the next one is generated
 
     # Every model scales with the plan's schema_scaling, so each test set is
-    # scaled once, and only one scaled copy is held at a time.
+    # scaled once.
     scaling = schema_scaling(plan.domain_id)
-    for si, test_set in enumerate(test_sets):
+    for si, test_spec in enumerate(plan.test_specs):
+        test_set = _dataset(test_spec, seeds.test_data[test_spec.label()])
         x = scaling.apply(test_set.values)
         target = DEDICATED_TARGET.get((plan.domain_id, test_set.kind))
         grid = CURVE_GRIDS.get((plan.domain_id, target))
@@ -333,6 +339,7 @@ def _run_repetition(plan: ExperimentPlan, seeds: _RepSeeds) -> _RepResult:
                 curves[ti, ai, si] = output_curve(model_outputs, test_set, *grid[:2])
             else:
                 tables[ti, ai, si] = condition_table(model_outputs, test_set, target)
+        del test_set, x  # before the next one is generated
     return _RepResult(accs, curves, tables)
 
 
@@ -447,6 +454,19 @@ def summary_dict(report: AggregateReport) -> dict:
     }
 
 
+# accuracy_matrix.csv has a column for each CellAggregate field but those it
+# omits; the _MATRIX_PCT fields are written as <name>_pct, in percent
+_MATRIX_OMITTED = ("accuracies",)
+_MATRIX_PCT = ("mean", "std")
+_MATRIX_FIELDS = tuple(f.name for f in fields(CellAggregate) if f.name not in _MATRIX_OMITTED)
+
+
+def _matrix_field(name: str, value) -> str:
+    if name not in _MATRIX_PCT:
+        return str(value)
+    return f"{100 * value:.2f}" if np.isfinite(value) else ""
+
+
 def emit_report(report: AggregateReport, out_dir: str | Path) -> dict[str, Path]:
     """Write summary JSON, the accuracy matrix CSV, curve TSVs, condition
     tables, and a seed manifest; returns the paths written.
@@ -462,11 +482,10 @@ def emit_report(report: AggregateReport, out_dir: str | Path) -> dict[str, Path]
     paths["summary"] = write_json(out / "summary.json", doc)
 
     matrix = out / "accuracy_matrix.csv"
-    lines = ["train,test,arch,mean_pct,std_pct,repetitions,excluded"]
+    lines = [",".join(f"{name}_pct" if name in _MATRIX_PCT else name
+                      for name in _MATRIX_FIELDS)]
     for c in report.cells:
-        mean = f"{100 * c.mean:.2f}" if np.isfinite(c.mean) else ""
-        std = f"{100 * c.std:.2f}" if np.isfinite(c.std) else ""
-        lines.append(f"{c.train},{c.test},{c.arch},{mean},{std},{c.repetitions},{c.excluded}")
+        lines.append(",".join(_matrix_field(name, getattr(c, name)) for name in _MATRIX_FIELDS))
     matrix.write_text("\n".join(lines) + "\n")
     paths["accuracy_matrix"] = matrix
 

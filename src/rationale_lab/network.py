@@ -28,12 +28,12 @@ per-array update in the same order.
 
 One step kernel.  ``_backprop`` (loss and gradients of one batch) and the
 step ``_adam_kernel`` builds hold all the arithmetic of a training step.
-``train`` binds them once per run, gathers each epoch's rows once so that a
-batch is a slice, and enters ``np.errstate`` once.  The public
-``loss_and_grads`` and ``adam_update`` check their arguments and run the
-same kernels per call.  Matrix products use ``np.dot``: on the 2-d
-float64 operands of every standard layer shape it gave the same bits as
-``@``, for less call overhead.
+``train`` binds them once per run, gathers each epoch's rows into two
+buffers reused across epochs, so that a batch is a slice, and enters
+``np.errstate`` once.  The public ``loss_and_grads`` and ``adam_update``
+check their arguments and run the same kernels per call.  Matrix products
+use ``np.dot``: on the 2-d float64 operands of every standard layer shape it
+gave the same bits as ``@``, for less call overhead.
 """
 
 from __future__ import annotations
@@ -303,7 +303,13 @@ class FeatureScaling:
     scales: np.ndarray
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return (np.asarray(values, dtype=np.float64) - self.offsets) / self.scales
+        """A new float64 matrix of the scaled rows; ``values`` is not written.
+        One copy is made and scaled in place, with the same bits as
+        ``(values - offsets) / scales``."""
+        scaled = np.array(values, dtype=np.float64)
+        np.subtract(scaled, self.offsets, out=scaled)
+        np.divide(scaled, self.scales, out=scaled)
+        return scaled
 
 
 def schema_scaling(schema_id: str) -> FeatureScaling:
@@ -328,7 +334,7 @@ class TrainedModel:
 
     def outputs(self, values) -> np.ndarray:
         """Probabilities for an (n, input_width) matrix of raw case rows."""
-        x = np.asarray(values, dtype=np.float64)
+        x = np.asarray(values)  # scaling makes the one float copy
         if x.ndim != 2 or x.shape[1] != self.config.input_width:
             raise ValueError(
                 f"expected an (n, {self.config.input_width}) matrix, got shape {x.shape}"
@@ -371,12 +377,16 @@ def train(
     bs = train_config.batch_size
     trace = np.empty(train_config.iterations)
 
+    # a permutation's indices are in range, so "clip" never clips; unlike
+    # "raise", it lets ``take`` write straight into ``out``
+    x_epoch, y_epoch = np.empty(x.shape), np.empty(y.shape)
     pos = n
     with np.errstate(invalid="ignore"):  # a NaN is diagnosed from the loss
         for step in range(1, train_config.iterations + 1):
-            if pos >= n:  # a new epoch: its rows gathered once, each batch a slice
+            if pos >= n:
                 order = rng.permutation(n)
-                x_epoch, y_epoch = x[order], y[order]
+                np.take(x, order, axis=0, out=x_epoch, mode="clip")
+                np.take(y, order, axis=0, out=y_epoch, mode="clip")
                 pos = 0
             end = pos + bs
             try:

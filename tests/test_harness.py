@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,12 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rationale_lab import (
+    AggregateReport,
+    CellAggregate,
     ExperimentPlan,
     GeneratorRequest,
     TrainConfig,
     TrainingDivergedError,
     derive_seed,
     emit_report,
+    generate,
     load_plan,
     replay,
     run_plan,
@@ -307,6 +312,29 @@ class TestRunPlan:
             assert table == computed[name.rsplit("__", 1)[1]]
 
 
+def test_repetition_holds_one_large_set_at_a_time():
+    """A welfare repetition's traced peak stays below three times its largest
+    dataset (the 40,000-case curve set): each set is dropped before the next
+    is generated, and scaling and the epoch gathers make no spare full-size
+    float copies."""
+    plan = ExperimentPlan(
+        domain_id="welfare",
+        train_specs=(spec("welfare", "type-a", 20_000), spec("welfare", "type-b", 20_000)),
+        test_specs=(spec("welfare", "type-a", 2400), spec("welfare", "age-gender")),
+        architectures=((12,),),
+        repetitions=1,
+        iterations=5,
+    )
+    largest = max(generate(s).values.nbytes for s in plan.train_specs + plan.test_specs)
+    tracemalloc.start()
+    try:
+        run_plan(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * largest
+
+
 class TestEmitAndReplay:
     def test_report_files_and_replay_identical(self, tmp_path):
         report = run_plan(tiny_tort_plan())
@@ -317,6 +345,34 @@ class TestEmitAndReplay:
 
         replay(paths["manifest"], tmp_path / "replayed")
         assert (tmp_path / "replayed" / "summary.json").read_bytes() == summary
+
+    def test_accuracy_matrix_bytes(self, tmp_path):
+        """Means and stds in percent to 2 places, empty where every
+        repetition diverged; recorded from the hand-written CSV it replaced."""
+        nan = float("nan")
+        cells = (
+            CellAggregate("regular-200", "unique", "12", 0.98765, 0.0125, 2, 0, (0.975, 1.0)),
+            CellAggregate("regular-200", "imputability", "24-6", nan, nan, 2, 2, (nan, nan)),
+            CellAggregate("regular-200", "unlawfulness", "24-10-3", 1 / 3, 0.0, 2, 1, (nan, 1 / 3)),
+        )
+        report = AggregateReport(plan=tiny_tort_plan(), cells=cells)
+        paths = emit_report(report, tmp_path / "out")
+        assert paths["accuracy_matrix"].read_bytes() == (
+            b"train,test,arch,mean_pct,std_pct,repetitions,excluded\n"
+            b"regular-200,unique,12,98.77,1.25,2,0\n"
+            b"regular-200,imputability,24-6,,,2,2\n"
+            b"regular-200,unlawfulness,24-10-3,33.33,0.00,2,1\n"
+        )
+
+    def test_accuracy_matrix_has_a_column_for_every_cell_field(self, tmp_path, report):
+        """Each CellAggregate field is a column, mean and std as percentages,
+        except the per-repetition accuracies; a new field must be one or the
+        other."""
+        paths = emit_report(report, tmp_path / "out")
+        header = paths["accuracy_matrix"].read_text().splitlines()[0].split(",")
+        renamed = {"mean": "mean_pct", "std": "std_pct"}
+        assert header == [renamed.get(f.name, f.name) for f in dataclasses.fields(CellAggregate)
+                          if f.name != "accuracies"]
 
     def test_condition_tables_file_matches_summary(self, tmp_path):
         paths = emit_report(run_plan(tiny_tort_plan(repetitions=1)), tmp_path / "out")

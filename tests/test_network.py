@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -106,6 +107,13 @@ def reference_batches(n, train_config):
         pos += bs
 
 
+def reference_scaled(dataset):
+    """The dataset's rows min-max scaled by the inline expression, not by
+    ``FeatureScaling.apply``."""
+    scaling = schema_scaling(dataset.schema_id)
+    return (dataset.values.astype(np.float64) - scaling.offsets) / scaling.scales
+
+
 def reference_train(dataset, network_config, train_config):
     """``train``'s batch schedule over separate per-layer arrays and
     per-array Adam; returns the final (weights, biases, loss trace)."""
@@ -115,7 +123,7 @@ def reference_train(dataset, network_config, train_config):
     arrays = weights + biases
     ms = [np.zeros_like(a) for a in arrays]
     vs = [np.zeros_like(a) for a in arrays]
-    x = schema_scaling(dataset.schema_id).apply(dataset.values)
+    x = reference_scaled(dataset)
     y = dataset.labels.astype(np.float64)
     trace = []
     for step, batch in reference_batches(len(dataset), train_config):
@@ -130,7 +138,7 @@ def first_diverged_step(dataset, network_config, train_config):
     and ``adam_update``: the first step whose loss is non-finite, or None."""
     params = init_params(network_config)
     state = AdamState(params)
-    x = schema_scaling(dataset.schema_id).apply(dataset.values)
+    x = reference_scaled(dataset)
     y = dataset.labels.astype(np.float64)
     for step, batch in reference_batches(len(dataset), train_config):
         try:
@@ -416,6 +424,38 @@ class TestTrain:
         scaled = scaling.apply(row[None, :])
         assert scaled[0, age] == 1.0 and scaled[0, resources] == 1.0
         assert scaling.scales.min() >= 1
+
+    @pytest.mark.parametrize("layout", ["C", "Fortran", "sliced"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_scaling_copies_and_matches_the_inline_expression(self, dtype, layout):
+        """``apply`` scales a copy in place: the result has the bits of the
+        expression it replaces, and its input is neither written nor shared."""
+        scaling = schema_scaling("welfare")
+        values = gen_welfare("type-b", size=300, seed=4).values.astype(dtype)
+        values = {"C": values, "Fortran": np.asfortranarray(values),
+                  "sliced": values[::3]}[layout]
+        before = values.copy()
+        values.setflags(write=False)
+        got = scaling.apply(values)
+        want = (values.astype(np.float64) - scaling.offsets) / scaling.scales
+        assert got.dtype == np.float64 and got.shape == values.shape
+        assert got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, values)
+        assert values.tobytes() == before.tobytes()
+
+    def test_outputs_make_one_float_copy_of_integer_rows(self):
+        """The traced peak of ``outputs`` on a dataset's int64 rows is the
+        scaled float copy and the forward pass, not a second full copy."""
+        model = train(gen_welfare("type-b", size=200, seed=3), NetworkConfig(64, (12,)),
+                      TrainConfig(iterations=1))
+        values = gen_welfare("type-b", size=20_000, seed=4).values
+        tracemalloc.start()
+        try:
+            model.outputs(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * values.nbytes
 
     def test_outputs_scale_raw_rows_exactly_once(self):
         """On simplified, whose scaling is not the identity, ``outputs`` of
