@@ -109,13 +109,19 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
     if other and (other.strip(b"\r") or len(other) != body.count(b"\r\n")):
         bad = re.search(rb"[^0-9,\n\r-]|\r(?!\n)", body)
         raise _cell_error(path, body, bad.start(), expected)
+    # a bound on the rows (blank lines are not rows), so that loadtxt allocates its
+    # matrix once: grown by realloc, its last copy lands in fresh pages whenever
+    # the heap has no hole that large, a full extra matrix in the peak RSS
+    rows = body.count(b"\n") + (not body.endswith(b"\n"))
     # split at "\n" only, as io.StringIO does, but from 1 byte a character rather than 4
     stream = io.TextIOWrapper(io.BytesIO(body), "ascii", newline="\n")
     del body  # the stream's bytes are the one copy of the body that loadtxt needs
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            data = np.loadtxt(stream, np.int64, comments=None, delimiter=",", ndmin=2)
+            warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
+            data = np.loadtxt(stream, np.int64, comments=None, delimiter=",", ndmin=2,
+                              max_rows=rows)
     except ValueError as err:
         raise _body_error(path, str(err), expected) from None
     if data.size and data.shape[1] != len(expected):

@@ -359,6 +359,15 @@ def test_blank_lines_skipped(tmp_path, tort_schema):
     assert read_dataset(path, tort_schema).equals(ds)
 
 
+@pytest.mark.parametrize("tail", [b"", b"\n\n\n", b"\r\n"])
+def test_every_row_read_whatever_the_file_ends_with(tmp_path, tort_schema, tail):
+    """The row bound given to loadtxt counts a last row without a newline."""
+    ds = gen_tort("unique")
+    path = write_dataset(ds, tmp_path / "u.csv")
+    path.write_bytes(path.read_bytes().rstrip(b"\n") + tail)
+    assert read_dataset(path, tort_schema).equals(ds)
+
+
 def test_read_peak_memory_stays_below_six_times_the_file(tmp_path, welfare_schema):
     path = write_dataset(gen_welfare("type-b", size=20_000, seed=2), tmp_path / "b.csv")
     read_dataset(path, welfare_schema)  # first-call allocations are not the read's own
