@@ -6,14 +6,16 @@ final ``label`` column, one case per row, integer cells only.  The sidecar
 version, size, and positive fraction, making a written dataset fully
 reconstructable.  Writes are deterministic byte-for-byte, and range-check
 every cell before the file is opened: a dataset that reading would reject
-is never written.  The body is ASCII bytes both ways: written from one
-gather of each cell's text out of a byte table, read by ``np.loadtxt`` from
-a byte stream.  Reading takes each sidecar key's JSON type from the field
-it fills (``DatasetMeta``'s, and ``Dataset``'s ``schema_id`` and ``kind``):
-``seed`` and ``size`` integers, ``positive_fraction`` a number, the rest
-strings.  A key of the wrong type, an unknown key, a sidecar that is not a
-JSON object or not valid JSON is rejected with an error naming the sidecar;
-a missing sidecar, or a missing key, reads as its default.
+is never written.  The body is ASCII bytes both ways, never decoded to
+text: written from one gather of each cell's text out of a NUL-padded byte
+table, its NULs dropped by ``bytes.translate``; read by ``np.loadtxt`` over
+a ``BytesIO`` of the file's bytes.  Reading takes each sidecar key's JSON
+type from the field it fills (``DatasetMeta``'s, and ``Dataset``'s
+``schema_id`` and ``kind``): ``seed`` and ``size`` integers,
+``positive_fraction`` a number, the rest strings.  A key of the wrong
+type, an unknown key, a sidecar that is not a JSON object or not valid JSON
+is rejected with an error naming the sidecar; a missing sidecar, or a
+missing key, reads as its default.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ def meta_path(path: str | Path) -> Path:
 def write_dataset(dataset: Dataset, path: str | Path) -> Path:
     """Write a dataset as CSV plus its ``.meta.json`` sidecar.  The body is each
     cell's text and separator, gathered from one NUL-padded ``S`` table of
-    every value a column can hold, with the NULs dropped."""
+    every value a column can hold, with the NULs dropped by one
+    ``bytes.translate``."""
     path = Path(path)
     schema = dataset.schema
     schema.validate_matrix(dataset.values)
@@ -59,12 +62,13 @@ def write_dataset(dataset: Dataset, path: str | Path) -> Path:
                      + [f"{i}," for i in range(lo, 0)], dtype="S")
     labels = np.add(dataset.labels, hi + 1, dtype=np.intp)
     cells = table[np.column_stack([dataset.values.astype(np.intp, copy=False), labels])]
-    cells = cells.reshape(-1).view(np.uint8)
+    body = cells.tobytes()
+    del cells
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(list(schema.feature_names) + [LABEL_COLUMN])
     with open(path, "wb") as fh:
         fh.write(header.getvalue().encode())
-        fh.write(cells[cells != 0])
+        fh.write(body.translate(None, b"\0"))
     write_json(meta_path(path), {"schema_id": dataset.schema_id, "kind": dataset.kind,
                                  **asdict(dataset.meta)})
     return path
@@ -73,21 +77,26 @@ def write_dataset(dataset: Dataset, path: str | Path) -> Path:
 def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
     """Read a dataset written by :func:`write_dataset`.
 
-    The header must match the schema's feature order exactly.  The body may
-    hold only the bytes ``0-9``, ``,``, ``-`` and ``\\n``, and ``\\r``
-    directly before ``\\n``; it is parsed by one ``np.loadtxt`` call over a
-    stream of its bytes that ends lines at ``"\\n"`` only.  Blank lines are
+    The file is read as bytes.  Its first line, ended by ``"\\r\\n"``,
+    ``"\\r"`` or ``"\\n"``, is decoded and parsed by ``csv`` as the header,
+    which must match the schema's feature order exactly.  The body may hold
+    only the bytes ``0-9``, ``,``, ``-`` and ``\\n``, and ``\\r`` directly
+    before ``\\n``; it is parsed, undecoded, by one ``np.loadtxt`` call over
+    a ``BytesIO`` of it, which ends lines at ``"\\n"`` only.  Blank lines are
     skipped, and every cell must be a base-10 int64 within its feature's range
     (labels 0 or 1): ``"01"`` reads as 1 and ``"-0"`` as 0, but a sign ``+``
     or a space is rejected.  A file holding only the header reads as 0 cases.
     """
     path = Path(path)
     expected = list(schema.feature_names) + [LABEL_COLUMN]
-    # a byte that is not UTF-8 reads as a surrogate and encodes back to itself
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        if not first:
             raise DatasetFormatError(f"{path}: empty file")
+        # the header line ends where csv's text mode would end it, at a lone
+        # "\r" too; a byte that is not UTF-8 reads as a surrogate
+        end = m.end() if (m := re.search(rb"\r\n?|\n", first)) else len(first)
+        header = next(csv.reader([first[:end].decode("utf-8", "surrogateescape")]))
         if header != expected:
             missing = [c for c in expected if c not in header]
             if missing:
@@ -101,7 +110,8 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
                 f"{path}: header does not match the {schema.domain_id} "
                 f"feature order; got {header[:4]}..."
             )
-        body = fh.read().encode("utf-8", "surrogateescape")
+        fh.seek(end)
+        body = fh.read()
     # np.loadtxt reads " 1", "+1" and "1\x1c" as 1, and numpy 2.4.6's can crash on
     # code points above U+3FFFF, so it sees only the bytes write_dataset writes,
     # and a "\r" only where a CRLF line ends
@@ -113,15 +123,15 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
     # matrix once: grown by realloc, its last copy lands in fresh pages whenever
     # the heap has no hole that large, a full extra matrix in the peak RSS
     rows = body.count(b"\n") + (not body.endswith(b"\n"))
-    # split at "\n" only, as io.StringIO does, but from 1 byte a character rather than 4
-    stream = io.TextIOWrapper(io.BytesIO(body), "ascii", newline="\n")
-    del body  # the stream's bytes are the one copy of the body that loadtxt needs
+    # a BytesIO yields lines split at "\n" only, which loadtxt decodes one at a time
+    stream = io.BytesIO(body)
+    del body  # the stream shares the bytes: the one copy of the body that loadtxt needs
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
             data = np.loadtxt(stream, np.int64, comments=None, delimiter=",", ndmin=2,
-                              max_rows=rows)
+                              max_rows=rows, encoding="ascii")
     except ValueError as err:
         raise _body_error(path, str(err), expected) from None
     if data.size and data.shape[1] != len(expected):

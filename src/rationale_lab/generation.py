@@ -171,11 +171,14 @@ def _type_distance(rng: np.random.Generator, n: int, satisfy: bool) -> tuple[np.
 def _welfare_block(
     schema: DomainSchema,
     rng: np.random.Generator,
-    n: int,
     force: dict[str, bool],
+    out: np.ndarray,
 ) -> np.ndarray:
-    """Sample n cases; conditions in ``force`` are made true/false, every
-    other feature is uniform over its schema range."""
+    """Sample ``len(out)`` cases into ``out``; conditions in ``force`` are
+    made true/false, every other feature is uniform over its schema range.
+    Each column is drawn into one contiguous row of a feature-major buffer,
+    which one transposed copy then writes into ``out``."""
+    n = len(out)
     cols: dict[str, np.ndarray] = {}
     if "C1" in force:
         cols["Gender"], cols["Age"] = _gender_age(rng, n, force["C1"])
@@ -192,29 +195,32 @@ def _welfare_block(
     if "C6" in force:
         cols["Type"], cols["Distance"] = _type_distance(rng, n, force["C6"])
 
-    out = np.empty((n, schema.n_features), dtype=np.int64)
-    for j, spec in enumerate(schema.features):
-        out[:, j] = cols[spec.name] if spec.name in cols else rng.integers(spec.lo, spec.hi + 1, n)
+    by_feature = np.empty((schema.n_features, n), dtype=np.int64)
+    for row, spec in zip(by_feature, schema.features):
+        row[...] = cols[spec.name] if spec.name in cols else rng.integers(spec.lo, spec.hi + 1, n)
+    out[...] = by_feature.T
     return out
 
 
 def _balanced(schema: DomainSchema, request: GeneratorRequest,
               kind: DatasetKind) -> np.ndarray:
     """type-a / type-b: half eligible, the other half split evenly over the
-    conditions; each negative fails its condition (type-b: only that one)."""
+    conditions; each negative fails its condition (type-b: only that one).
+    Each block is sampled into its slice of one matrix."""
     rng = np.random.default_rng(request.seed)
     cond_ids = [c.id for c in schema.conditions]
     all_true = {cid: True for cid in cond_ids}
 
+    values = np.empty((request.size, schema.n_features), dtype=np.int64)
     n_pos = request.size // 2
-    blocks = [_welfare_block(schema, rng, n_pos, all_true)]
+    _welfare_block(schema, rng, all_true, values[:n_pos])
     base, rem = divmod(request.size - n_pos, len(cond_ids))
+    start = n_pos
     for i, cid in enumerate(cond_ids):
         m = base + (1 if i < rem else 0)
         force = dict(all_true if request.kind == "type-b" else {}, **{cid: False})
-        blocks.append(_welfare_block(schema, rng, m, force))
-    values = np.concatenate(blocks, axis=0)
-    del blocks  # two full copies at the gather below, not three
+        _welfare_block(schema, rng, force, values[start:start + m])
+        start += m
     return values[rng.permutation(values.shape[0])]
 
 
@@ -237,8 +243,9 @@ def _curve_set(schema: DomainSchema, request: GeneratorRequest,
         cells[:, schema.index_of(ox)] = np.tile(oxs, 2)
         values = np.tile(cells[schema._truth(other, cells)], (n // per_cell, 1))
     else:
-        values = _welfare_block(schema, np.random.default_rng(request.seed), n,
-                                {c.id: True for c in schema.conditions if c.id != kind.target})
+        values = _welfare_block(schema, np.random.default_rng(request.seed),
+                                {c.id: True for c in schema.conditions if c.id != kind.target},
+                                np.empty((n, schema.n_features), dtype=np.int64))
     values[:, schema.index_of(x_feature)] = np.repeat(xs, 2 * per_cell)
     values[:, schema.index_of(group_feature)] = np.tile(np.repeat([0, 1], per_cell), len(xs))
     return values

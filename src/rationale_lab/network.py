@@ -30,10 +30,13 @@ One step kernel.  ``_backprop`` (loss and gradients of one batch) and the
 step ``_adam_kernel`` builds hold all the arithmetic of a training step.
 ``train`` binds them once per run, gathers each epoch's rows into two
 buffers reused across epochs, so that a batch is a slice, and enters
-``np.errstate`` once.  The public ``loss_and_grads`` and ``adam_update``
-check their arguments and run the same kernels per call.  Matrix products
-use ``np.dot``: on the 2-d float64 operands of every standard layer shape it
-gave the same bits as ``@``, for less call overhead.
+``np.errstate`` once.  The rows are gathered from the dataset's int matrix
+a chunk at a time and scaled into the float buffer, so no scaled copy of
+the whole dataset is kept beside it.  The public ``loss_and_grads`` and
+``adam_update`` check their arguments and run the same kernels per call.
+Matrix products use ``np.dot``: on the 2-d float64 operands of every
+standard layer shape it gave the same bits as ``@``, for less call
+overhead.
 """
 
 from __future__ import annotations
@@ -182,8 +185,15 @@ def _forward_scaled(params: ModelParams, x: np.ndarray) -> tuple[list[np.ndarray
 
 
 def _scaled_outputs(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Network outputs, one per row of an already scaled matrix."""
-    return _forward_scaled(params, x)[0][-1][:, 0]
+    """Network outputs, one per row of an already scaled matrix: the
+    arithmetic of ``_forward_scaled``, in one buffer a layer, without the
+    activations that training keeps."""
+    a = x
+    for w, b in zip(params.weights, params.biases):
+        a = np.dot(a, w)
+        a += b
+        expit(a, out=a)
+    return a[:, 0]
 
 
 def _backprop(params: ModelParams, x: np.ndarray, y: np.ndarray, out: ModelParams) -> float:
@@ -302,14 +312,15 @@ class FeatureScaling:
     offsets: np.ndarray
     scales: np.ndarray
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """A new float64 matrix of the scaled rows; ``values`` is not written.
-        One copy is made and scaled in place, with the same bits as
+    def apply(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The scaled rows of ``values``, in ``out`` (a float64 array of its
+        shape) or a new float64 matrix; ``values`` is not written unless it
+        is ``out``.  The subtraction writes the one float copy and the
+        division scales it in place, with the same bits as
         ``(values - offsets) / scales``."""
-        scaled = np.array(values, dtype=np.float64)
-        np.subtract(scaled, self.offsets, out=scaled)
-        np.divide(scaled, self.scales, out=scaled)
-        return scaled
+        out = np.subtract(values, self.offsets, out=out, dtype=np.float64)
+        np.divide(out, self.scales, out=out)
+        return out
 
 
 def schema_scaling(schema_id: str) -> FeatureScaling:
@@ -344,6 +355,9 @@ class TrainedModel:
         return _scaled_outputs(self.params, self.scaling.apply(x))
 
 
+_GATHER_ROWS = 4096  # rows of a dataset that ``train`` gathers per chunk
+
+
 def train(
     dataset: Dataset,
     network_config: NetworkConfig,
@@ -365,7 +379,7 @@ def train(
             f"{dataset.schema_id!r} has {schema.n_features} features"
         )
     scaling = schema_scaling(dataset.schema_id)
-    x = scaling.apply(dataset.values)
+    values = dataset.values
     y = dataset.labels.astype(np.float64)[:, None]
 
     params = init_params(network_config)
@@ -379,13 +393,18 @@ def train(
 
     # a permutation's indices are in range, so "clip" never clips; unlike
     # "raise", it lets ``take`` write straight into ``out``
-    x_epoch, y_epoch = np.empty(x.shape), np.empty(y.shape)
+    x_epoch, y_epoch = np.empty(values.shape), np.empty(y.shape)
+    rows = np.empty((min(n, _GATHER_ROWS), values.shape[1]), dtype=values.dtype)
+    parts = [slice(start, start + _GATHER_ROWS) for start in range(0, n, _GATHER_ROWS)]
+    chunks = [(part, rows[:len(x_epoch[part])], x_epoch[part]) for part in parts]
     pos = n
     with np.errstate(invalid="ignore"):  # a NaN is diagnosed from the loss
         for step in range(1, train_config.iterations + 1):
             if pos >= n:
                 order = rng.permutation(n)
-                np.take(x, order, axis=0, out=x_epoch, mode="clip")
+                for part, chunk, x_part in chunks:
+                    np.take(values, order[part], axis=0, out=chunk, mode="clip")
+                    scaling.apply(chunk, out=x_part)
                 np.take(y, order, axis=0, out=y_epoch, mode="clip")
                 pos = 0
             end = pos + bs

@@ -173,7 +173,9 @@ def verify_dataset(dataset: Dataset, schema: DomainSchema) -> VerificationReport
 
     Labels are recomputed twice, once through the schema's condition objects
     and once through this module's transcription; a stored label counts as a
-    mismatch if it disagrees with either.
+    mismatch if it disagrees with either.  Duplicates are counted on one copy
+    of the rows in the narrowest integer dtype that holds every feature's
+    ``[lo, hi]``, each row compared as one ``np.void`` item.
     """
     if dataset.schema_id != schema.domain_id:
         raise SchemaValidationError(
@@ -206,7 +208,10 @@ def verify_dataset(dataset: Dataset, schema: DomainSchema) -> VerificationReport
     except ValueError:
         pass  # sampled kind: no enumerated size to compare against
 
-    rows = np.ascontiguousarray(dataset.values)  # each row one item, compared by memcmp
+    # the cells are validated, so the narrow cast makes no two rows equal
+    narrow = np.result_type(*(np.min_scalar_type(b) for f in schema.features
+                              for b in (f.lo, f.hi)))
+    rows = dataset.values.astype(narrow, order="C")
     duplicate_count = n - len(np.unique(rows.view((np.void, rows.itemsize * rows.shape[1]))))
     return VerificationReport(
         dataset_kind=dataset.kind,

@@ -368,6 +368,15 @@ def test_every_row_read_whatever_the_file_ends_with(tmp_path, tort_schema, tail)
     assert read_dataset(path, tort_schema).equals(ds)
 
 
+def test_header_line_ended_by_a_lone_cr_reads(tmp_path, tort_schema):
+    """The header line ends where csv's text mode ends it, at a lone "\r"
+    too; the body still splits at "\n" only."""
+    ds = gen_tort("unique")
+    path = write_dataset(ds, tmp_path / "u.csv")
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r", 1))
+    assert read_dataset(path, tort_schema).equals(ds)
+
+
 def test_read_peak_memory_stays_below_six_times_the_file(tmp_path, welfare_schema):
     path = write_dataset(gen_welfare("type-b", size=20_000, seed=2), tmp_path / "b.csv")
     read_dataset(path, welfare_schema)  # first-call allocations are not the read's own

@@ -30,6 +30,8 @@ from rationale_lab.network import (
     AdamState,
     ModelParams,
     TrainedModel,
+    _forward_scaled,
+    _scaled_outputs,
     adam_update,
     schema_scaling,
 )
@@ -262,6 +264,24 @@ class TestForward:
         with pytest.raises(ValueError, match="non-finite"):
             model.outputs(np.array([[np.nan, 0.0]]))
 
+    @pytest.mark.parametrize("layout", ["C", "Fortran", "one-row"])
+    @pytest.mark.parametrize("hidden", STANDARD_HIDDEN_LAYERS)
+    @pytest.mark.parametrize("dataset", [
+        lambda: gen_tort("regular", size=500, seed=3),
+        lambda: gen_welfare("type-b", size=3000, seed=3, simplified=True),
+        lambda: gen_welfare("type-b", size=2000, seed=3),
+    ], ids=["tort", "simplified", "welfare"])
+    def test_evaluation_pass_matches_training_forward_pass(self, dataset, hidden, layout):
+        """The evaluation forward pass has the bits of the training one, on
+        parameters whose biases are not zero."""
+        ds = dataset()
+        params = init_params(NetworkConfig(ds.values.shape[1], hidden, init_seed=4))
+        params.flat[:] = np.random.default_rng(6).normal(size=params.flat.size)
+        x = schema_scaling(ds.schema_id).apply(ds.values)
+        x = {"C": x, "Fortran": np.asfortranarray(x), "one-row": x[7:8]}[layout]
+        got = _scaled_outputs(params, x)
+        assert got.tobytes() == _forward_scaled(params, x)[0][-1][:, 0].tobytes()
+
 
 class TestLossAndGrads:
     def test_loss_vanishes_for_perfect_prediction(self):
@@ -415,6 +435,31 @@ class TestTrain:
         with pytest.raises(ValueError, match="inputs"):
             train(ds, NetworkConfig(64, (12,), init_seed=0), TrainConfig(iterations=1))
 
+    def test_chunked_epoch_gathers_match_per_array_reference_training(self):
+        """Epochs over more rows than one gather chunk, the last chunk short,
+        give the reference's bits."""
+        ds = gen_welfare("type-b", size=9000, seed=3, simplified=True)
+        cfg = NetworkConfig(4, (12,), init_seed=2)
+        tc = TrainConfig(iterations=5, batch_size=2000, shuffle_seed=5)  # 2 epochs
+        model = train(ds, cfg, tc)
+        weights, biases, trace = reference_train(ds, cfg, tc)
+        assert np.array_equal(model.loss_trace, trace)
+        assert model.params.flat.tobytes() == ModelParams(weights, biases).flat.tobytes()
+
+    def test_train_keeps_no_scaled_copy_beside_its_epoch_buffer(self):
+        """The traced peak of ``train`` is the epoch's float rows plus
+        chunk-sized buffers, not a second full-size float matrix."""
+        ds = gen_welfare("type-b", size=20_000, seed=2)
+        cfg, tc = NetworkConfig(64, (12,)), TrainConfig(iterations=10)
+        train(ds, cfg, tc)  # first-call allocations are not the run's own
+        tracemalloc.start()
+        try:
+            train(ds, cfg, tc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * ds.values.nbytes
+
     def test_scaling_uses_schema_ranges(self, welfare_schema):
         scaling = schema_scaling("welfare")
         age = welfare_schema.index_of("Age")
@@ -442,6 +487,9 @@ class TestTrain:
         assert got.tobytes() == want.tobytes()
         assert not np.shares_memory(got, values)
         assert values.tobytes() == before.tobytes()
+        out = np.empty(values.shape)
+        assert scaling.apply(values, out=out) is out
+        assert out.tobytes() == want.tobytes()
 
     def test_outputs_make_one_float_copy_of_integer_rows(self):
         """The traced peak of ``outputs`` on a dataset's int64 rows is the

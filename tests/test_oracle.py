@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from rationale_lab import (
     gen_tort,
     gen_welfare,
     generate,
+    read_dataset,
     verify_dataset,
+    write_dataset,
 )
 from rationale_lab.generation import Dataset, DatasetMeta, GeneratorRequest
 from rationale_lab.oracle import enumerate_tort, labels_of
@@ -102,8 +105,9 @@ class TestVerifyDataset:
         assert report.positive_fraction == 112 / 168
         assert report.duplicate_count == 0
 
-    @pytest.mark.parametrize("case", ["simplified-type-a", "repeated-rows", "fortran-order"])
-    def test_duplicate_count_matches_a_set_of_row_tuples(self, case):
+    @pytest.mark.parametrize("case", ["simplified-type-a", "repeated-rows", "fortran-order",
+                                      "read-back"])
+    def test_duplicate_count_matches_a_set_of_row_tuples(self, case, tmp_path):
         if case == "simplified-type-a":
             ds = gen_welfare("type-a", size=5000, seed=2, simplified=True)
         else:
@@ -113,6 +117,9 @@ class TestVerifyDataset:
             if case == "fortran-order":
                 values = np.asfortranarray(values)
             ds = Dataset(base.schema_id, base.kind, values, labels, base.meta)
+            if case == "read-back":  # values a strided column view of the parsed matrix
+                ds = read_dataset(write_dataset(ds, tmp_path / "b.csv"), ds.schema)
+                assert not ds.values.flags.c_contiguous
         report = verify_dataset(ds, build_domain(ds.schema_id))
         rows = ds.values.tolist()
         assert report.duplicate_count == len(rows) - len(set(map(tuple, rows)))
@@ -120,6 +127,20 @@ class TestVerifyDataset:
             assert report.duplicate_count == 6
         else:
             assert report.duplicate_count > 0
+
+    def test_read_back_audit_peak_memory_below_the_rows(self, tmp_path, welfare_schema):
+        """The duplicate count copies the strided read-back rows once, in a
+        narrow dtype: the traced peak stays below the int64 rows' size."""
+        path = write_dataset(gen_welfare("type-b", size=20_000, seed=2), tmp_path / "b.csv")
+        ds = read_dataset(path, welfare_schema)
+        verify_dataset(ds, welfare_schema)  # first-call allocations are not the audit's own
+        tracemalloc.start()
+        try:
+            verify_dataset(ds, welfare_schema)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * ds.values.nbytes
 
     def test_flipped_label_detected(self, tort_schema):
         ds = gen_tort("unique")
