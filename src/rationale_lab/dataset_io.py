@@ -60,8 +60,12 @@ def write_dataset(dataset: Dataset, path: str | Path) -> Path:
     # then "lo," .. "-1,", so that a negative value indexes its entry from the end
     table = np.array([f"{i}," for i in range(hi + 1)] + ["0\n", "1\n"]
                      + [f"{i}," for i in range(lo, 0)], dtype="S")
-    labels = np.add(dataset.labels, hi + 1, dtype=np.intp)
-    cells = table[np.column_stack([dataset.values.astype(np.intp, copy=False), labels])]
+    # one intp index matrix, the values widened into it and the labels shifted past them
+    index = np.empty((len(dataset), schema.n_features + 1), dtype=np.intp)
+    index[:, :-1] = dataset.values
+    np.add(dataset.labels, hi + 1, out=index[:, -1], dtype=np.intp)
+    cells = table[index]
+    del index
     body = cells.tobytes()
     del cells
     header = io.StringIO()
@@ -86,6 +90,8 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
     skipped, and every cell must be a base-10 int64 within its feature's range
     (labels 0 or 1): ``"01"`` reads as 1 and ``"-0"`` as 0, but a sign ``+``
     or a space is rejected.  A file holding only the header reads as 0 cases.
+    The int64 matrix that ``loadtxt`` parses is range-checked, and only then
+    narrowed: ``values`` is a C-contiguous ``schema.value_dtype`` copy.
     """
     path = Path(path)
     expected = list(schema.feature_names) + [LABEL_COLUMN]
@@ -134,6 +140,7 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
                               max_rows=rows, encoding="ascii")
     except ValueError as err:
         raise _body_error(path, str(err), expected) from None
+    del stream  # the body's bytes, no longer needed beside the matrix and its narrow copy
     if data.size and data.shape[1] != len(expected):
         raise DatasetFormatError(f"{path}: every data row has {data.shape[1]} cells, "
                                  f"expected {len(expected)}")
@@ -147,6 +154,10 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
         row = int(np.argmax(bad))
         raise DatasetFormatError(f"{path}: label {labels[row]} at data row {row} "
                                  "is outside {0, 1}")
+    # range-checked above, so the narrowing copies are exact
+    values = np.ascontiguousarray(values, dtype=schema.value_dtype)
+    labels = labels.astype(np.uint8)
+    del data
 
     mp = meta_path(path)
     try:
@@ -161,7 +172,7 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
     except ValueError as err:
         raise DatasetFormatError(str(err)) from None
     kind = head.get("kind", "unknown")
-    return Dataset(schema.domain_id, kind, values, labels.astype(np.uint8), meta)
+    return Dataset(schema.domain_id, kind, values, labels, meta)
 
 
 def _bad_cell(path: Path, cell: str, row: int, col: int,

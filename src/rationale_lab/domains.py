@@ -146,6 +146,18 @@ class DomainSchema:
     def n_features(self) -> int:
         return len(self.features)
 
+    @cached_property
+    def value_dtype(self) -> np.dtype:
+        """The smallest of int8, int16, int32 and int64 that holds every
+        feature's ``[lo, hi]``: the dtype of the ``values`` of every dataset
+        that ``generate`` and ``read_dataset`` build."""
+        lo = min((f.lo for f in self.features), default=0)
+        hi = max((f.hi for f in self.features), default=0)
+        for dtype in map(np.dtype, (np.int8, np.int16, np.int32)):
+            if np.iinfo(dtype).min <= lo and hi <= np.iinfo(dtype).max:
+                return dtype
+        return np.dtype(np.int64)
+
     def feature(self, name: str) -> FeatureSpec:
         try:
             return self.features[self._index[name]]
@@ -170,8 +182,9 @@ class DomainSchema:
     # -- case handling -----------------------------------------------------
 
     def case_to_row(self, case: Case) -> np.ndarray:
-        """Encode a case as an int64 row in canonical feature order; every
-        schema feature must have exactly one value, in its range."""
+        """Encode a case as a row of :attr:`value_dtype` in canonical feature
+        order, as a dataset holds it; every schema feature must have exactly
+        one value, in its range."""
         if unknown := set(case) - set(self.feature_names):
             raise SchemaValidationError(f"{self.domain_id}: unknown feature(s) {sorted(unknown)}")
         if missing := [name for name in self.feature_names if name not in case]:
@@ -181,7 +194,7 @@ class DomainSchema:
         # a code beyond int64 makes a float or object row, which the matrix check rejects
         row = np.array([spec.encode(case[spec.name]) for spec in self.features])
         self.validate_matrix(row[None])
-        return row.astype(np.int64)
+        return row.astype(self.value_dtype)
 
     # -- vectorised evaluation ----------------------------------------------
 

@@ -57,7 +57,11 @@ class Dataset:
     """An ordered collection of labelled cases plus generation metadata.
 
     ``values`` holds one case per row in the schema's canonical feature
-    order; ``labels`` holds the matching 0/1 labels.
+    order; ``labels`` holds the matching 0/1 labels.  Both are read-only.
+    ``generate`` and ``read_dataset`` give ``values`` as a C-contiguous
+    ``schema.value_dtype`` matrix (int8 for tort and simplified, int16 for
+    welfare), so arithmetic on it that can leave a feature's range must
+    upcast first.
     """
 
     schema_id: str
@@ -177,7 +181,8 @@ def _welfare_block(
     """Sample ``len(out)`` cases into ``out``; conditions in ``force`` are
     made true/false, every other feature is uniform over its schema range.
     Each column is drawn into one contiguous row of a feature-major buffer,
-    which one transposed copy then writes into ``out``."""
+    which one transposed copy then writes into ``out``; the buffer has
+    ``out``'s dtype, and the draws are the same whatever it is."""
     n = len(out)
     cols: dict[str, np.ndarray] = {}
     if "C1" in force:
@@ -195,7 +200,7 @@ def _welfare_block(
     if "C6" in force:
         cols["Type"], cols["Distance"] = _type_distance(rng, n, force["C6"])
 
-    by_feature = np.empty((schema.n_features, n), dtype=np.int64)
+    by_feature = np.empty((schema.n_features, n), dtype=out.dtype)
     for row, spec in zip(by_feature, schema.features):
         row[...] = cols[spec.name] if spec.name in cols else rng.integers(spec.lo, spec.hi + 1, n)
     out[...] = by_feature.T
@@ -206,12 +211,12 @@ def _balanced(schema: DomainSchema, request: GeneratorRequest,
               kind: DatasetKind) -> np.ndarray:
     """type-a / type-b: half eligible, the other half split evenly over the
     conditions; each negative fails its condition (type-b: only that one).
-    Each block is sampled into its slice of one matrix."""
+    Each block is sampled into its slice of one ``value_dtype`` matrix."""
     rng = np.random.default_rng(request.seed)
     cond_ids = [c.id for c in schema.conditions]
     all_true = {cid: True for cid in cond_ids}
 
-    values = np.empty((request.size, schema.n_features), dtype=np.int64)
+    values = np.empty((request.size, schema.n_features), dtype=schema.value_dtype)
     n_pos = request.size // 2
     _welfare_block(schema, rng, all_true, values[:n_pos])
     base, rem = divmod(request.size - n_pos, len(cond_ids))
@@ -238,14 +243,14 @@ def _curve_set(schema: DomainSchema, request: GeneratorRequest,
     if kind.seed_independent:
         (other,) = [c for c in schema.conditions if c.id != kind.target]
         ox, og, oxs, _ = CURVE_GRIDS[(schema.domain_id, other.id)]
-        cells = np.zeros((2 * len(oxs), schema.n_features), dtype=np.int64)
+        cells = np.zeros((2 * len(oxs), schema.n_features), dtype=schema.value_dtype)
         cells[:, schema.index_of(og)] = np.repeat([0, 1], len(oxs))
         cells[:, schema.index_of(ox)] = np.tile(oxs, 2)
         values = np.tile(cells[schema._truth(other, cells)], (n // per_cell, 1))
     else:
         values = _welfare_block(schema, np.random.default_rng(request.seed),
                                 {c.id: True for c in schema.conditions if c.id != kind.target},
-                                np.empty((n, schema.n_features), dtype=np.int64))
+                                np.empty((n, schema.n_features), dtype=schema.value_dtype))
     values[:, schema.index_of(x_feature)] = np.repeat(xs, 2 * per_cell)
     values[:, schema.index_of(group_feature)] = np.tile(np.repeat([0, 1], per_cell), len(xs))
     return values
@@ -260,7 +265,7 @@ def _tort_universe(schema: DomainSchema, *_) -> np.ndarray:
     n = schema.n_features
     codes = np.arange(2 ** n, dtype=np.int64)
     shifts = np.arange(n - 1, -1, -1)
-    return (codes[:, None] >> shifts) & 1
+    return ((codes[:, None] >> shifts) & 1).astype(schema.value_dtype)
 
 
 def _tort_regular(schema: DomainSchema, request: GeneratorRequest,
@@ -329,11 +334,13 @@ DEDICATED_TARGET = {key: kind.target for key, kind in KINDS.items() if kind.targ
 
 
 def generate(request: GeneratorRequest) -> Dataset:
-    """Validate a request and build its dataset with the kind's builder."""
+    """Validate a request and build its dataset with the kind's builder;
+    ``values`` is C-contiguous ``schema.value_dtype``, as the builders
+    allocate it."""
     request.validate()
     kind = KINDS[(request.domain_id, request.kind)]
     schema = build_domain(request.domain_id)
-    values = np.ascontiguousarray(kind.build(schema, request, kind), dtype=np.int64)
+    values = np.ascontiguousarray(kind.build(schema, request, kind), dtype=schema.value_dtype)
     labels = schema.label_matrix(values).astype(np.uint8)
     meta = DatasetMeta(
         seed=int(request.seed),

@@ -81,7 +81,7 @@ def enumerate_tort() -> Dataset:
     """All 1024 tort cases with oracle labels, lexicographic case order."""
     schema = build_domain("tort")
     values = np.array(
-        list(itertools.product((0, 1), repeat=schema.n_features)), dtype=np.int64
+        list(itertools.product((0, 1), repeat=schema.n_features)), dtype=schema.value_dtype
     )
     labels = labels_of(schema, values).astype(np.uint8)
     meta = DatasetMeta(
@@ -173,9 +173,10 @@ def verify_dataset(dataset: Dataset, schema: DomainSchema) -> VerificationReport
 
     Labels are recomputed twice, once through the schema's condition objects
     and once through this module's transcription; a stored label counts as a
-    mismatch if it disagrees with either.  Duplicates are counted on one copy
-    of the rows in the narrowest integer dtype that holds every feature's
-    ``[lo, hi]``, each row compared as one ``np.void`` item.
+    mismatch if it disagrees with either.  Duplicates are counted on the rows
+    as C-contiguous ``schema.value_dtype``, each row compared as one
+    ``np.void`` item: generated and read-back rows already are, so only rows
+    of another dtype or layout are copied.
     """
     if dataset.schema_id != schema.domain_id:
         raise SchemaValidationError(
@@ -209,9 +210,7 @@ def verify_dataset(dataset: Dataset, schema: DomainSchema) -> VerificationReport
         pass  # sampled kind: no enumerated size to compare against
 
     # the cells are validated, so the narrow cast makes no two rows equal
-    narrow = np.result_type(*(np.min_scalar_type(b) for f in schema.features
-                              for b in (f.lo, f.hi)))
-    rows = dataset.values.astype(narrow, order="C")
+    rows = dataset.values.astype(schema.value_dtype, order="C", copy=False)
     duplicate_count = n - len(np.unique(rows.view((np.void, rows.itemsize * rows.shape[1]))))
     return VerificationReport(
         dataset_kind=dataset.kind,

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,21 @@ class TestBalancedSets:
         truth = simplified_schema.condition_matrix(ds.values)
         negatives = truth[~ds.labels.astype(bool)]
         assert set((~negatives).sum(axis=1).tolist()) <= {1, 2}
+
+    def test_generate_peak_memory_below_the_int64_rows(self):
+        """A 50,000-case welfare type-b set is sampled and permuted as int16
+        rows: the traced peak of ``generate`` stays below 0.75 times the rows'
+        int64-equivalent bytes (int64 rows and their permuted copy held it
+        at about 2 times)."""
+        request = GeneratorRequest("welfare", "type-b", 50_000, seed=6)
+        generate(request)  # first-call allocations are not the generator's own
+        tracemalloc.start()
+        try:
+            ds = generate(request)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * 8 * ds.values.size
 
 
 class TestDedicatedWelfareSets:

@@ -448,7 +448,8 @@ class TestTrain:
 
     def test_train_keeps_no_scaled_copy_beside_its_epoch_buffer(self):
         """The traced peak of ``train`` is the epoch's float rows plus
-        chunk-sized buffers, not a second full-size float matrix."""
+        chunk-sized buffers, not a second full-size float matrix; the bound
+        is in the rows' int64-equivalent bytes."""
         ds = gen_welfare("type-b", size=20_000, seed=2)
         cfg, tc = NetworkConfig(64, (12,)), TrainConfig(iterations=10)
         train(ds, cfg, tc)  # first-call allocations are not the run's own
@@ -458,7 +459,7 @@ class TestTrain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.6 * ds.values.nbytes
+        assert peak < 1.6 * 8 * ds.values.size
 
     def test_scaling_uses_schema_ranges(self, welfare_schema):
         scaling = schema_scaling("welfare")
@@ -492,8 +493,9 @@ class TestTrain:
         assert out.tobytes() == want.tobytes()
 
     def test_outputs_make_one_float_copy_of_integer_rows(self):
-        """The traced peak of ``outputs`` on a dataset's int64 rows is the
-        scaled float copy and the forward pass, not a second full copy."""
+        """The traced peak of ``outputs`` on a dataset's integer rows is the
+        scaled float copy and the forward pass, not a second full copy; the
+        bound is in the rows' int64-equivalent bytes."""
         model = train(gen_welfare("type-b", size=200, seed=3), NetworkConfig(64, (12,)),
                       TrainConfig(iterations=1))
         values = gen_welfare("type-b", size=20_000, seed=4).values
@@ -503,7 +505,7 @@ class TestTrain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * values.nbytes
+        assert peak < 2 * 8 * values.size
 
     def test_outputs_scale_raw_rows_exactly_once(self):
         """On simplified, whose scaling is not the identity, ``outputs`` of
