@@ -198,8 +198,9 @@ class DomainSchema:
 
     # -- vectorised evaluation ----------------------------------------------
 
-    def validate_matrix(self, values: np.ndarray) -> None:
-        """Range-check a (n_cases, n_features) integer matrix."""
+    def validate_matrix(self, values: np.ndarray, first_row: int = 0) -> None:
+        """Range-check a (n_cases, n_features) integer matrix; an error counts
+        its rows from ``first_row``."""
         values = np.asarray(values)
         if values.ndim != 2 or values.shape[1] != self.n_features:
             raise SchemaValidationError(
@@ -216,7 +217,7 @@ class DomainSchema:
             i = int(np.argmax(bad.any(axis=0)))
             row, spec = int(np.argmax(bad[:, i])), self.features[i]
             raise SchemaValidationError(
-                f"{spec.name}: value {int(values[row, i])} at row {row} outside "
+                f"{spec.name}: value {int(values[row, i])} at row {first_row + row} outside "
                 f"[{spec.lo}, {spec.hi}]"
             )
 

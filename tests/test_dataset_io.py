@@ -16,6 +16,7 @@ from rationale_lab import (
     DomainSchema,
     SchemaValidationError,
     build_domain,
+    dataset_io,
     gen_tort,
     gen_welfare,
     generate,
@@ -407,6 +408,197 @@ def test_line_endings(tmp_path, tort_schema, capsys, name):
         read_dataset(path, tort_schema)
     assert main(["verify", "--in", str(path), "--domain", "tort"]) == 3
     assert capsys.readouterr().err.startswith(f"error: {path}")
+
+
+def _traced_peak(call) -> int:
+    call()  # first-call allocations are not the call's own
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def welfare_20k():
+    return gen_welfare("type-b", size=20_000, seed=2)
+
+
+def test_write_peak_memory_below_half_the_int64_rows(tmp_path, welfare_20k):
+    """The writer holds one block of index, cell and byte temporaries, never
+    a whole-set copy: a whole-set intp index matrix alone would be 1.0x."""
+    peak = _traced_peak(lambda: write_dataset(welfare_20k, tmp_path / "b.csv"))
+    assert peak < 0.5 * 8 * welfare_20k.values.size
+
+
+def test_read_peak_memory_below_the_int64_rows(tmp_path, welfare_20k):
+    """The reader holds the body, the narrow rows and one parsed int64 block:
+    a whole int64 matrix alone would be 1.0x."""
+    path = write_dataset(welfare_20k, tmp_path / "b.csv")
+    peak = _traced_peak(lambda: read_dataset(path, welfare_20k.schema))
+    assert peak < 1.0 * 8 * welfare_20k.values.size
+
+
+@pytest.fixture(scope="module")
+def simplified_2b_plus_1():
+    """A simplified `type-a` set of 2B + 1 rows, B the writer's block (the
+    kind's sizes are even, so one row is cut off)."""
+    ds = gen_welfare("type-a", size=2 * dataset_io._BLOCK_ROWS + 2, seed=6, simplified=True)
+    return Dataset(ds.schema_id, ds.kind, ds.values[:-1], ds.labels[:-1], ds.meta)
+
+
+@pytest.mark.parametrize("read_block", [None, 100])
+@pytest.mark.parametrize("rows", ["0", "1", "B-1", "B", "B+1", "2B+1"])
+def test_round_trip_across_block_boundaries(tmp_path, monkeypatch, simplified_2b_plus_1,
+                                            simplified_schema, rows, read_block):
+    """Sets of 0, 1, B-1, B, B+1 and 2B+1 rows are written as the reference
+    bytes, and read back equal in the reader's own blocks and in blocks of
+    about 100 bytes."""
+    block = dataset_io._BLOCK_ROWS
+    n = {"0": 0, "1": 1, "B-1": block - 1, "B": block, "B+1": block + 1, "2B+1": 2 * block + 1}
+    full = simplified_2b_plus_1
+    dataset = Dataset(full.schema_id, full.kind, full.values[:n[rows]], full.labels[:n[rows]],
+                      full.meta)
+    path = write_dataset(dataset, tmp_path / "d.csv")
+    assert path.read_bytes() == _reference_csv(dataset)
+    if read_block is not None:
+        monkeypatch.setattr(dataset_io, "_BLOCK_BYTES", read_block)
+    assert read_dataset(path, simplified_schema).equals(dataset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(read_block=st.integers(1, 300), crlf=st.booleans(), final_newline=st.booleans())
+def test_any_read_block_size_reads_the_same_rows(fuzz_sources, read_block, crlf, final_newline):
+    """Cut points of any size, with blank lines, CRLF lines and a last line
+    without a newline, give the rows of the whole-file parse."""
+    root, sources = fuzz_sources
+    schema, text = sources[0]
+    lines = text.splitlines()
+    lines = lines[:4] + ["", ""] + lines[4:40] + [""] + lines[40:80]
+    edited = ("\r\n" if crlf else "\n").join(lines) + ("\n" if final_newline else "")
+    path = root / "blocks.csv"
+    path.write_text(edited, newline="")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset_io, "_BLOCK_BYTES", read_block)
+        back = read_dataset(path, schema)
+    rows = np.array(_reference_rows(edited), dtype=np.int64)
+    assert np.array_equal(back.values, rows[:, :-1]) and np.array_equal(back.labels, rows[:, -1])
+
+
+# edits of one data row of a tort `unique` file, each with the message that
+# names it at data row {row}; the edits whose bytes pass the whole-body byte
+# check fail in the parse or the range check of the block that holds them
+FAULTS_IN_A_ROW = {
+    "beyond-int64": (lambda line: "9" * 20 + line[1:],
+                     r"cell '9{20}' at data row {row}, column 'cau'"),
+    "empty-cell": (lambda line: line[1:], r"cell '' at data row {row}, column 'cau'"),
+    "bare-minus": (lambda line: "-" + line[1:], r"cell '-' at data row {row}, column 'cau'"),
+    "short-row": (_without_last_cell, "data row {row} has 10 cells, expected 11"),
+    "long-row": (lambda line: line + ",0", "data row {row} has 12 cells, expected 11"),
+    # a wrong width beside a cell that does not parse: the width is named
+    "trailing-comma": (lambda line: line + ",", "data row {row} has 12 cells, expected 11"),
+    "value-above": (lambda line: "7" + line[1:], r"cau: value 7 at row {row} outside \[0, 1\]"),
+    "value-below": (lambda line: "-1" + line[1:],
+                    r"cau: value -1 at row {row} outside \[0, 1\]"),
+    "label-2": (lambda line: line[:-1] + "2", r"label 2 at data row {row} is outside \{0, 1\}"),
+    "label-negative": (lambda line: line[:-1] + "-1",
+                       r"label -1 at data row {row} is outside \{0, 1\}"),
+    "non-numeric": (lambda line: "maybe" + line[1:],
+                    r"cell 'maybe' at data row {row}, column 'cau'"),
+    "plus-sign": (lambda line: "+1" + line[1:], r"cell '\+1' at data row {row}, column 'cau'"),
+    "lone-cr": (lambda line: "1\r1" + line[1:], r"cell '1\\r1' at data row {row}, column 'cau'"),
+}
+_BYTE_CHECKED = {"non-numeric", "plus-sign", "lone-cr"}
+_READ_BLOCK = 1000  # bytes of a block in the tests below: about 40 rows of a tort file
+
+
+def _blank_and_crlf_lines(tmp_path) -> list[str]:
+    """The lines of a tort `unique` file with blank lines among its first
+    rows, the data rows unchanged and in order."""
+    lines = _tort_lines(tmp_path)
+    return lines[:3] + ["", ""] + lines[3:50] + [""] + lines[50:]
+
+
+def _write_crlf(path, lines: list[str]) -> None:
+    path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+
+
+def _rows_per_block(monkeypatch, path, schema) -> list[int]:
+    """The data rows that each block of a read of ``path`` parses."""
+    rows, loadtxt = [], np.loadtxt
+
+    def counted(*args, **kwargs):
+        rows.append(len(block := loadtxt(*args, **kwargs)))
+        return block
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    read_dataset(path, schema)
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    return rows
+
+
+@pytest.mark.parametrize("where", ["first", "middle"])
+@pytest.mark.parametrize("name", FAULTS_IN_A_ROW)
+def test_fault_in_the_third_block_named_at_its_file_row(tmp_path, monkeypatch, tort_schema,
+                                                        capsys, name, where):
+    """A fault in the first or a middle data row of the third block, after
+    blank lines and CRLF lines, gets the message that the same edit gets in a
+    read of the whole body as one block, naming its data row in the file."""
+    monkeypatch.setattr(dataset_io, "_BLOCK_BYTES", _READ_BLOCK)
+    edit, message = FAULTS_IN_A_ROW[name]
+    lines = _blank_and_crlf_lines(tmp_path)
+    path = tmp_path / "bad.csv"
+    _write_crlf(path, lines)
+    blocks = _rows_per_block(monkeypatch, path, tort_schema)
+    assert len(blocks) > 3
+    row = blocks[0] + blocks[1] + (0 if where == "first" else blocks[2] // 2)
+    data_lines = [i for i, line in enumerate(lines) if i and line.strip("\r")]
+    lines[data_lines[row]] = edit(lines[data_lines[row]])
+    _write_crlf(path, lines)
+    calls, loadtxt = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+    with pytest.raises(DatasetFormatError, match=message.replace("{row}", str(row))) as err:
+        read_dataset(path, tort_schema)
+    # the bytes are checked before any block is parsed, and a block's first row's
+    # width before the block is
+    width_first = where == "first" and "cells" in message
+    assert len(calls) == (0 if name in _BYTE_CHECKED else 2 if width_first else 3)
+    monkeypatch.setattr(dataset_io, "_BLOCK_BYTES", path.stat().st_size)
+    with pytest.raises(DatasetFormatError) as whole:
+        read_dataset(path, tort_schema)
+    assert str(err.value) == str(whole.value)
+    assert main(["verify", "--in", str(path), "--domain", "tort"]) == 3
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+def test_first_faulty_block_decides_between_faults(tmp_path, monkeypatch, tort_schema):
+    """A bad label in the second block is reported, not the bad feature value
+    in the third that a range check of the whole matrix would name first."""
+    monkeypatch.setattr(dataset_io, "_BLOCK_BYTES", _READ_BLOCK)
+    lines = _tort_lines(tmp_path)
+    path = tmp_path / "bad.csv"
+    _write_crlf(path, lines)
+    blocks = _rows_per_block(monkeypatch, path, tort_schema)
+    second, third = blocks[0] + 1, blocks[0] + blocks[1] + 1  # line numbers: the header is 0
+    lines[second] = lines[second][:-1] + "2"
+    lines[third] = "7" + lines[third][1:]
+    _write_crlf(path, lines)
+    with pytest.raises(DatasetFormatError, match=f"label 2 at data row {blocks[0]} is outside"):
+        read_dataset(path, tort_schema)
+
+
+def test_every_row_of_one_wrong_width(tmp_path, monkeypatch, tort_schema):
+    """Every row one cell short is named as every data row in one block, and
+    as data row 0 when the rows span several blocks."""
+    lines = _tort_lines(tmp_path)
+    path = tmp_path / "short.csv"
+    _write_crlf(path, lines[:1] + [_without_last_cell(line) for line in lines[1:]] + ["", ""])
+    with pytest.raises(DatasetFormatError, match="every data row has 10 cells, expected 11"):
+        read_dataset(path, tort_schema)
+    monkeypatch.setattr(dataset_io, "_BLOCK_BYTES", _READ_BLOCK)
+    with pytest.raises(DatasetFormatError, match="data row 0 has 10 cells, expected 11"):
+        read_dataset(path, tort_schema)
 
 
 def _reference_rows(text: str) -> list[list[int]]:
