@@ -7,16 +7,15 @@ version, size, and positive fraction, making a written dataset fully
 reconstructable.  Writes are deterministic byte-for-byte, and range-check
 every cell before the file is opened: a dataset that reading would reject
 is never written.  The body is ASCII bytes both ways, never decoded to
-text, and goes in blocks, so that no whole-set temporary sits beside the
-rows: written ``_BLOCK_ROWS`` rows at a time, each one gather of its cells'
-text out of a NUL-padded byte table; read by ``np.loadtxt`` over a
-``BytesIO`` of each cut of the body at a line end.  Reading takes each
-sidecar key's JSON type from the field it fills (``DatasetMeta``'s, and
-``Dataset``'s ``schema_id`` and ``kind``): ``seed`` and ``size`` integers,
-``positive_fraction`` a number, the rest strings.  A key of the wrong
-type, an unknown key, a sidecar that is not a JSON object or not valid JSON
-is rejected with an error naming the sidecar; a missing sidecar, or a
-missing key, reads as its default.
+text: written ``_BLOCK_ROWS`` rows at a time from a NUL-padded byte table;
+read by one ``np.loadtxt`` straight into the schema's ``value_dtype``,
+naming the first of several faults in :func:`read_dataset`'s order.
+Reading takes each sidecar key's JSON type from the field it fills
+(``DatasetMeta``'s, and ``Dataset``'s ``schema_id`` and ``kind``): ``seed``
+and ``size`` integers, ``positive_fraction`` a number, the rest strings.  A
+key of the wrong type, an unknown key, a sidecar that is not a JSON object
+or not valid JSON is rejected with an error naming the sidecar; a missing
+sidecar, or a missing key, reads as its default.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .generation import Dataset, DatasetMeta
 
 LABEL_COLUMN = "label"
 _BLOCK_ROWS = 2048  # rows that ``write_dataset`` encodes per block
-_BLOCK_BYTES = 1 << 18  # body bytes, then on to a line end, that ``read_dataset`` parses per block
 
 class DatasetFormatError(ValueError):
     """A dataset file does not match the expected layout."""
@@ -87,23 +85,20 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
     ``"\\r"`` or ``"\\n"``, is decoded and parsed by ``csv`` as the header,
     which must match the schema's feature order exactly.  The body may hold
     only the bytes ``0-9``, ``,``, ``-`` and ``\\n``, and ``\\r`` directly
-    before ``\\n``.  It is then cut at line ends into blocks of about
-    ``_BLOCK_BYTES``, and each is parsed, undecoded, by one ``np.loadtxt``
-    call over a ``BytesIO`` of it, which ends lines at ``"\\n"`` only.  Blank
-    lines are skipped, and every cell must be a base-10 int64 within its
-    feature's range (labels 0 or 1): ``"01"`` reads as 1 and ``"-0"`` as 0,
-    but a sign ``+`` or a space is rejected.  A file holding only the header
-    reads as 0 cases.  Each int64 block is range-checked, labels included,
-    and only then narrowed into ``values``, a C-contiguous
-    ``schema.value_dtype`` matrix sized once from the body's line count.
+    before ``\\n``.  It is parsed, undecoded, by one ``np.loadtxt`` call over
+    a ``BytesIO`` of it, which ends lines at ``"\\n"`` only, straight into
+    ``schema.value_dtype``, rejecting a cell beyond it, never wrapping it.
+    Blank lines are skipped, and every cell must be a base-10 integer within
+    its feature's range (labels 0 or 1): ``"01"`` reads as 1 and ``"-0"`` as
+    0, but a sign ``+`` or a space is rejected.  A header-only file reads as
+    0 cases.  ``values`` is a C-contiguous copy, ``labels`` is ``uint8``.
 
-    An error names the data row counted from 0 in the whole file, blank lines
-    not counted, so a file with one fault gets the same error wherever it
-    sits.  In a file with several, the whole body's bytes are checked first,
-    and then the first block holding a fault decides which is reported: a
-    later block's fault is not named, even one a whole-body parse would have
-    met first, and every row of one wrong width in several blocks is named as
-    data row 0.
+    An error names the data row counted from 0, blank lines not counted.  Of
+    several faults, the first of these is reported: a byte the writer never
+    writes, anywhere in the body; the first parse fault in file order (a cell
+    that is not an integer, a row wider or narrower than the first data row,
+    or a value beyond ``value_dtype``, which the range check names when it is
+    an int64); the first bad feature, then its first row; the first bad label.
     """
     path = Path(path)
     expected = list(schema.feature_names) + [LABEL_COLUMN]
@@ -137,52 +132,27 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
     if other and (other.strip(b"\r") or len(other) != body.count(b"\r\n")):
         bad = re.search(rb"[^0-9,\n\r-]|\r(?!\n)", body)
         raise _cell_error(path, body, bad.start(), expected)
-    # a bound on the rows (blank lines are not rows), which sizes the narrow matrix and
-    # labels once; loadtxt is given each block's own bound, so that it allocates its
-    # int64 block once and not by realloc
+    # a bound on the rows (blank lines are not rows), so that loadtxt allocates its matrix
+    # once; values comes before it, which keeps the peak RSS down.  loadtxt parses the lines
+    # of a BytesIO, split at "\n" only, straight into value_dtype, and rejects a cell beyond it
     rows = body.count(b"\n") + (not body.endswith(b"\n"))
     values = np.empty((rows, schema.n_features), dtype=schema.value_dtype)
-    labels = np.empty(rows, dtype=np.uint8)
-    lo, hi = np.array([(f.lo, f.hi) for f in schema.features] + [(0, 1)]).T
-    done = start = 0
-    while start < len(body):
-        # a block ends at the first line end past _BLOCK_BYTES more bytes, or at the body's end
-        end = body.find(b"\n", start + _BLOCK_BYTES) + 1 or len(body)
-        piece, start = body[start:end], end
-        # loadtxt takes a block's width from its first data row: check that row as a
-        # parse of the whole body would, against the rows before it
-        if done and (first := re.search(rb"[^\r\n][^\n]*", piece)):
-            if (got := first[0].count(b",") + 1) != len(expected):
-                raise _width_error(path, f"data row {done}", got, expected)
-        # a BytesIO yields lines split at "\n" only, which loadtxt decodes one at a time
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
-                block = np.loadtxt(io.BytesIO(piece), np.int64, comments=None, delimiter=",",
-                                   ndmin=2, encoding="ascii",
-                                   max_rows=piece.count(b"\n") + (not piece.endswith(b"\n")))
-        except ValueError as err:
-            raise _body_error(path, str(err), expected, done) from None
-        if not block.size:  # blank lines only
-            continue
-        if block.shape[1] != len(expected):  # the first block's rows, all of one width
-            every = not body[start:].strip()  # as a whole-body parse says: no data row follows
-            raise _width_error(path, "every data row" if every else "data row 0",
-                               block.shape[1], expected)
-        if ((block.min(axis=0) < lo) | (block.max(axis=0) > hi)).any():
-            try:  # the first bad feature as validate_matrix names it, else the first bad label
-                schema.validate_matrix(block[:, :-1], first_row=done)
-            except SchemaValidationError as err:
-                raise DatasetFormatError(f"{path}: {err}") from None
-            row = int(np.argmax((block[:, -1] < 0) | (block[:, -1] > 1)))
-            raise DatasetFormatError(f"{path}: label {block[row, -1]} at data row "
-                                     f"{done + row} is outside {{0, 1}}")
-        # range-checked, so the narrowing is exact
-        values[done:done + len(block)] = block[:, :-1]
-        labels[done:done + len(block)] = block[:, -1]
-        done += len(block)
-    values, labels = values[:done], labels[:done]
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
+            data = np.loadtxt(io.BytesIO(body), schema.value_dtype, comments=None, delimiter=",",
+                              ndmin=2, encoding="ascii", max_rows=rows)
+    except ValueError as err:
+        raise _body_error(path, str(err), schema, body) from None
+    if data.size and data.shape[1] != len(expected):
+        raise _width_error(path, "every data row", data.shape[1], expected)
+    data = data.reshape(-1, len(expected))
+    if err := _range_error(path, schema, data):
+        raise err
+    values = values[:len(data)]
+    values[...] = data[:, :-1]
+    labels = data[:, -1].astype(np.uint8)
 
     mp = meta_path(path)
     try:
@@ -224,16 +194,40 @@ def _width_error(path: Path, rows: str, got: int, columns: list[str]) -> Dataset
     return DatasetFormatError(f"{path}: {rows} has {got} cells, expected {len(columns)}")
 
 
-def _body_error(path: Path, message: str, columns: list[str], done: int) -> DatasetFormatError:
-    """The error for np.loadtxt's ``message`` on a block whose first data row
-    is data row ``done`` of the file: loadtxt counts the block's data rows
-    from 0 in conversion errors, but from 1 in column-count errors."""
-    if cell := re.search(r"convert string (.*) to int64 at row (\d+), column (\d+)", message):
-        return _bad_cell(path, cell[1], done + int(cell[2]), int(cell[3]), columns)
+def _range_error(path: Path, schema: DomainSchema, data: np.ndarray,
+                 first_row: int = 0) -> DatasetFormatError | None:
+    """The error for the first bad feature of the parsed rows ``data``, then
+    its first row counted from ``first_row``, else for the first bad label."""
+    try:
+        schema.validate_matrix(data[:, :-1], first_row)
+    except SchemaValidationError as err:
+        return DatasetFormatError(f"{path}: {err}")
+    if np.any(bad := (data[:, -1] < 0) | (data[:, -1] > 1)):
+        row = int(np.argmax(bad))
+        return DatasetFormatError(f"{path}: label {data[row, -1]} at data row "
+                                  f"{first_row + row} is outside {{0, 1}}")
+    return None
+
+
+def _body_error(path: Path, message: str, schema: DomainSchema, body: bytes) -> DatasetFormatError:
+    """The error for np.loadtxt's ``message``, counting data rows from 0 (it
+    does in conversion errors, from 1 in column-count errors).  An int64 cell
+    beyond ``value_dtype`` gets the range check's error for its value."""
+    columns = list(schema.feature_names) + [LABEL_COLUMN]
+    if cell := re.search(r"convert string (.*) to \w+ at row (\d+), column (\d+)", message):
+        row, col = int(cell[2]), int(cell[3])
+        literal = re.fullmatch(r"'(-?\d+)'", cell[1])
+        if literal and -2**63 <= (value := int(literal[1])) < 2**63:
+            if col > len(columns):  # a cell past the header, in a row as wide as data row 0
+                first = re.search(rb"[^\r\n][^\n]*", body)[0]
+                return _width_error(path, "data row 0", first.count(b",") + 1, columns)
+            one = np.array([[f.lo for f in schema.features] + [0]])
+            one[0, col - 1] = value
+            return _range_error(path, schema, one, row)
+        return _bad_cell(path, cell[1], row, col, columns)
     if width := re.search(r"columns changed from (\d+) to (\d+) at row (\d+)", message):
         first, got, row = (int(g) for g in width.groups())
-        if first != len(columns):  # the block's first data row is already the wrong width
+        if first != len(columns):  # the first data row is already the wrong width
             got, row = first, 1
-        return _width_error(path, f"data row {done + row - 1}", got, columns)
+        return _width_error(path, f"data row {row - 1}", got, columns)
     return DatasetFormatError(f"{path}: every cell must be a base-10 int64")
-

@@ -225,6 +225,12 @@ def _tort_lines(tmp_path) -> list[str]:
     return path.read_text().splitlines()
 
 
+def _welfare_lines(tmp_path) -> list[str]:
+    path = tmp_path / "w.csv"
+    write_dataset(gen_welfare("type-b", size=10, seed=3), path)
+    return path.read_text().splitlines()
+
+
 def _without_last_cell(line: str) -> str:
     return line.rsplit(",", 1)[0]
 
@@ -232,6 +238,15 @@ def _without_last_cell(line: str) -> str:
 def _first_cell_of_row_2(cell: str):
     """An edit that sets data row 2's first cell (a "0", column 'cau')."""
     return lambda ls: ls[:3] + [cell + ls[3][1:]] + ls[4:]
+
+
+def _cell_of_row_2(column: str, cell: str):
+    """An edit that sets data row 2's cell in ``column``."""
+    def edit(ls):
+        row = ls[3].split(",")
+        row[ls[0].split(",").index(column)] = cell
+        return ls[:3] + [",".join(row)] + ls[4:]
+    return edit
 
 
 # edits of the lines of a tort `unique` file (10 features plus the label):
@@ -265,17 +280,39 @@ MALFORMED_BODIES = {
                              "cell 'x' at data row 0, column 12 of 11"),
     "every-row-short": (lambda ls: ls[:1] + [_without_last_cell(line) for line in ls[1:]],
                         "every data row has 10 cells, expected 11"),
+    # int64 cells beyond the int8 rows: named as the range check names them
+    "cau-200": (_first_cell_of_row_2("200"), r"cau: value 200 at row 2 outside \[0, 1\]"),
+    "label-300": (_cell_of_row_2(LABEL_COLUMN, "300"),
+                  r"label 300 at data row 2 is outside \{0, 1\}"),
+    "int8-max": (_first_cell_of_row_2("127"), r"cau: value 127 at row 2 outside \[0, 1\]"),
+    "int8-max-plus-1": (_first_cell_of_row_2("128"),
+                        r"cau: value 128 at row 2 outside \[0, 1\]"),
+    "int8-min-minus-1": (_first_cell_of_row_2("-129"),
+                         r"cau: value -129 at row 2 outside \[0, 1\]"),
+    "beyond-int8-past-header": (lambda ls: ls[:1] + [ls[1] + ",300"] + ls[2:],
+                                "data row 0 has 12 cells, expected 11"),
+}
+# edits of the lines of a welfare `type-b` file, whose rows are int16
+WELFARE_MALFORMED_BODIES = {
+    "resources-40000": (_cell_of_row_2("Resources", "40000"),
+                        r"Resources: value 40000 at row 2 outside \[0, 10000\]"),
+    "int16-max": (_cell_of_row_2("Resources", "32767"),
+                  r"Resources: value 32767 at row 2 outside \[0, 10000\]"),
+    "int16-max-plus-1": (_cell_of_row_2("Resources", "32768"),
+                         r"Resources: value 32768 at row 2 outside \[0, 10000\]"),
 }
 
 
-@pytest.mark.parametrize("name", MALFORMED_BODIES)
-def test_malformed_body_rejected_and_verify_exits_3(tmp_path, tort_schema, capsys, name):
-    edit, message = MALFORMED_BODIES[name]
+@pytest.mark.parametrize("name", [*MALFORMED_BODIES, *WELFARE_MALFORMED_BODIES])
+def test_malformed_body_rejected_and_verify_exits_3(tmp_path, capsys, name):
+    domain = "tort" if name in MALFORMED_BODIES else "welfare"
+    edit, message = {**MALFORMED_BODIES, **WELFARE_MALFORMED_BODIES}[name]
+    lines = _tort_lines(tmp_path) if domain == "tort" else _welfare_lines(tmp_path)
     path = tmp_path / "bad.csv"
-    path.write_text("\n".join(edit(_tort_lines(tmp_path))) + "\n")
+    path.write_text("\n".join(edit(lines)) + "\n")
     with pytest.raises(DatasetFormatError, match=message):
-        read_dataset(path, tort_schema)
-    assert main(["verify", "--in", str(path), "--domain", "tort"]) == 3
+        read_dataset(path, build_domain(domain))
+    assert main(["verify", "--in", str(path), "--domain", domain]) == 3
     assert capsys.readouterr().err.startswith(f"error: {path}")
 
 
@@ -433,8 +470,8 @@ def test_write_peak_memory_below_half_the_int64_rows(tmp_path, welfare_20k):
 
 
 def test_read_peak_memory_below_the_int64_rows(tmp_path, welfare_20k):
-    """The reader holds the body, the narrow rows and one parsed int64 block:
-    a whole int64 matrix alone would be 1.0x."""
+    """The reader holds the body, the narrow rows and the matrix that loadtxt
+    parses into value_dtype: a whole int64 matrix alone would be 1.0x."""
     path = write_dataset(welfare_20k, tmp_path / "b.csv")
     peak = _traced_peak(lambda: read_dataset(path, welfare_20k.schema))
     assert peak < 1.0 * 8 * welfare_20k.values.size
@@ -448,13 +485,11 @@ def simplified_2b_plus_1():
     return Dataset(ds.schema_id, ds.kind, ds.values[:-1], ds.labels[:-1], ds.meta)
 
 
-@pytest.mark.parametrize("read_block", [None, 100])
 @pytest.mark.parametrize("rows", ["0", "1", "B-1", "B", "B+1", "2B+1"])
-def test_round_trip_across_block_boundaries(tmp_path, monkeypatch, simplified_2b_plus_1,
-                                            simplified_schema, rows, read_block):
+def test_round_trip_across_block_boundaries(tmp_path, simplified_2b_plus_1, simplified_schema,
+                                            rows):
     """Sets of 0, 1, B-1, B, B+1 and 2B+1 rows are written as the reference
-    bytes, and read back equal in the reader's own blocks and in blocks of
-    about 100 bytes."""
+    bytes and read back equal."""
     block = dataset_io._BLOCK_ROWS
     n = {"0": 0, "1": 1, "B-1": block - 1, "B": block, "B+1": block + 1, "2B+1": 2 * block + 1}
     full = simplified_2b_plus_1
@@ -462,33 +497,12 @@ def test_round_trip_across_block_boundaries(tmp_path, monkeypatch, simplified_2b
                       full.meta)
     path = write_dataset(dataset, tmp_path / "d.csv")
     assert path.read_bytes() == _reference_csv(dataset)
-    if read_block is not None:
-        monkeypatch.setattr(dataset_io, "_BLOCK_BYTES", read_block)
     assert read_dataset(path, simplified_schema).equals(dataset)
 
 
-@settings(max_examples=60, deadline=None)
-@given(read_block=st.integers(1, 300), crlf=st.booleans(), final_newline=st.booleans())
-def test_any_read_block_size_reads_the_same_rows(fuzz_sources, read_block, crlf, final_newline):
-    """Cut points of any size, with blank lines, CRLF lines and a last line
-    without a newline, give the rows of the whole-file parse."""
-    root, sources = fuzz_sources
-    schema, text = sources[0]
-    lines = text.splitlines()
-    lines = lines[:4] + ["", ""] + lines[4:40] + [""] + lines[40:80]
-    edited = ("\r\n" if crlf else "\n").join(lines) + ("\n" if final_newline else "")
-    path = root / "blocks.csv"
-    path.write_text(edited, newline="")
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dataset_io, "_BLOCK_BYTES", read_block)
-        back = read_dataset(path, schema)
-    rows = np.array(_reference_rows(edited), dtype=np.int64)
-    assert np.array_equal(back.values, rows[:, :-1]) and np.array_equal(back.labels, rows[:, -1])
-
-
-# edits of one data row of a tort `unique` file, each with the message that
-# names it at data row {row}; the edits whose bytes pass the whole-body byte
-# check fail in the parse or the range check of the block that holds them
+# edits of one data row of a tort file, each with the message that names it at
+# data row {row}; the edits whose bytes pass the whole-body byte check fail in
+# the parse or the range check
 FAULTS_IN_A_ROW = {
     "beyond-int64": (lambda line: "9" * 20 + line[1:],
                      r"cell '9{20}' at data row {row}, column 'cau'"),
@@ -496,7 +510,8 @@ FAULTS_IN_A_ROW = {
     "bare-minus": (lambda line: "-" + line[1:], r"cell '-' at data row {row}, column 'cau'"),
     "short-row": (_without_last_cell, "data row {row} has 10 cells, expected 11"),
     "long-row": (lambda line: line + ",0", "data row {row} has 12 cells, expected 11"),
-    # a wrong width beside a cell that does not parse: the width is named
+    # a wrong width beside a cell that does not parse: the width is named, but
+    # in the first data row, which sets the width, the empty cell is
     "trailing-comma": (lambda line: line + ",", "data row {row} has 12 cells, expected 11"),
     "value-above": (lambda line: "7" + line[1:], r"cau: value 7 at row {row} outside \[0, 1\]"),
     "value-below": (lambda line: "-1" + line[1:],
@@ -510,94 +525,81 @@ FAULTS_IN_A_ROW = {
     "lone-cr": (lambda line: "1\r1" + line[1:], r"cell '1\\r1' at data row {row}, column 'cau'"),
 }
 _BYTE_CHECKED = {"non-numeric", "plus-sign", "lone-cr"}
-_READ_BLOCK = 1000  # bytes of a block in the tests below: about 40 rows of a tort file
-
-
-def _blank_and_crlf_lines(tmp_path) -> list[str]:
-    """The lines of a tort `unique` file with blank lines among its first
-    rows, the data rows unchanged and in order."""
-    lines = _tort_lines(tmp_path)
-    return lines[:3] + ["", ""] + lines[3:50] + [""] + lines[50:]
 
 
 def _write_crlf(path, lines: list[str]) -> None:
     path.write_bytes("".join(line + "\r\n" for line in lines).encode())
 
 
-def _rows_per_block(monkeypatch, path, schema) -> list[int]:
-    """The data rows that each block of a read of ``path`` parses."""
-    rows, loadtxt = [], np.loadtxt
-
-    def counted(*args, **kwargs):
-        rows.append(len(block := loadtxt(*args, **kwargs)))
-        return block
-
-    monkeypatch.setattr(np, "loadtxt", counted)
-    read_dataset(path, schema)
-    monkeypatch.setattr(np, "loadtxt", loadtxt)
-    return rows
+@pytest.fixture(scope="module")
+def tort_2000_lines(tmp_path_factory) -> list[str]:
+    """The lines of a 2,000-case tort `regular` file with blank lines before
+    its first data row and among its rows, the data rows unchanged and in
+    order."""
+    path = write_dataset(gen_tort("regular", size=2000, seed=8),
+                         tmp_path_factory.mktemp("tort") / "r.csv")
+    lines = path.read_text().splitlines()
+    return lines[:1] + ["", ""] + lines[1:3] + [""] + lines[3:1000] + ["", ""] + lines[1000:]
 
 
-@pytest.mark.parametrize("where", ["first", "middle"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
 @pytest.mark.parametrize("name", FAULTS_IN_A_ROW)
-def test_fault_in_the_third_block_named_at_its_file_row(tmp_path, monkeypatch, tort_schema,
-                                                        capsys, name, where):
-    """A fault in the first or a middle data row of the third block, after
-    blank lines and CRLF lines, gets the message that the same edit gets in a
-    read of the whole body as one block, naming its data row in the file."""
-    monkeypatch.setattr(dataset_io, "_BLOCK_BYTES", _READ_BLOCK)
+def test_fault_in_one_row_named_at_its_file_row(tmp_path, monkeypatch, tort_schema,
+                                                tort_2000_lines, capsys, name, where):
+    """A fault in the first, a middle or the last data row of a file of CRLF
+    lines, after blank lines, is named at its data row, counted without the
+    blank lines, by one parse of the whole body, or by none when the body's
+    bytes already fail."""
     edit, message = FAULTS_IN_A_ROW[name]
-    lines = _blank_and_crlf_lines(tmp_path)
-    path = tmp_path / "bad.csv"
-    _write_crlf(path, lines)
-    blocks = _rows_per_block(monkeypatch, path, tort_schema)
-    assert len(blocks) > 3
-    row = blocks[0] + blocks[1] + (0 if where == "first" else blocks[2] // 2)
-    data_lines = [i for i, line in enumerate(lines) if i and line.strip("\r")]
+    lines = list(tort_2000_lines)
+    data_lines = [i for i, line in enumerate(lines) if i and line]
+    row = {"first": 0, "middle": len(data_lines) // 2, "last": len(data_lines) - 1}[where]
     lines[data_lines[row]] = edit(lines[data_lines[row]])
+    if (name, where) == ("trailing-comma", "first"):
+        message = "cell '' at data row {row}, column 12 of 11"
+    path = tmp_path / "bad.csv"
     _write_crlf(path, lines)
     calls, loadtxt = [], np.loadtxt
     monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
     with pytest.raises(DatasetFormatError, match=message.replace("{row}", str(row))) as err:
         read_dataset(path, tort_schema)
-    # the bytes are checked before any block is parsed, and a block's first row's
-    # width before the block is
-    width_first = where == "first" and "cells" in message
-    assert len(calls) == (0 if name in _BYTE_CHECKED else 2 if width_first else 3)
-    monkeypatch.setattr(dataset_io, "_BLOCK_BYTES", path.stat().st_size)
-    with pytest.raises(DatasetFormatError) as whole:
-        read_dataset(path, tort_schema)
-    assert str(err.value) == str(whole.value)
+    assert len(calls) == (0 if name in _BYTE_CHECKED else 1)
     assert main(["verify", "--in", str(path), "--domain", "tort"]) == 3
     assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
-def test_first_faulty_block_decides_between_faults(tmp_path, monkeypatch, tort_schema):
-    """A bad label in the second block is reported, not the bad feature value
-    in the third that a range check of the whole matrix would name first."""
-    monkeypatch.setattr(dataset_io, "_BLOCK_BYTES", _READ_BLOCK)
-    lines = _tort_lines(tmp_path)
+def test_several_faults_reported_in_order(tmp_path, tort_schema):
+    """Of several faults, a byte the writer never writes is named first
+    wherever it sits; then the first parse fault in file order, a value
+    beyond int8 included; then the first bad feature and its first row; then
+    the first bad label."""
+    original = _tort_lines(tmp_path)
+    columns = original[0].split(",")
+    # (data row, column, cell, message): each is named while the faults after it remain
+    faults = [(20, "cau", "+1", r"cell '\+1' at data row 20, column 'cau'"),
+              (10, "ila", "200", r"ila: value 200 at row 10 outside \[0, 1\]"),
+              (12, "ift", "", r"cell '' at data row 12, column 'ift'"),
+              (3, "cau", "7", r"cau: value 7 at row 3 outside \[0, 1\]"),
+              (2, "ico", "5", r"ico: value 5 at row 2 outside \[0, 1\]"),
+              (1, LABEL_COLUMN, "2", r"label 2 at data row 1 is outside \{0, 1\}")]
     path = tmp_path / "bad.csv"
-    _write_crlf(path, lines)
-    blocks = _rows_per_block(monkeypatch, path, tort_schema)
-    second, third = blocks[0] + 1, blocks[0] + blocks[1] + 1  # line numbers: the header is 0
-    lines[second] = lines[second][:-1] + "2"
-    lines[third] = "7" + lines[third][1:]
-    _write_crlf(path, lines)
-    with pytest.raises(DatasetFormatError, match=f"label 2 at data row {blocks[0]} is outside"):
-        read_dataset(path, tort_schema)
+    for k, (*_, message) in enumerate(faults):
+        lines = list(original)
+        for row, column, cell, _ in faults[k:]:
+            cells = lines[row + 1].split(",")
+            cells[columns.index(column)] = cell
+            lines[row + 1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match=message):
+            read_dataset(path, tort_schema)
 
 
-def test_every_row_of_one_wrong_width(tmp_path, monkeypatch, tort_schema):
-    """Every row one cell short is named as every data row in one block, and
-    as data row 0 when the rows span several blocks."""
+def test_every_row_of_one_wrong_width(tmp_path, tort_schema):
+    """Every row one cell short is named as every data row."""
     lines = _tort_lines(tmp_path)
     path = tmp_path / "short.csv"
     _write_crlf(path, lines[:1] + [_without_last_cell(line) for line in lines[1:]] + ["", ""])
     with pytest.raises(DatasetFormatError, match="every data row has 10 cells, expected 11"):
-        read_dataset(path, tort_schema)
-    monkeypatch.setattr(dataset_io, "_BLOCK_BYTES", _READ_BLOCK)
-    with pytest.raises(DatasetFormatError, match="data row 0 has 10 cells, expected 11"):
         read_dataset(path, tort_schema)
 
 
@@ -611,10 +613,12 @@ def _reference_rows(text: str) -> list[list[int]]:
 
 @pytest.fixture(scope="module")
 def fuzz_sources(tmp_path_factory):
-    """The text of a written tort `unique` and simplified `type-b` CSV."""
+    """The text of a written tort `unique`, simplified `type-b` and welfare
+    `type-b` CSV: int8 and int16 rows."""
     root = tmp_path_factory.mktemp("fuzz")
     sources = []
-    for dataset in (gen_tort("unique"), gen_welfare("type-b", size=60, seed=4, simplified=True)):
+    for dataset in (gen_tort("unique"), gen_welfare("type-b", size=60, seed=4, simplified=True),
+                    gen_welfare("type-b", size=12, seed=4)):
         write_dataset(dataset, root / f"{dataset.schema_id}.csv")
         text = (root / f"{dataset.schema_id}.csv").read_text()
         sources.append((build_domain(dataset.schema_id), text))
@@ -635,7 +639,8 @@ def test_fuzzed_file_reads_or_raises_format_error(fuzz_sources, data):
         i = data.draw(st.integers(0, len(cells) - 1))
         if edit == "replace":
             cells[i] = data.draw(st.text(st.characters(codec="ascii"))
-                                 | st.text(st.characters(codec="utf-8")))
+                                 | st.text(st.characters(codec="utf-8"))
+                                 | st.integers(-2**70, 2**70).map(str))
         elif edit == "drop":
             del cells[i]
         else:
