@@ -13,8 +13,8 @@ import argparse
 import json
 import sys
 
-from .dataset_io import read_dataset, write_dataset
-from .domains import DOMAIN_IDS, build_domain
+from .dataset_io import DatasetFormatError, read_dataset, write_dataset
+from .domains import DOMAIN_IDS, SchemaValidationError, build_domain
 from .evaluation import (
     accuracy,
     condition_table,
@@ -206,8 +206,15 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    # ValueError covers DatasetFormatError, SchemaValidationError and GenerationError
-    except (TrainingDivergedError, OSError, ValueError, KeyError) as err:
+    except (
+        DatasetFormatError,
+        SchemaValidationError,
+        TrainingDivergedError,
+        GenerationError,
+        OSError,
+        ValueError,
+        KeyError,
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

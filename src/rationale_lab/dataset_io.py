@@ -141,6 +141,9 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
+            # numpy 1.23-1.26 re-parse a cell beyond value_dtype as a float, warn and wrap it;
+            # as an error, the warning makes loadtxt report a cell it could not convert
+            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
             data = np.loadtxt(io.BytesIO(body), schema.value_dtype, comments=None, delimiter=",",
                               ndmin=2, encoding="ascii", max_rows=rows)
     except ValueError as err:
@@ -216,7 +219,11 @@ def _body_error(path: Path, message: str, schema: DomainSchema, body: bytes) -> 
     columns = list(schema.feature_names) + [LABEL_COLUMN]
     if cell := re.search(r"convert string (.*) to \w+ at row (\d+), column (\d+)", message):
         row, col = int(cell[2]), int(cell[3])
-        literal = re.fullmatch(r"'(-?\d+)'", cell[1])
+        quoted = cell[1]
+        if not quoted.endswith("'"):  # loadtxt quotes 100 characters at most
+            line = [text for text in body.split(b"\n") if text.strip(b"\r")][row]
+            quoted = repr(line.rstrip(b"\r").split(b",")[col - 1].decode())
+        literal = re.fullmatch(r"'(-?\d+)'", quoted)
         if literal and -2**63 <= (value := int(literal[1])) < 2**63:
             if col > len(columns):  # a cell past the header, in a row as wide as data row 0
                 first = re.search(rb"[^\r\n][^\n]*", body)[0]

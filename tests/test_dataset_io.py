@@ -291,6 +291,9 @@ MALFORMED_BODIES = {
                          r"cau: value -129 at row 2 outside \[0, 1\]"),
     "beyond-int8-past-header": (lambda ls: ls[:1] + [ls[1] + ",300"] + ls[2:],
                                 "data row 0 has 12 cells, expected 11"),
+    # loadtxt quotes the first 100 characters of this cell
+    "zero-padded-cau-200": (_first_cell_of_row_2("0" * 120 + "200"),
+                            r"cau: value 200 at row 2 outside \[0, 1\]"),
 }
 # edits of the lines of a welfare `type-b` file, whose rows are int16
 WELFARE_MALFORMED_BODIES = {
@@ -314,6 +317,32 @@ def test_malformed_body_rejected_and_verify_exits_3(tmp_path, capsys, name):
         read_dataset(path, build_domain(domain))
     assert main(["verify", "--in", str(path), "--domain", domain]) == 3
     assert capsys.readouterr().err.startswith(f"error: {path}")
+
+
+def test_overflow_rejected_where_loadtxt_parses_it_via_a_float(tmp_path, monkeypatch):
+    """numpy 1.23-1.26's loadtxt re-parses a cell beyond a narrow integer dtype
+    as a float, warns, and casts it, wrapping it; the reader makes the warning
+    an error, which loadtxt reports as a cell it could not convert."""
+    loadtxt = np.loadtxt
+
+    def loadtxt_via_float(fname, dtype, **kwargs):
+        wide = loadtxt(fname, np.int64, **kwargs)
+        beyond = (wide < np.iinfo(dtype).min) | (wide > np.iinfo(dtype).max)
+        for row, col in np.argwhere(beyond)[:1]:
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning)
+            except DeprecationWarning as err:
+                raise ValueError(f"could not convert string '{wide[row, col]}' to "
+                                 f"{np.dtype(dtype)} at row {row}, column {col + 1}.") from err
+        return wide.astype(dtype)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_via_float)
+    path = tmp_path / "w.csv"
+    path.write_text("\n".join(_cell_of_row_2("Resources", "70536")(_welfare_lines(tmp_path))))
+    with pytest.raises(DatasetFormatError,  # 70536 wraps to 5000 in int16
+                       match=r"Resources: value 70536 at row 2 outside \[0, 10000\]"):
+        read_dataset(path, build_domain("welfare"))
 
 
 def test_leading_zero_and_negative_zero_read_as_their_values(tmp_path, tort_schema):
