@@ -1,0 +1,21 @@
+#!/bin/sh
+# Smoke run of the installed rationale-lab console script, in the current
+# directory: gen and verify of every dataset kind, then a welfare plan run at
+# parallelism 2 and replayed at parallelism 1 to the same report bytes.
+set -eu
+
+python -c 'from rationale_lab.generation import KINDS
+for (domain, kind), entry in KINDS.items():
+    print(domain, kind, "--size 200" if entry.sized else "")' > kinds.txt
+while read -r domain kind size; do
+  rationale-lab gen --domain "$domain" --kind "$kind" $size --out "$domain-$kind.csv"
+  rationale-lab verify --in "$domain-$kind.csv" --domain "$domain"
+done < kinds.txt
+
+# 130 training cases, so that each epoch ends on a short batch
+echo '{"domain": "welfare", "train": [{"kind": "type-b", "size": 130}], "test": [{"kind": "type-b", "size": 130}, {"kind": "age-gender"}], "architectures": [[12]], "repetitions": 2, "iterations": 60}' > plan.json
+rationale-lab experiment --plan plan.json --out-dir run --parallelism 2
+rationale-lab report --manifest run/manifest.json --out-dir replayed --parallelism 1
+cmp run/summary.json replayed/summary.json
+cmp run/accuracy_matrix.csv replayed/accuracy_matrix.csv
+diff -r run/curves replayed/curves

@@ -178,6 +178,23 @@ class TestTrainEval:
         code, _, stderr = run(["eval", "--model", str(model), "--in", str(data)], capsys)
         assert code == 3 and "differ from its fields" in stderr
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--condition-table", "c9"], "tort: no condition 'c9'"),
+        (["--curve", "Nope:cau", "--curve-out", "c.tsv"], "tort: no feature named 'Nope'"),
+    ], ids=["condition", "feature"])
+    def test_eval_of_unknown_name_exits_3(self, tmp_path, monkeypatch, capsys, flags,
+                                          message):
+        monkeypatch.chdir(tmp_path)
+        data = tmp_path / "train.csv"
+        run(["gen", "--domain", "tort", "--kind", "unique", "--out", str(data)], capsys)
+        model = tmp_path / "model.json"
+        run(["train", "--in", str(data), "--domain", "tort", "--hidden", "12",
+             "--iterations", "5", "--seed", "1", "--out", str(model)], capsys)
+        code, _, stderr = run(["eval", "--model", str(model), "--in", str(data), *flags],
+                              capsys)
+        assert code == 3 and message in stderr
+        assert not (tmp_path / "c.tsv").exists()
+
     def test_train_defaults_are_the_train_config_defaults(self):
         args = _build_parser().parse_args(
             ["train", "--in", "d.csv", "--domain", "tort", "--out", "m.json"]

@@ -39,10 +39,14 @@ def test_round_trip_tort_unique(tmp_path, tort_schema):
 
 
 def test_round_trip_welfare(tmp_path, welfare_schema):
-    ds = gen_welfare("type-b", size=400, seed=13)
-    path = tmp_path / "b.csv"
-    write_dataset(ds, path)
-    assert read_dataset(path, welfare_schema).equals(ds)
+    ds = gen_welfare("type-b", size=2 * dataset_io._BLOCK_ROWS + 2, seed=13)  # three blocks
+    path = write_dataset(ds, tmp_path / "b.csv")
+    back = read_dataset(path, welfare_schema)
+    assert back.equals(ds)
+    # the int16 rows read back and written again give the same bytes
+    again = write_dataset(back, tmp_path / "again.csv")
+    assert again.read_bytes() == path.read_bytes()
+    assert meta_path(again).read_bytes() == meta_path(path).read_bytes()
 
 
 def test_writes_are_byte_deterministic(tmp_path):
