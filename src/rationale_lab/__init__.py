@@ -32,7 +32,6 @@ from .oracle import (
 )
 from .network import (
     AdamState,
-    FeatureScaling,
     ModelParams,
     NetworkConfig,
     TrainConfig,

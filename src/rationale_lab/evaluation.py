@@ -29,8 +29,11 @@ def _check_schema(model, dataset: Dataset) -> None:
 
 
 def accuracy(model, dataset: Dataset) -> float:
-    """Fraction of cases whose thresholded output equals the stored label."""
+    """Fraction of cases whose thresholded output equals the stored label.
+    Raises ValueError on a dataset of no cases, where it is undefined."""
     _check_schema(model, dataset)
+    if len(dataset) == 0:
+        raise ValueError("accuracy is undefined on a dataset of no cases")
     predicted = model.outputs(dataset.values) >= 0.5
     return float((predicted == dataset.labels.astype(bool)).mean())
 

@@ -112,6 +112,8 @@ class GeneratorRequest:
                 f"unknown kind {self.kind!r} for domain {self.domain_id!r} "
                 f"(expected one of {known})"
             )
+        if self.seed < 0:
+            raise GenerationError(f"seed must be >= 0, got {self.seed}")
         if kind.sized:
             if self.size is None:
                 raise GenerationError(f"kind {self.kind!r} requires a size")

@@ -2,8 +2,9 @@
 loss, backpropagation, and mini-batch Adam.
 
 Every layer, the output included, applies an elementwise sigmoid.  Inputs are
-min-max scaled to [0, 1] using the schema-declared feature ranges, recorded
-on the trained model so that train and test scaling are identical by
+min-max scaled to [0, 1] using the schema-declared feature ranges
+(:func:`schema_scaling`).  ``train`` and ``TrainedModel.outputs`` both take
+that map from the model's schema, so train and test scaling are identical by
 construction.  ``TrainedModel.outputs`` takes a matrix of raw case rows
 only and scales it internally, so scaling can never be applied twice.
 
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import base64
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -57,7 +58,8 @@ from .generation import Dataset
 STANDARD_HIDDEN_LAYERS = ((12,), (24, 6), (24, 10, 3))
 
 MODEL_FORMAT = "rationale-lab-model"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+_MODEL_KEYS = {"format", "format_version", "schema_id", "network", "training", "layers"}
 
 
 class TrainingDivergedError(RuntimeError):
@@ -338,13 +340,12 @@ class TrainedModel:
     config: NetworkConfig
     train_config: TrainConfig
     params: ModelParams
-    scaling: FeatureScaling
     schema_id: str
-    feature_names: tuple[str, ...]
     loss_trace: np.ndarray | None = field(default=None, repr=False)
 
     def outputs(self, values) -> np.ndarray:
-        """Probabilities for an (n, input_width) matrix of raw case rows."""
+        """Probabilities for an (n, input_width) matrix of raw case rows,
+        scaled by :func:`schema_scaling` of the model's schema."""
         x = np.asarray(values)  # scaling makes the one float copy
         if x.ndim != 2 or x.shape[1] != self.config.input_width:
             raise ValueError(
@@ -352,7 +353,7 @@ class TrainedModel:
             )
         if not np.isfinite(x).all():
             raise ValueError("non-finite input value")
-        return _scaled_outputs(self.params, self.scaling.apply(x))
+        return _scaled_outputs(self.params, schema_scaling(self.schema_id).apply(x))
 
 
 _GATHER_ROWS = 4096  # rows of a dataset that ``train`` gathers per chunk
@@ -419,111 +420,91 @@ def train(
         config=network_config,
         train_config=train_config,
         params=params,
-        scaling=scaling,
         schema_id=dataset.schema_id,
-        feature_names=schema.feature_names,
         loss_trace=trace,
     )
 
 
 # ---------------------------------------------------------------------------
 # Model persistence: a single JSON file, arrays as base64 little-endian
-# float64, so that save -> load round-trips bit-exactly.
+# float64, so that save -> load round-trips bit-exactly.  The file holds no
+# copy of what the schema and the ``network`` section fix: the input scaling
+# comes from the schema, each layer's shape from the layer sizes.
 # ---------------------------------------------------------------------------
 
 def _pack(a: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode()
 
 
-def _unpack(s: str, shape: tuple[int, ...]) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(s), dtype="<f8").reshape(shape)
-
-
-def _config_block(config: NetworkConfig | TrainConfig) -> dict:
-    return {f.name: getattr(config, f.name) for f in fields(config)}
-
-
-def _config_from_block(cls, block: dict, path: str | Path):
+def _config_from_block(cls, block: dict):
     """A config from its model-file block, which must name every field of
     ``cls`` and nothing else, each with its field's JSON type."""
     names = sorted(f.name for f in fields(cls))
     if sorted(block) != names:
-        raise ValueError(
-            f"{path}: {cls.__name__} keys {sorted(block)} differ from its fields {names}"
-        )
-    return cls(**typed_fields(cls, block, f"{path}: {cls.__name__}"))
+        raise ValueError(f"{cls.__name__} keys {sorted(block)} differ from its fields {names}")
+    return cls(**typed_fields(cls, block, cls.__name__))
 
 
 def save_model(model: TrainedModel, path: str | Path) -> Path:
     doc = {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
-        "float_encoding": "base64 little-endian float64",
         "schema_id": model.schema_id,
-        "feature_names": list(model.feature_names),
-        "network": _config_block(model.config),
-        "training": _config_block(model.train_config),
-        "scaling": {
-            "offsets": _pack(model.scaling.offsets),
-            "scales": _pack(model.scaling.scales),
-        },
-        "layers": [
-            {"shape": list(w.shape), "weights": _pack(w), "bias": _pack(b)}
-            for w, b in zip(model.params.weights, model.params.biases)
-        ],
+        "network": asdict(model.config),
+        "training": asdict(model.train_config),
+        "layers": [{"weights": _pack(w), "bias": _pack(b)}
+                   for w, b in zip(model.params.weights, model.params.biases)],
     }
     return write_json(path, doc)
 
 
 def load_model(path: str | Path) -> TrainedModel:
+    """The model in ``path``; every error that refuses it starts with the path."""
     doc = read_json(path, f"a {MODEL_FORMAT} file")
+    try:
+        return _model_from_doc(doc)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
+def _model_from_doc(doc: dict) -> TrainedModel:
     if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
+        raise ValueError(f"not a {MODEL_FORMAT} file")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version {doc.get('format_version')}")
+        raise ValueError(f"unsupported format version {doc.get('format_version')}")
+    if unknown := sorted(set(doc) - _MODEL_KEYS):
+        raise ValueError(f"unknown model key(s) {unknown}")
 
     def section(key: str, kind: type):
         if not isinstance(doc.get(key), kind):
-            raise ValueError(f"{path}: model key {key!r} must be a {kind.__name__}")
+            raise ValueError(f"model key {key!r} must be a {kind.__name__}")
         return doc[key]
 
-    def array(block: dict, key: str, shape: tuple[int, ...], where: str) -> np.ndarray:
-        if type(block.get(key)) is not str:
-            raise ValueError(f"{path}: model key {where!r} must be a base64 string")
+    def array(layer: dict, i: int, key: str, shape: tuple[int, ...]) -> np.ndarray:
         try:
-            return _unpack(block[key], shape)
-        except ValueError as err:  # not base64 (binascii.Error), or the wrong length
-            raise ValueError(f"{path}: model key {where!r}: {err}") from None
+            return np.frombuffer(base64.b64decode(layer.get(key)), dtype="<f8").reshape(shape)
+        except (TypeError, ValueError) as err:  # not a string, not base64, or the wrong length
+            raise ValueError(f"model key 'layers[{i}].{key}' must be a base64 string "
+                             f"of {shape} float64: {err}") from None
 
-    config = _config_from_block(NetworkConfig, section("network", dict), path)
-    train_config = _config_from_block(TrainConfig, section("training", dict), path)
-    n_features, packed = len(section("feature_names", list)), section("scaling", dict)
-    scaling = FeatureScaling(
-        offsets=array(packed, "offsets", (n_features,), "scaling.offsets"),
-        scales=array(packed, "scales", (n_features,), "scaling.scales"),
-    )
-    layers = section("layers", list)
-    for i, layer in enumerate(layers):
-        shape = layer.get("shape") if isinstance(layer, dict) else None
-        if type(shape) is not list or len(shape) != 2 or any(type(w) is not int for w in shape):
-            raise ValueError(f"{path}: model key 'layers[{i}]' must be an object "
-                             "with an integer-pair 'shape'")
-    shapes = [tuple(layer["shape"]) for layer in layers]
-    sizes = config.layer_sizes
-    if shapes != list(zip(sizes[:-1], sizes[1:])):
-        raise ValueError(
-            f"{path}: layer shapes {shapes} do not match the network's layer sizes {sizes}"
-        )
-    weights = [array(layer, "weights", shape, f"layers[{i}].weights")
-               for i, (layer, shape) in enumerate(zip(layers, shapes))]
-    biases = [array(layer, "bias", (shape[1],), f"layers[{i}].bias")
-              for i, (layer, shape) in enumerate(zip(layers, shapes))]
-    return TrainedModel(
-        config=config,
-        train_config=train_config,
-        params=ModelParams(weights, biases),
-        scaling=scaling,
-        schema_id=section("schema_id", str),
-        feature_names=tuple(doc["feature_names"]),
-        loss_trace=None,
-    )
+    config = _config_from_block(NetworkConfig, section("network", dict))
+    train_config = _config_from_block(TrainConfig, section("training", dict))
+    schema_id = section("schema_id", str)
+    n_features = build_domain(schema_id).n_features
+    if config.input_width != n_features:
+        raise ValueError(f"network input_width {config.input_width} differs from the "
+                         f"{n_features} features of schema {schema_id!r}")
+    layers, sizes = section("layers", list), config.layer_sizes
+    weights, biases = [], []
+    for i, (layer, fan_in, fan_out) in enumerate(zip(layers, sizes[:-1], sizes[1:])):
+        if not isinstance(layer, dict):
+            raise ValueError(f"model key 'layers[{i}]' must be an object")
+        if unknown := sorted(set(layer) - {"weights", "bias"}):
+            raise ValueError(f"unknown key(s) {unknown} in model key 'layers[{i}]'")
+        weights.append(array(layer, i, "weights", (fan_in, fan_out)))
+        biases.append(array(layer, i, "bias", (fan_out,)))
+    if len(layers) != len(sizes) - 1:  # zip() above stopped at the shorter
+        raise ValueError(f"model has {len(layers)} layers, but the network's layer "
+                         f"sizes {sizes} make {len(sizes) - 1}")
+    return TrainedModel(config=config, train_config=train_config,
+                        params=ModelParams(weights, biases), schema_id=schema_id)

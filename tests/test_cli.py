@@ -1,14 +1,16 @@
+import base64
 import json
 from pathlib import Path
 
 import pytest
 
-from rationale_lab import ExperimentPlan, GeneratorRequest, TrainConfig
+from rationale_lab import ExperimentPlan, GeneratorRequest, TrainConfig, build_domain
 from rationale_lab import harness as harness_module
 from rationale_lab.cli import _build_parser, main
 from rationale_lab.dataset_io import meta_path
+from rationale_lab.network import schema_scaling
 
-from conftest import mismatched_model_doc, write_plan
+from conftest import MISMATCHED_MODEL_KEY, mismatched_model_doc, write_plan
 
 PLANS_DIR = Path(__file__).resolve().parent.parent / "plans"
 
@@ -50,6 +52,17 @@ class TestGen:
         assert code == 2
         assert "enumeration" in stderr
         assert not out.exists()  # usage errors never leave partial files
+
+    @pytest.mark.parametrize("domain,kind,size", [("tort", "regular", ["--size", "200"]),
+                                                  ("welfare", "age-gender", []),
+                                                  ("tort", "unique", [])])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, domain, kind, size):
+        out = tmp_path / "d.csv"
+        code, stdout, stderr = run(["gen", "--domain", domain, "--kind", kind, *size,
+                                    "--seed", "-1", "--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert "seed must be >= 0, got -1" in stderr
+        assert not out.exists()
 
     def test_unknown_flag_exits_2(self, tmp_path, capsys):
         code, _, _ = run(["gen", "--domain", "tort", "--frobnicate", "1"], capsys)
@@ -143,6 +156,17 @@ class TestTrainEval:
         assert code == 0
         assert curve.read_text().startswith("group\tx\tmean_output\tn")
 
+    def test_eval_of_header_only_dataset_exits_3(self, tmp_path, capsys):
+        data, empty = tmp_path / "u.csv", tmp_path / "empty.csv"
+        run(["gen", "--domain", "tort", "--kind", "unique", "--out", str(data)], capsys)
+        model = tmp_path / "model.json"
+        run(["train", "--in", str(data), "--domain", "tort", "--iterations", "1",
+             "--out", str(model)], capsys)
+        empty.write_text(data.read_text().splitlines(keepends=True)[0])
+        code, stdout, stderr = run(["eval", "--model", str(model), "--in", str(empty)], capsys)
+        assert code == 3 and stdout == ""
+        assert "no cases" in stderr
+
     @pytest.mark.parametrize("flag", [["--curve", "Age:Gender"], ["--curve-out", "c.tsv"]],
                              ids=["curve", "curve-out"])
     def test_eval_curve_flag_alone_exits_2(self, tmp_path, capsys, flag):
@@ -160,7 +184,8 @@ class TestTrainEval:
              "--iterations", "5", "--seed", "1", "--out", str(model)], capsys)
         model.write_text(json.dumps(mismatched_model_doc(json.loads(model.read_text()), edit)))
         code, _, stderr = run(["eval", "--model", str(model), "--in", str(data)], capsys)
-        assert code == 3 and "layer shapes" in stderr
+        assert code == 3 and stderr.startswith(f"error: {model}: ")
+        assert MISMATCHED_MODEL_KEY[edit] in stderr
 
     @pytest.mark.parametrize("edit", ["missing", "unknown"])
     def test_eval_of_model_with_other_config_keys_exits_3(self, tmp_path, capsys, edit):
@@ -358,14 +383,10 @@ def _edit_layer(key, value):
 @pytest.mark.parametrize("command,document,named", [
     ("eval", [], "a rationale-lab-model file must be a JSON object"),
     ("eval", {"layers": 5}, "'layers'"),
-    ("eval", {"scaling": []}, "'scaling'"),
     ("eval", {"layers": [5]}, "'layers[0]'"),
-    ("eval", _edit_layer("shape", None), "'layers[0]'"),
-    ("eval", _edit_layer("shape", [10, True]), "'layers[0]'"),
     ("eval", _edit_layer("weights", 5), "'layers[0].weights'"),
     ("eval", _edit_layer("bias", "A"), "'layers[0].bias'"),
     ("eval", _edit_layer("bias", "AAAA"), "'layers[0].bias'"),
-    ("eval", {"scaling": {"offsets": 5, "scales": 5}}, "'scaling.offsets'"),
     ("eval", {"schema_id": 5}, "'schema_id'"),
     ("eval", lambda model: {**model, "network": {**model["network"], "input_width": None}},
      "'input_width'"),
@@ -382,10 +403,9 @@ def _edit_layer(key, value):
     ("experiment", dict(PLAN, test=[{"kind": "unique", "sise": 5}]), "'test'"),
     ("experiment", dict(PLAN, architectures=[[12], [24, True]]), "'architectures'"),
     ("report", [], "a manifest must be a JSON object"),
-], ids=["model-list", "model-layers-int", "model-scaling-list", "model-layer-int",
-        "model-layer-without-shape", "model-shape-bool", "model-weights-int",
-        "model-bias-not-base64", "model-bias-short", "model-scaling-ints",
-        "model-schema-id-int", "model-input-width-null", "model-beta1-beyond-float",
+], ids=["model-list", "model-layers-int", "model-layer-int", "model-weights-int",
+        "model-bias-not-base64", "model-bias-short", "model-schema-id-int",
+        "model-input-width-null", "model-beta1-beyond-float",
         "plan-list", "plan-size-string", "plan-flat-architectures", "plan-repetitions-float",
         "plan-repetitions-bool", "plan-learning-rate-bool", "plan-learning-rate-beyond-float",
         "plan-misspelt-key", "plan-spec-misspelt-key", "plan-architecture-bool",
@@ -408,6 +428,48 @@ def test_malformed_json_exits_3(tmp_path, capsys, command, document, named):
     if command in ("experiment", "report"):
         assert str(path) in err
     assert not (tmp_path / "out").exists()
+
+
+def _format_1(model):
+    """A format-2 model document as format 1 wrote it: with a float encoding,
+    the schema's feature names and scaling, and each layer's shape."""
+    def pack(a):
+        return base64.b64encode(a.astype("<f8").tobytes()).decode()
+
+    scaling = schema_scaling(model["schema_id"])
+    net = model["network"]
+    sizes = [net["input_width"], *net["hidden_layers"], 1]
+    return {**model, "format_version": 1, "float_encoding": "base64 little-endian float64",
+            "feature_names": list(build_domain(model["schema_id"]).feature_names),
+            "scaling": {"offsets": pack(scaling.offsets), "scales": pack(scaling.scales)},
+            "layers": [{**layer, "shape": [fan_in, fan_out]}
+                       for layer, fan_in, fan_out in zip(model["layers"], sizes, sizes[1:])]}
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda model: {**model, "network": {**model["network"], "input_width": 4}},
+     "network input_width 4 differs from the 10 features of schema 'tort'"),
+    (lambda model: {**model, "schema_id": "maritime"}, "unknown domain 'maritime'"),
+    (lambda model: {**model, "scaling": _format_1(model)["scaling"]},
+     "unknown model key(s) ['scaling']"),
+    (_edit_layer("shape", [10, 12]), "unknown key(s) ['shape'] in model key 'layers[0]'"),
+    (lambda model: {**model, "layers": model["layers"][:1]}, "model has 1 layers"),
+    (lambda model: {**model, "layers": model["layers"] * 2}, "model has 4 layers"),
+    (_format_1, "unsupported format version 1"),
+], ids=["input-width", "unknown-schema", "stray-scaling", "stray-layer-shape",
+        "layer-missing", "layer-extra", "format-1"])
+def test_eval_of_model_outside_format_2_exits_3_naming_the_file(tmp_path, capsys, edit,
+                                                                 named):
+    """A model file holds only what its schema and network section do not fix,
+    and that must agree with them."""
+    data, path = tmp_path / "u.csv", tmp_path / "model.json"
+    run(["gen", "--domain", "tort", "--kind", "unique", "--out", str(data)], capsys)
+    run(["train", "--in", str(data), "--domain", "tort", "--iterations", "1",
+         "--out", str(path)], capsys)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    code, stdout, err = run(["eval", "--model", str(path), "--in", str(data)], capsys)
+    assert code == 3 and stdout == ""
+    assert err.startswith(f"error: {path}: ") and named in err
 
 
 @pytest.mark.parametrize("source", ["plan", "manifest", "model", "sidecar"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,12 @@ class TestAccuracy:
 
     def test_constant_positive_on_imputability(self):
         assert accuracy(ConstantOutputModel(1.0), gen_tort("imputability")) == 0.875
+
+    def test_empty_dataset_rejected(self):
+        ds = gen_tort("unique")
+        empty = dataclasses.replace(ds, values=ds.values[:0], labels=ds.labels[:0])
+        with pytest.raises(ValueError, match="no cases"):
+            accuracy(ConstantOutputModel(1.0), empty)
 
     def test_schema_mismatch_rejected(self):
         model = LabelOracleModel(build_domain("welfare"))

@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -38,6 +39,7 @@ from rationale_lab.network import (
 
 from conftest import (
     JSON_VALUES,
+    MISMATCHED_MODEL_KEY,
     finite_difference_grads,
     key_paths,
     max_relative_error,
@@ -46,21 +48,18 @@ from conftest import (
 )
 
 
-def tiny_model(weights, biases, schema_id="tort", feature_names=None, input_width=None):
-    """Assemble a TrainedModel around hand-set parameters."""
-    from rationale_lab.network import FeatureScaling, TrainedModel
-
+def tiny_model(weights, biases, schema_id="tort"):
+    """Assemble a TrainedModel around hand-set parameters; the first
+    layer's fan-in must be the schema's feature count."""
     params = ModelParams([np.array(w, float) for w in weights],
                          [np.array(b, float) for b in biases])
-    width = input_width or params.weights[0].shape[0]
     return TrainedModel(
-        config=NetworkConfig(width, tuple(w.shape[1] for w in params.weights[:-1]),
+        config=NetworkConfig(params.weights[0].shape[0],
+                             tuple(w.shape[1] for w in params.weights[:-1]),
                              allow_nonstandard=True),
         train_config=TrainConfig(iterations=1),
         params=params,
-        scaling=FeatureScaling(np.zeros(width), np.ones(width)),
         schema_id=schema_id,
-        feature_names=feature_names or tuple(f"f{i}" for i in range(width)),
     )
 
 
@@ -229,7 +228,7 @@ class TestFlatBuffers:
 class TestForward:
     def test_zero_params_give_half(self):
         model = tiny_model([np.zeros((4, 12)), np.zeros((12, 1))],
-                           [np.zeros(12), np.zeros(1)])
+                           [np.zeros(12), np.zeros(1)], schema_id="simplified")
         x = np.arange(8, dtype=float).reshape(2, 4)
         assert np.allclose(model.outputs(x), 0.5)
 
@@ -238,31 +237,31 @@ class TestForward:
         b1 = [0.05, -0.1]
         w2 = [[0.7], [-0.6]]
         b2 = [0.2]
-        model = tiny_model([w1, w2], [b1, b2])
+        params = ModelParams([np.array(w1), np.array(w2)], [np.array(b1), np.array(b2)])
 
         sig = lambda v: 1.0 / (1.0 + math.exp(-v))
         h1 = sig(0.4 * 0.5 + 0.9 * 0.1 + 0.05)
         h2 = sig(0.4 * -0.25 + 0.9 * 0.3 - 0.1)
         expected = sig(h1 * 0.7 + h2 * -0.6 + 0.2)
-        assert abs(model.outputs([[0.4, 0.9]])[0] - expected) < 1e-12
+        assert abs(_scaled_outputs(params, np.array([[0.4, 0.9]]))[0] - expected) < 1e-12
 
     def test_sigmoid_monotone_end_to_end(self):
-        model = tiny_model([[[2.0]]], [[0.0]])
-        outputs = model.outputs([[-3.0], [-1.0], [0.0], [1.0], [3.0]])
+        params = ModelParams([np.array([[2.0]])], [np.array([0.0])])
+        outputs = _scaled_outputs(params, np.array([[-3.0], [-1.0], [0.0], [1.0], [3.0]]))
         assert np.all(np.diff(outputs) > 0)
         assert np.all((0.0 < outputs) & (outputs < 1.0))
 
     def test_width_mismatch_rejected(self):
-        model = tiny_model([np.zeros((4, 1))], [np.zeros(1)])
+        model = tiny_model([np.zeros((4, 1))], [np.zeros(1)], schema_id="simplified")
         with pytest.raises(ValueError, match=r"\(n, 4\) matrix"):
             model.outputs(np.zeros((3, 5)))
         with pytest.raises(ValueError, match=r"\(n, 4\) matrix"):
             model.outputs(np.zeros(4))  # a single row is a (1, 4) matrix
 
     def test_non_finite_input_rejected(self):
-        model = tiny_model([np.zeros((2, 1))], [np.zeros(1)])
+        model = tiny_model([np.zeros((4, 1))], [np.zeros(1)], schema_id="simplified")
         with pytest.raises(ValueError, match="non-finite"):
-            model.outputs(np.array([[np.nan, 0.0]]))
+            model.outputs(np.array([[np.nan, 0.0, 0.0, 0.0]]))
 
     @pytest.mark.parametrize("layout", ["C", "Fortran", "one-row"])
     @pytest.mark.parametrize("hidden", STANDARD_HIDDEN_LAYERS)
@@ -546,10 +545,9 @@ class TestPersistence:
         for a, b in zip(model.params.weights + model.params.biases,
                         back.params.weights + back.params.biases):
             assert np.array_equal(a, b)
-        assert np.array_equal(model.scaling.offsets, back.scaling.offsets)
         assert back.config == model.config
         assert back.train_config == model.train_config
-        assert back.feature_names == model.feature_names
+        assert back.schema_id == model.schema_id
         # identical outputs after the round trip
         assert np.array_equal(model.outputs(ds.values), back.outputs(ds.values))
 
@@ -564,16 +562,17 @@ class TestPersistence:
         assert np.array_equal(model.loss_trace, trace)
         reference = TrainedModel(
             config=cfg, train_config=tc, params=ModelParams(weights, biases),
-            scaling=model.scaling, schema_id=model.schema_id,
-            feature_names=model.feature_names,
+            schema_id=model.schema_id,
         )
         got = save_model(model, tmp_path / "model.json").read_bytes()
         want = save_model(reference, tmp_path / "reference.json").read_bytes()
         assert got == want
-        layers = json.loads(got)["layers"]
-        assert [sorted(layer) for layer in layers] == [["bias", "shape", "weights"]] * len(weights)
+        doc = json.loads(got)
+        assert sorted(doc) == ["format", "format_version", "layers", "network", "schema_id",
+                               "training"]
+        layers = doc["layers"]
+        assert [sorted(layer) for layer in layers] == [["bias", "weights"]] * len(weights)
         for layer, w, b in zip(layers, weights, biases):
-            assert layer["shape"] == list(w.shape)
             assert base64.b64decode(layer["weights"]) == w.astype("<f8").tobytes()
             assert base64.b64decode(layer["bias"]) == b.astype("<f8").tobytes()
 
@@ -616,7 +615,7 @@ class TestPersistence:
                          NetworkConfig(10, (24, 6), init_seed=2),
                          TrainConfig(iterations=5, shuffle_seed=5)), path)
         path.write_text(json.dumps(mismatched_model_doc(json.loads(path.read_text()), edit)))
-        with pytest.raises(ValueError, match="layer shapes"):
+        with pytest.raises(ValueError, match=re.escape(MISMATCHED_MODEL_KEY[edit])):
             load_model(path)
 
     def test_rejects_foreign_file(self, tmp_path):
