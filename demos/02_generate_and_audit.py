@@ -9,6 +9,7 @@ from rationale_lab import (
     gen_welfare,
     verify_dataset,
 )
+from rationale_lab.generation import KINDS
 
 SEED = 20_08
 
@@ -42,11 +43,9 @@ audit(gen_tort("unlawfulness"))
 audit(gen_tort("imputability"))
 
 print("\nenumerated expectations (computed, not hard-coded):")
-for domain, kind in [
-    ("tort", "unique"), ("tort", "unlawfulness"), ("tort", "imputability"),
-    ("welfare", "age-gender"), ("welfare", "patient-distance"),
-    ("simplified", "age-gender"), ("simplified", "patient-distance"),
-]:
+for (domain, kind), spec in KINDS.items():
+    if spec.sized:
+        continue
     stats = expected_stats(domain, kind)
     print(f"  {domain:10s} {kind:17s} size={stats.size:6d} "
           f"positive={stats.positive_fraction:.4f}")

@@ -13,9 +13,10 @@ naming the first of several faults in :func:`read_dataset`'s order.
 Reading takes each sidecar key's JSON type from the field it fills
 (``DatasetMeta``'s, and ``Dataset``'s ``schema_id`` and ``kind``): ``seed``
 and ``size`` integers, ``positive_fraction`` a number, the rest strings.  A
-key of the wrong type, an unknown key, a sidecar that is not a JSON object
-or not valid JSON is rejected with an error naming the sidecar; a missing
-sidecar, or a missing key, reads as its default.
+key of the wrong type, an unknown key, a ``schema_id`` other than the
+schema's, a sidecar that is not a JSON object or not valid JSON is rejected
+with an error naming the sidecar; a missing sidecar, or a missing key, reads
+as its default.
 """
 
 from __future__ import annotations
@@ -162,6 +163,9 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
         sidecar = read_json(mp, "a dataset sidecar") if mp.exists() else {}
         head = {key: sidecar.pop(key) for key in ("schema_id", "kind") if key in sidecar}
         head = typed_fields(Dataset, head, f"{mp}: sidecar", names=("schema_id", "kind"))
+        if head.get("schema_id", schema.domain_id) != schema.domain_id:
+            raise ValueError(f"{mp}: sidecar schema_id {head['schema_id']!r}, expected "
+                             f"{schema.domain_id!r}")
         meta = DatasetMeta(**{
             "seed": 0, "generator_version": "unknown", "size": len(values),
             "positive_fraction": float(labels.mean()) if len(labels) else 0.0,

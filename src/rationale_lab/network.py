@@ -470,8 +470,8 @@ def load_model(path: str | Path) -> TrainedModel:
 def _model_from_doc(doc: dict) -> TrainedModel:
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} file")
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {doc.get('format_version')}")
+    if type(version := doc.get("format_version")) is not int or version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported format version {version!r}")
     if unknown := sorted(set(doc) - _MODEL_KEYS):
         raise ValueError(f"unknown model key(s) {unknown}")
 

@@ -17,60 +17,49 @@ import numpy as np
 from .domains import DomainSchema, SchemaValidationError, build_domain
 from .generation import Dataset, DatasetMeta, GENERATOR_VERSION
 
-_WELFARE_CONDITION_IDS = ("C1", "C2", "C3", "C4", "C5", "C6")
-_TORT_CONDITION_IDS = ("c1", "c2", "c3", "c4", "c5")
 
+# domain -> {condition id: truth over a dict of columns}, in condition order
+_CONDITIONS = {
+    "welfare": {
+        "C1": lambda cols: np.where(cols["Gender"] == 1, cols["Age"] >= 60, cols["Age"] >= 65),
+        "C2": lambda cols: sum(cols[f"Con{i}"] for i in range(1, 6)) >= 4,
+        "C3": lambda cols: cols["Spouse"] == 1,
+        "C4": lambda cols: cols["Absent"] == 0,
+        "C5": lambda cols: cols["Resources"] < 3000,
+        "C6": lambda cols: np.where(cols["Type"] == 0, cols["Distance"] < 50,
+                                    cols["Distance"] >= 50),
+    },
+    "tort": {
+        "c1": lambda cols: cols["cau"] == 1,
+        "c2": lambda cols: (cols["ico"] + cols["ila"] + cols["ift"]) >= 1,
+        "c3": lambda cols: (cols["vun"] == 1) | (
+            (cols["jus"] == 0) & ((cols["vst"] == 1) | (cols["vrt"] == 1))),
+        "c4": lambda cols: cols["dmg"] == 1,
+        "c5": lambda cols: (cols["vst"] == 0) | (cols["prp"] == 1),
+    },
+}
+_CONDITIONS["simplified"] = {cid: _CONDITIONS["welfare"][cid] for cid in ("C1", "C6")}
 
-def _age_gender_ok(cols: dict[str, np.ndarray]) -> np.ndarray:
-    return np.where(cols["Gender"] == 1, cols["Age"] >= 60, cols["Age"] >= 65)
-
-
-def _patient_distance_ok(cols: dict[str, np.ndarray]) -> np.ndarray:
-    return np.where(cols["Type"] == 0, cols["Distance"] < 50, cols["Distance"] >= 50)
-
-
-def _welfare_conditions(cols: dict[str, np.ndarray]) -> np.ndarray:
-    """Truth of C1..C6 per row, columns in condition order."""
-    paid = sum(cols[f"Con{i}"] for i in range(1, 6))
-    return np.stack(
-        [
-            _age_gender_ok(cols),
-            paid >= 4,
-            cols["Spouse"] == 1,
-            cols["Absent"] == 0,
-            cols["Resources"] < 3000,
-            _patient_distance_ok(cols),
-        ],
-        axis=-1,
-    )
-
-
-def _tort_conditions(cols: dict[str, np.ndarray]) -> np.ndarray:
-    """Truth of c1..c5 per row, columns in condition order."""
-    c1 = cols["cau"] == 1
-    c2 = (cols["ico"] + cols["ila"] + cols["ift"]) >= 1
-    c3 = (cols["vun"] == 1) | (
-        (cols["jus"] == 0) & ((cols["vst"] == 1) | (cols["vrt"] == 1))
-    )
-    c4 = cols["dmg"] == 1
-    c5 = (cols["vst"] == 0) | (cols["prp"] == 1)
-    return np.stack([c1, c2, c3, c4, c5], axis=-1)
-
-
-def condition_ids(domain_id: str) -> tuple[str, ...]:
-    return _TORT_CONDITION_IDS if domain_id == "tort" else _WELFARE_CONDITION_IDS[
-        : 2 if domain_id == "simplified" else 6
-    ]
+# (domain, kind) -> (the condition the kind isolates, its curve grid).  A tort
+# kind is the unique cases on which every condition but its own holds (all of
+# them for ``unique``); a curve grid is (x feature, group feature, xs, cases
+# per cell), every other condition holding in each cell.
+_ENUMERATED = {
+    ("tort", "unique"): (None, None),
+    ("tort", "unlawfulness"): ("c3", None),
+    ("tort", "imputability"): ("c2", None),
+    ("welfare", "age-gender"): ("C1", ("Age", "Gender", np.arange(5, 101, 5), 1000)),
+    ("welfare", "patient-distance"): ("C6", ("Distance", "Type", np.arange(5, 101, 5), 1000)),
+    ("simplified", "age-gender"): ("C1", ("Age", "Gender", np.arange(0, 101), 21)),
+    ("simplified", "patient-distance"): ("C6", ("Distance", "Type", np.arange(0, 101, 5), 77)),
+}
 
 
 def condition_truth(schema: DomainSchema, values: np.ndarray) -> np.ndarray:
-    """Per-row condition truth table via the oracle's own transcription."""
+    """Per-row condition truth table via the oracle's own transcription,
+    columns in condition order."""
     cols = {name: values[:, i] for i, name in enumerate(schema.feature_names)}
-    if schema.domain_id == "tort":
-        return _tort_conditions(cols)
-    if schema.domain_id == "simplified":
-        return np.stack([_age_gender_ok(cols), _patient_distance_ok(cols)], axis=-1)
-    return _welfare_conditions(cols)
+    return np.stack([ok(cols) for ok in _CONDITIONS[schema.domain_id].values()], axis=-1)
 
 
 def labels_of(schema: DomainSchema, values: np.ndarray) -> np.ndarray:
@@ -102,48 +91,26 @@ class ExpectedStats:
 def expected_stats(domain_id: str, kind: str) -> ExpectedStats:
     """Closed-form size and label fraction of an enumerated dataset kind.
 
-    Values are computed by enumerating the defining grid against the
-    oracle's condition transcription.  Sampled kinds (type-a, type-b,
-    regular) have no enumeration and are rejected.
+    Values are computed by enumerating the kind's grid, or the tort cases,
+    against the oracle's condition transcription.  Sampled kinds (type-a,
+    type-b, regular) have no enumeration and are rejected.
     """
-    if domain_id == "tort":
-        if kind not in ("unique", "unlawfulness", "imputability"):
-            raise ValueError(f"tort kind {kind!r} has no enumerated statistics")
+    if domain_id not in _CONDITIONS:
+        raise ValueError(f"unknown domain {domain_id!r}")
+    if (domain_id, kind) not in _ENUMERATED:
+        raise ValueError(f"{domain_id} kind {kind!r} has no enumerated statistics")
+    target, grid = _ENUMERATED[(domain_id, kind)]
+    if grid is None:
         universe = enumerate_tort()
         truth = condition_truth(universe.schema, universe.values)
-        if kind == "unique":
-            keep = np.ones(len(universe), dtype=bool)
-        else:
-            target = "c3" if kind == "unlawfulness" else "c2"
-            others = [i for i, cid in enumerate(_TORT_CONDITION_IDS) if cid != target]
-            keep = truth[:, others].all(axis=1)
-        labels = truth[keep].all(axis=1)
-        return ExpectedStats(int(keep.sum()), float(labels.mean()))
-
-    if domain_id in ("welfare", "simplified"):
-        if kind not in ("age-gender", "patient-distance"):
-            raise ValueError(f"{domain_id} kind {kind!r} has no enumerated statistics")
-        if kind == "age-gender":
-            if domain_id == "welfare":
-                ages, multiplicity = np.arange(5, 101, 5), 1000
-            else:
-                ages, multiplicity = np.arange(0, 101), 21
-            grid = np.array([(a, g) for a in ages for g in (0, 1)], dtype=np.int64)
-            truth = _age_gender_ok({"Age": grid[:, 0], "Gender": grid[:, 1]})
-        else:
-            if domain_id == "welfare":
-                distances, multiplicity = np.arange(5, 101, 5), 1000
-            else:
-                distances, multiplicity = np.arange(0, 101, 5), 77
-            grid = np.array(
-                [(d, t) for d in distances for t in (0, 1)], dtype=np.int64
-            )
-            truth = _patient_distance_ok({"Distance": grid[:, 0], "Type": grid[:, 1]})
-        size = len(grid) * multiplicity
-        positives = int(truth.sum()) * multiplicity
-        return ExpectedStats(size, positives / size)
-
-    raise ValueError(f"unknown domain {domain_id!r}")
+        held = [j for j, cid in enumerate(_CONDITIONS["tort"]) if target not in (None, cid)]
+        labels = truth[truth[:, held].all(axis=1)].all(axis=1)
+        return ExpectedStats(len(labels), float(labels.mean()))
+    x, group, xs, per_cell = grid
+    cells = {x: np.repeat(xs, 2), group: np.tile([0, 1], len(xs))}
+    size = len(xs) * 2 * per_cell
+    positives = int(_CONDITIONS[domain_id][target](cells).sum()) * per_cell
+    return ExpectedStats(size, positives / size)
 
 
 @dataclass(frozen=True)
@@ -194,9 +161,8 @@ def verify_dataset(dataset: Dataset, schema: DomainSchema) -> VerificationReport
 
     negatives = truth[~stored]
     fails_per_case = (~negatives).sum(axis=1)
-    ids = condition_ids(schema.domain_id)
     per_condition = {
-        cid: int((~negatives[:, j]).sum()) for j, cid in enumerate(ids)
+        cid: int((~negatives[:, j]).sum()) for j, cid in enumerate(_CONDITIONS[schema.domain_id])
     }
     histogram = {
         int(k): int(n) for k, n in zip(*np.unique(fails_per_case, return_counts=True))
@@ -204,10 +170,8 @@ def verify_dataset(dataset: Dataset, schema: DomainSchema) -> VerificationReport
 
     n = len(dataset)
     size_ok = dataset.meta.size == n
-    try:
+    if (schema.domain_id, dataset.kind) in _ENUMERATED:  # a sampled kind has no fixed size
         size_ok = size_ok and expected_stats(schema.domain_id, dataset.kind).size == n
-    except ValueError:
-        pass  # sampled kind: no enumerated size to compare against
 
     # the cells are validated, so the narrow cast makes no two rows equal
     rows = dataset.values.astype(schema.value_dtype, order="C", copy=False)

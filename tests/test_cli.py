@@ -456,8 +456,9 @@ def _format_1(model):
     (lambda model: {**model, "layers": model["layers"][:1]}, "model has 1 layers"),
     (lambda model: {**model, "layers": model["layers"] * 2}, "model has 4 layers"),
     (_format_1, "unsupported format version 1"),
+    (lambda model: {**model, "format_version": 2.0}, "unsupported format version 2.0"),
 ], ids=["input-width", "unknown-schema", "stray-scaling", "stray-layer-shape",
-        "layer-missing", "layer-extra", "format-1"])
+        "layer-missing", "layer-extra", "format-1", "format-2.0"])
 def test_eval_of_model_outside_format_2_exits_3_naming_the_file(tmp_path, capsys, edit,
                                                                  named):
     """A model file holds only what its schema and network section do not fix,

@@ -412,6 +412,18 @@ def test_sidecar_with_unknown_key_rejected(tmp_path, tort_schema):
         read_dataset(path, tort_schema)
 
 
+def test_sidecar_of_another_domain_rejected(tmp_path, capsys):
+    """A welfare CSV whose sidecar names tort is refused, naming the sidecar."""
+    path = write_dataset(gen_welfare("type-b", size=20, seed=1), tmp_path / "b.csv")
+    sidecar = json.loads(meta_path(path).read_text())
+    meta_path(path).write_text(json.dumps({**sidecar, "schema_id": "tort"}))
+    message = f"{meta_path(path)}: sidecar schema_id 'tort', expected 'welfare'"
+    with pytest.raises(DatasetFormatError, match=re.escape(message)):
+        read_dataset(path, build_domain("welfare"))
+    assert main(["verify", "--in", str(path), "--domain", "welfare"]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_header_only_file_reads_as_zero_cases(tmp_path, tort_schema):
     path = tmp_path / "h.csv"
     path.write_text(_tort_lines(tmp_path)[0] + "\n")
