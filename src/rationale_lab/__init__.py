@@ -9,9 +9,6 @@ from .domains import (
     FeatureSpec,
     SchemaValidationError,
     build_domain,
-    complete_case,
-    eval_condition,
-    eval_label,
 )
 from .generation import (
     DEDICATED_TARGET,

@@ -162,7 +162,7 @@ def _cmd_eval(args) -> int:
     if args.curve is not None:
         write_curve_tsv(output_curve(model, dataset, *args.curve.split(":")), args.curve_out)
         result["curve"] = args.curve_out
-    if args.cond:
+    if args.cond is not None:
         result["condition_table"] = condition_table(model, dataset, args.cond).to_dict()
     print(json.dumps(result, indent=2, sort_keys=True))
     return EXIT_OK
@@ -206,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (TrainingDivergedError, OSError, ValueError, KeyError) as err:
+    except (TrainingDivergedError, OSError, ValueError, KeyError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -36,7 +36,10 @@ N_NOISE_FEATURES = 52
 
 
 class SchemaValidationError(ValueError):
-    """A case value is missing, of the wrong kind, or out of range."""
+    """Input that does not fit a domain: an unknown domain, feature or
+    condition name; a value matrix of the wrong shape or dtype, or with a
+    value outside its feature's range; or a dataset or model of another
+    domain."""
 
 
 @dataclass(frozen=True)
@@ -74,25 +77,9 @@ class FeatureSpec:
         if self.role not in ("substantive", "noise"):
             raise ValueError(f"{self.name}: unknown role {self.role!r}")
 
-    def encode(self, value: Any) -> int:
-        """Coerce a raw case value (code, bool, or categorical name) to its code."""
-        if self.kind == "categorical" and isinstance(value, str):
-            try:
-                return self.value_names.index(value)
-            except ValueError:
-                raise SchemaValidationError(
-                    f"{self.name}: {value!r} is not one of {self.value_names}"
-                ) from None
-        if isinstance(value, (bool, np.bool_)):
-            return int(value)
-        if isinstance(value, (int, np.integer)):
-            return int(value)
-        raise SchemaValidationError(
-            f"{self.name}: expected an integer value, got {value!r}"
-        )
-
     def decode(self, code: int) -> Any:
-        """Inverse of :meth:`encode` for display purposes."""
+        """The display value of a code: a categorical's name, a boolean's
+        bool, an integer as itself."""
         if self.kind == "categorical":
             return self.value_names[int(code)]
         if self.kind == "boolean":
@@ -114,11 +101,6 @@ class Condition:
     notion: str
     involved: tuple[str, ...]
     fn: Callable[[Mapping[str, Any]], Any] = field(repr=False)
-
-
-# Case: a mapping from feature name to value.  Raw values may use python
-# bools and categorical names; rows and matrices always hold the codes.
-Case = Mapping[str, Any]
 
 
 @dataclass(frozen=True)
@@ -178,23 +160,6 @@ class DomainSchema:
             raise SchemaValidationError(
                 f"{self.domain_id}: no condition {cond_id!r} (known: {known})"
             ) from None
-
-    # -- case handling -----------------------------------------------------
-
-    def case_to_row(self, case: Case) -> np.ndarray:
-        """Encode a case as a row of :attr:`value_dtype` in canonical feature
-        order, as a dataset holds it; every schema feature must have exactly
-        one value, in its range."""
-        if unknown := set(case) - set(self.feature_names):
-            raise SchemaValidationError(f"{self.domain_id}: unknown feature(s) {sorted(unknown)}")
-        if missing := [name for name in self.feature_names if name not in case]:
-            raise SchemaValidationError(
-                f"{self.domain_id}: missing value for feature {missing[0]!r}"
-            )
-        # a code beyond int64 makes a float or object row, which the matrix check rejects
-        row = np.array([spec.encode(case[spec.name]) for spec in self.features])
-        self.validate_matrix(row[None])
-        return row.astype(self.value_dtype)
 
     # -- vectorised evaluation ----------------------------------------------
 
@@ -367,26 +332,3 @@ def build_domain(domain_id: str) -> DomainSchema:
     raise SchemaValidationError(
         f"unknown domain {domain_id!r}; expected one of {DOMAIN_IDS}"
     )
-
-
-def eval_condition(schema: DomainSchema, cond_id: str, case: Case) -> bool:
-    """Truth value of one named condition on a validated case."""
-    cond = schema.condition(cond_id)
-    return bool(schema._truth(cond, schema.case_to_row(case)[None, :])[0])
-
-
-def eval_label(schema: DomainSchema, case: Case) -> bool:
-    """Label of a case: the conjunction of all of the schema's conditions.
-
-    Noise features never participate; no condition involves them.
-    """
-    return bool(schema.label_matrix(schema.case_to_row(case)[None, :])[0])
-
-
-def complete_case(schema: DomainSchema, values: Case, noise_fill: int = 0) -> dict[str, Any]:
-    """Fill the noise features of a partial case; substantive ones stay required."""
-    case = dict(values)
-    for spec in schema.features:
-        if spec.role == "noise" and spec.name not in case:
-            case[spec.name] = noise_fill
-    return case

@@ -205,8 +205,9 @@ class TestTrainEval:
 
     @pytest.mark.parametrize("flags,message", [
         (["--condition-table", "c9"], "tort: no condition 'c9'"),
+        (["--condition-table", ""], "tort: no condition ''"),
         (["--curve", "Nope:cau", "--curve-out", "c.tsv"], "tort: no feature named 'Nope'"),
-    ], ids=["condition", "feature"])
+    ], ids=["condition", "empty-condition", "feature"])
     def test_eval_of_unknown_name_exits_3(self, tmp_path, monkeypatch, capsys, flags,
                                           message):
         monkeypatch.chdir(tmp_path)
@@ -219,6 +220,18 @@ class TestTrainEval:
                               capsys)
         assert code == 3 and message in stderr
         assert not (tmp_path / "c.tsv").exists()
+
+    def test_train_beyond_memory_exits_3_without_a_traceback(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        run(["gen", "--domain", "tort", "--kind", "unique", "--out", str(data)], capsys)
+        model = tmp_path / "model.json"
+        code, _, stderr = run(
+            ["train", "--in", str(data), "--domain", "tort",
+             "--iterations", str(10**15), "--out", str(model)],
+            capsys,
+        )
+        assert code == 3 and stderr.startswith("error: ")
+        assert "Traceback" not in stderr and not model.exists()
 
     def test_train_defaults_are_the_train_config_defaults(self):
         args = _build_parser().parse_args(
@@ -302,6 +315,18 @@ class TestExperiment:
             capsys,
         )
         assert code == 3
+
+    def test_plan_beyond_memory_exits_3_without_a_traceback(self, tmp_path, tiny_plan,
+                                                               capsys):
+        doc = json.loads(tiny_plan.read_text())
+        doc["iterations"] = 10**15
+        tiny_plan.write_text(json.dumps(doc))
+        code, _, err = run(
+            ["experiment", "--plan", str(tiny_plan), "--out-dir", str(tmp_path / "out")],
+            capsys,
+        )
+        assert code == 3 and err.startswith("error: ")
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     def test_plan_with_duplicate_entry_exits_3(self, tmp_path, tiny_plan, capsys):
         doc = json.loads(tiny_plan.read_text())

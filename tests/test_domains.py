@@ -3,34 +3,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rationale_lab import (
-    DomainSchema,
-    SchemaValidationError,
-    build_domain,
-    complete_case,
-    eval_condition,
-    eval_label,
-)
+from rationale_lab import DomainSchema, SchemaValidationError, build_domain
 from rationale_lab.domains import FEMALE, IN_PATIENT, MALE, OUT_PATIENT, FeatureSpec
 from rationale_lab import oracle
 
 
+def one_case(schema, **codes):
+    """A one-row ``value_dtype`` matrix; features not given are 0."""
+    row = np.zeros((1, schema.n_features), dtype=schema.value_dtype)
+    for name, code in codes.items():
+        row[0, schema.index_of(name)] = code
+    return row
+
+
 def welfare_case(**overrides):
-    """A welfare case satisfying all six conditions unless overridden."""
-    base = {
-        "Age": 70, "Gender": "female", "Con1": 1, "Con2": 1, "Con3": 1,
+    """A one-row welfare matrix satisfying all six conditions unless overridden."""
+    codes = {
+        "Age": 70, "Gender": FEMALE, "Con1": 1, "Con2": 1, "Con3": 1,
         "Con4": 1, "Con5": 0, "Spouse": 1, "Absent": 0, "Resources": 2000,
-        "Type": "in", "Distance": 10,
+        "Type": IN_PATIENT, "Distance": 10,
     }
-    base.update(overrides)
-    return complete_case(build_domain("welfare"), base)
+    return one_case(build_domain("welfare"), **dict(codes, **overrides))
 
 
 def tort_case(**true_features):
-    case = {name: 0 for name in build_domain("tort").feature_names}
-    for name in true_features:
-        case[name] = true_features[name]
-    return case
+    return one_case(build_domain("tort"), **true_features)
+
+
+def holds(schema, cond_id, row):
+    """Truth of one named condition on a one-row matrix, read from
+    ``condition_matrix``."""
+    j = schema.conditions.index(schema.condition(cond_id))
+    return bool(schema.condition_matrix(row)[0, j])
+
+
+def label(schema, row):
+    return bool(schema.label_matrix(row)[0])
 
 
 class TestSchemas:
@@ -61,11 +69,21 @@ class TestSchemas:
         with pytest.raises(SchemaValidationError, match="unknown domain"):
             build_domain("trade-law")
 
-    def test_categorical_encodings(self, welfare_schema):
-        gender = welfare_schema.feature("Gender")
-        assert (gender.encode("male"), gender.encode("female")) == (MALE, FEMALE)
-        ptype = welfare_schema.feature("Type")
-        assert (ptype.encode("in"), ptype.encode("out")) == (IN_PATIENT, OUT_PATIENT)
+    @pytest.mark.parametrize("lookup", ["feature", "index_of"])
+    def test_unknown_feature_name_rejected_and_named(self, tort_schema, lookup):
+        with pytest.raises(SchemaValidationError,
+                           match=r"^tort: no feature named 'bogus'$"):
+            getattr(tort_schema, lookup)("bogus")
+
+    def test_unknown_condition_lists_the_known_ids(self, tort_schema):
+        with pytest.raises(SchemaValidationError,
+                           match=r"^tort: no condition 'c9' \(known: c1, c2, c3, c4, c5\)$"):
+            tort_schema.condition("c9")
+
+    def test_categorical_codes_decode_to_their_names(self, welfare_schema):
+        gender, ptype = welfare_schema.feature("Gender"), welfare_schema.feature("Type")
+        assert (gender.decode(MALE), gender.decode(FEMALE)) == ("male", "female")
+        assert (ptype.decode(IN_PATIENT), ptype.decode(OUT_PATIENT)) == ("in", "out")
 
     def test_feature_spec_invariants(self):
         with pytest.raises(ValueError, match="empty range"):
@@ -78,78 +96,72 @@ class TestConditionExamples:
     @pytest.mark.parametrize(
         "gender,age,expected",
         [
-            ("female", 60, True),
-            ("female", 59, False),
-            ("male", 65, True),
-            ("male", 64, False),
+            (FEMALE, 60, True),
+            (FEMALE, 59, False),
+            (MALE, 65, True),
+            (MALE, 64, False),
         ],
     )
     def test_pensionable_age_thresholds(self, welfare_schema, gender, age, expected):
         case = welfare_case(Gender=gender, Age=age)
-        assert eval_condition(welfare_schema, "C1", case) is expected
+        assert holds(welfare_schema, "C1", case) is expected
 
     @pytest.mark.parametrize(
         "ptype,distance,expected",
-        [("out", 50, True), ("out", 49, False), ("in", 49, True), ("in", 50, False)],
+        [(OUT_PATIENT, 50, True), (OUT_PATIENT, 49, False),
+         (IN_PATIENT, 49, True), (IN_PATIENT, 50, False)],
     )
     def test_patient_distance_boundaries(self, welfare_schema, ptype, distance, expected):
         case = welfare_case(Type=ptype, Distance=distance)
-        assert eval_condition(welfare_schema, "C6", case) is expected
+        assert holds(welfare_schema, "C6", case) is expected
 
     def test_contributions_cardinality(self, welfare_schema):
-        assert eval_condition(welfare_schema, "C2", welfare_case(Con5=1))
-        assert eval_condition(welfare_schema, "C2", welfare_case())  # 4 of 5
-        assert not eval_condition(welfare_schema, "C2", welfare_case(Con1=0, Con5=0))
+        assert holds(welfare_schema, "C2", welfare_case(Con5=1))
+        assert holds(welfare_schema, "C2", welfare_case())  # 4 of 5
+        assert not holds(welfare_schema, "C2", welfare_case(Con1=0, Con5=0))
 
     @pytest.mark.parametrize(
         "resources,expected", [(2999, True), (3000, False), (0, True), (10_000, False)]
     )
     def test_resources_boundary(self, welfare_schema, resources, expected):
-        assert eval_condition(welfare_schema, "C5", welfare_case(Resources=resources)) is expected
+        assert holds(welfare_schema, "C5", welfare_case(Resources=resources)) is expected
 
     def test_violation_exception(self, tort_schema):
-        assert eval_condition(tort_schema, "c5", tort_case(vst=1, prp=0)) is False
-        assert eval_condition(tort_schema, "c5", tort_case(vst=1, prp=1)) is True
-        assert eval_condition(tort_schema, "c5", tort_case()) is True
+        assert holds(tort_schema, "c5", tort_case(vst=1, prp=0)) is False
+        assert holds(tort_schema, "c5", tort_case(vst=1, prp=1)) is True
+        assert holds(tort_schema, "c5", tort_case()) is True
 
     def test_justification_defeats_violations(self, tort_schema):
-        assert eval_condition(tort_schema, "c3", tort_case(vst=1)) is True
-        assert not eval_condition(tort_schema, "c3", tort_case(vst=1, jus=1))
-        assert eval_condition(tort_schema, "c3", tort_case(vun=1, jus=1)) is True
-
-    def test_unknown_condition_rejected(self, tort_schema):
-        with pytest.raises(SchemaValidationError, match="no condition"):
-            eval_condition(tort_schema, "c9", tort_case())
-        with pytest.raises(SchemaValidationError, match="no condition"):  # before the case
-            eval_condition(tort_schema, "c9", dict(tort_case(), cau=7))
+        assert holds(tort_schema, "c3", tort_case(vst=1)) is True
+        assert not holds(tort_schema, "c3", tort_case(vst=1, jus=1))
+        assert holds(tort_schema, "c3", tort_case(vun=1, jus=1)) is True
 
 
 class TestLabelExamples:
     def test_all_conditions_satisfied(self, welfare_schema):
-        assert eval_label(welfare_schema, welfare_case()) is True
+        assert label(welfare_schema, welfare_case()) is True
 
     def test_one_failing_conjunct(self, tort_schema):
         case = tort_case(cau=1, ift=1, vun=1, dmg=0)
-        assert eval_label(tort_schema, case) is False
+        assert label(tort_schema, case) is False
 
     def test_hand_evaluated_positive(self, tort_schema):
         # c1 from cau, c2 from ift, c3 from vun, c4 from dmg, c5 vacuous.
         case = tort_case(cau=1, ift=1, vun=1, dmg=1)
-        assert eval_label(tort_schema, case) is True
+        assert label(tort_schema, case) is True
 
-    def test_missing_feature_names_it(self, welfare_schema):
-        case = welfare_case()
-        del case["Resources"]
-        with pytest.raises(SchemaValidationError, match="Resources"):
-            eval_label(welfare_schema, case)
+    @pytest.mark.parametrize("values,message", [
+        (np.zeros((1, 63), dtype=np.int16), r"expected shape \(n, 64\), got \(1, 63\)"),
+        (np.zeros(64, dtype=np.int16), r"expected shape \(n, 64\), got \(64,\)"),
+        (np.zeros((1, 64)), "expected integer values, got dtype float64"),
+    ], ids=["missing-column", "bare-row", "float"])
+    def test_matrix_of_wrong_shape_or_dtype_rejected(self, welfare_schema, values, message):
+        with pytest.raises(SchemaValidationError, match=f"^welfare: {message}$"):
+            welfare_schema.validate_matrix(values)
 
     def test_out_of_range_names_it(self, welfare_schema):
-        with pytest.raises(SchemaValidationError, match="Age"):
-            eval_label(welfare_schema, welfare_case(Age=101))
-
-    def test_unknown_feature_rejected(self, tort_schema):
-        with pytest.raises(SchemaValidationError, match="unknown feature"):
-            eval_label(tort_schema, dict(tort_case(), bogus=1))
+        with pytest.raises(SchemaValidationError, match=r"^Age: value 101 at row 0 "):
+            welfare_schema.validate_matrix(welfare_case(Age=101))
 
     def test_matrix_range_check_names_first_feature_then_its_first_row(self, welfare_schema):
         values = np.zeros((50, welfare_schema.n_features), dtype=np.int64)
@@ -226,12 +238,12 @@ class TestConjunctionStructure:
         )
         per_condition = tort_schema.condition_matrix(values)
         assert np.array_equal(tort_schema.label_matrix(values), per_condition.all(axis=1))
-        # scalar and vector paths agree
+        # a one-row value_dtype matrix gets its row's verdicts from the batch
         for i in range(0, 1024, 37):
-            case = dict(zip(tort_schema.feature_names, values[i].tolist()))
-            assert eval_label(tort_schema, case) == bool(per_condition[i].all())
+            case = tort_case(**dict(zip(tort_schema.feature_names, values[i].tolist())))
+            assert label(tort_schema, case) == bool(per_condition[i].all())
             for j, cond in enumerate(tort_schema.conditions):
-                assert eval_condition(tort_schema, cond.id, case) == bool(per_condition[i, j])
+                assert holds(tort_schema, cond.id, case) == bool(per_condition[i, j])
 
     def test_welfare_random_sample(self, welfare_schema):
         """Vectorised labels match the independent oracle on 1e5 uniform cases."""
@@ -243,12 +255,12 @@ class TestConjunctionStructure:
         assert np.array_equal(
             welfare_schema.label_matrix(values), oracle.labels_of(welfare_schema, values)
         )
-        # spot-check the scalar path against the vector path
+        # spot-check one-row value_dtype matrices against the int64 batch
+        labels = welfare_schema.label_matrix(values)
         for i in range(0, n, 9973):
-            case = dict(zip(welfare_schema.feature_names, values[i].tolist()))
-            assert eval_label(welfare_schema, case) == bool(
-                welfare_schema.label_matrix(values[i : i + 1])[0]
-            )
+            case = one_case(welfare_schema, **dict(zip(welfare_schema.feature_names,
+                                                       values[i].tolist())))
+            assert label(welfare_schema, case) == bool(labels[i])
 
     def test_noise_mutation_never_changes_label(self, welfare_schema):
         rng = np.random.default_rng(7)
@@ -283,41 +295,30 @@ class TestConjunctionStructure:
 class TestHypothesisProperties:
     @given(
         age=st.integers(0, 100),
-        gender=st.sampled_from(["male", "female"]),
+        gender=st.sampled_from([MALE, FEMALE]),
     )
     def test_pensionable_age_formula(self, age, gender):
         schema = build_domain("welfare")
-        expected = age >= (60 if gender == "female" else 65)
-        assert eval_condition(schema, "C1", welfare_case(Age=age, Gender=gender)) == expected
+        expected = age >= (60 if gender == FEMALE else 65)
+        assert holds(schema, "C1", welfare_case(Age=age, Gender=gender)) == expected
 
     @given(
         distance=st.integers(0, 100),
-        ptype=st.sampled_from(["in", "out"]),
+        ptype=st.sampled_from([IN_PATIENT, OUT_PATIENT]),
     )
     def test_patient_distance_is_xor_like(self, distance, ptype):
         schema = build_domain("simplified")
-        case = {"Age": 70, "Gender": "female", "Type": ptype, "Distance": distance}
-        expected = (distance < 50) == (ptype == "in")
-        assert eval_condition(schema, "C6", case) == expected
+        case = one_case(schema, Age=70, Gender=FEMALE, Type=ptype, Distance=distance)
+        expected = (distance < 50) == (ptype == IN_PATIENT)
+        assert holds(schema, "C6", case) == expected
 
     @settings(max_examples=200)
     @given(bits=st.lists(st.integers(0, 1), min_size=10, max_size=10))
     def test_tort_label_is_conjunction(self, bits):
         schema = build_domain("tort")
-        case = dict(zip(schema.feature_names, bits))
+        case = np.array([bits], dtype=schema.value_dtype)
         conjunction = all(
-            eval_condition(schema, c.id, case) for c in schema.conditions
+            holds(schema, c.id, case) for c in schema.conditions
         )
-        assert eval_label(schema, case) == conjunction
+        assert label(schema, case) == conjunction == bool(oracle.labels_of(schema, case)[0])
 
-
-def test_complete_case_fills_only_noise(welfare_schema):
-    partial = {
-        "Age": 70, "Gender": "female", "Con1": 1, "Con2": 1, "Con3": 1, "Con4": 1,
-        "Con5": 0, "Spouse": 1, "Absent": 0, "Resources": 0, "Type": "in", "Distance": 0,
-    }
-    case = complete_case(welfare_schema, partial, noise_fill=33)
-    assert case["noise_1"] == case["noise_52"] == 33
-    assert case["Age"] == 70
-    with pytest.raises(SchemaValidationError, match="missing"):
-        eval_label(welfare_schema, complete_case(welfare_schema, {"Age": 70}))

@@ -7,7 +7,6 @@ import pytest
 from rationale_lab import (
     SchemaValidationError,
     build_domain,
-    eval_label,
     expected_stats,
     gen_tort,
     gen_welfare,
@@ -37,10 +36,9 @@ class TestEnumerateTort:
         assert np.array_equal(
             ds.labels.astype(bool), tort_schema.label_matrix(ds.values)
         )
-        # and against the scalar evaluator on a stride of cases
+        # and one case at a time, as one-row matrices, on a stride of cases
         for i in range(0, 1024, 101):
-            case = dict(zip(tort_schema.feature_names, ds.values[i].tolist()))
-            assert eval_label(tort_schema, case) == bool(ds.labels[i])
+            assert bool(tort_schema.label_matrix(ds.values[i : i + 1])[0]) == bool(ds.labels[i])
 
     def test_all_false_case_is_negative(self):
         ds = enumerate_tort()

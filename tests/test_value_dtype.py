@@ -101,11 +101,12 @@ def test_value_dtype_is_the_smallest_that_holds_every_range(lo, hi, dtype):
     assert DomainSchema("stand-in", features, (), "y").value_dtype == dtype
 
 
-def test_case_to_row_gives_a_value_dtype_row(welfare_schema):
-    case = {spec.name: spec.hi for spec in welfare_schema.features}
-    row = welfare_schema.case_to_row(case)
-    assert row.dtype == welfare_schema.value_dtype
-    assert row[welfare_schema.index_of("Resources")] == 10_000
+def test_a_value_dtype_row_holds_every_feature_at_its_bounds(welfare_schema):
+    for bound in ("lo", "hi"):
+        codes = [getattr(spec, bound) for spec in welfare_schema.features]
+        row = np.array([codes], dtype=welfare_schema.value_dtype)
+        welfare_schema.validate_matrix(row)
+        assert row.tolist() == [codes]
 
 
 @pytest.mark.parametrize("domain,kind", list(KINDS))
