@@ -3,10 +3,10 @@
 Run:  python demos/02_generate_and_audit.py
 """
 from rationale_lab import (
+    GeneratorRequest,
     build_domain,
     expected_stats,
-    gen_tort,
-    gen_welfare,
+    generate,
     verify_dataset,
 )
 from rationale_lab.generation import KINDS
@@ -27,20 +27,20 @@ def audit(dataset):
 
 
 print("training-style sets (stochastic, balanced by construction):")
-audit(gen_welfare("type-a", size=2400, seed=SEED))
-audit(gen_welfare("type-b", size=2400, seed=SEED))
-audit(gen_welfare("type-a", size=2400, seed=SEED, simplified=True))
-audit(gen_tort("regular", size=5000, seed=SEED))
-audit(gen_tort("regular", size=500, seed=SEED))
+audit(generate(GeneratorRequest("welfare", "type-a", 2400, seed=SEED)))
+audit(generate(GeneratorRequest("welfare", "type-b", 2400, seed=SEED)))
+audit(generate(GeneratorRequest("simplified", "type-a", 2400, seed=SEED)))
+audit(generate(GeneratorRequest("tort", "regular", 5000, seed=SEED)))
+audit(generate(GeneratorRequest("tort", "regular", 500, seed=SEED)))
 
 print("\ndedicated test sets (each isolates a single condition):")
-audit(gen_welfare("age-gender", seed=SEED))
-audit(gen_welfare("patient-distance", seed=SEED))
-audit(gen_welfare("age-gender", simplified=True))
-audit(gen_welfare("patient-distance", simplified=True))
-audit(gen_tort("unique"))
-audit(gen_tort("unlawfulness"))
-audit(gen_tort("imputability"))
+audit(generate(GeneratorRequest("welfare", "age-gender", seed=SEED)))
+audit(generate(GeneratorRequest("welfare", "patient-distance", seed=SEED)))
+audit(generate(GeneratorRequest("simplified", "age-gender")))
+audit(generate(GeneratorRequest("simplified", "patient-distance")))
+audit(generate(GeneratorRequest("tort", "unique")))
+audit(generate(GeneratorRequest("tort", "unlawfulness")))
+audit(generate(GeneratorRequest("tort", "imputability")))
 
 print("\nenumerated expectations (computed, not hard-coded):")
 for (domain, kind), spec in KINDS.items():
@@ -53,7 +53,7 @@ for (domain, kind), spec in KINDS.items():
 print("\nwhy type A negatives matter: a negative fails every condition it")
 print("happens to miss, about four on average, so a lazy model can score")
 print("well while ignoring most of the rule:")
-report = verify_dataset(gen_welfare("type-a", size=20_000, seed=SEED),
+report = verify_dataset(generate(GeneratorRequest("welfare", "type-a", 20_000, seed=SEED)),
                         build_domain("welfare"))
 hist = report.failed_condition_histogram
 mean_fails = sum(k * n for k, n in hist.items()) / sum(hist.values())

@@ -7,20 +7,21 @@ its data.  The dedicated test sets make that visible.
 Run:  python demos/03_train_tort_network.py   (about a minute)
 """
 from rationale_lab import (
+    GeneratorRequest,
     NetworkConfig,
     TrainConfig,
     accuracy,
     condition_table,
-    gen_tort,
+    generate,
     train,
 )
 
 ITERATIONS = 20_000  # the published budget is 50,000; this keeps the demo short
 
-unique = gen_tort("unique")
-regular_test = gen_tort("regular", size=5000, seed=2)
-unlawfulness = gen_tort("unlawfulness")
-imputability = gen_tort("imputability")
+unique = generate(GeneratorRequest("tort", "unique"))
+regular_test = generate(GeneratorRequest("tort", "regular", 5000, seed=2))
+unlawfulness = generate(GeneratorRequest("tort", "unlawfulness"))
+imputability = generate(GeneratorRequest("tort", "imputability"))
 
 
 def fit(train_set, tag):
@@ -47,7 +48,8 @@ def fit(train_set, tag):
 
 
 fit(unique, "trained on all 1024 unique cases")
-fit(gen_tort("regular", size=500, seed=1), "trained on a 500-case balanced sample")
+fit(generate(GeneratorRequest("tort", "regular", 500, seed=1)),
+    "trained on a 500-case balanced sample")
 
 print(
     "\nNote the last line: with scarce data the mean output on"

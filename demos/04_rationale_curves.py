@@ -9,10 +9,11 @@ Run:  python demos/04_rationale_curves.py   (about a minute)
 from pathlib import Path
 
 from rationale_lab import (
+    GeneratorRequest,
     NetworkConfig,
     TrainConfig,
     curve_deviation,
-    gen_welfare,
+    generate,
     ideal_curve,
     output_curve,
     turning_points,
@@ -23,11 +24,11 @@ from rationale_lab import (
 OUT = Path("demo-output")
 OUT.mkdir(exist_ok=True)
 
-age_gender = gen_welfare("age-gender", simplified=True)
-patient_distance = gen_welfare("patient-distance", simplified=True)
+age_gender = generate(GeneratorRequest("simplified", "age-gender"))
+patient_distance = generate(GeneratorRequest("simplified", "patient-distance"))
 
 for kind in ("type-a", "type-b"):
-    train_set = gen_welfare(kind, size=50_000, seed=5, simplified=True)
+    train_set = generate(GeneratorRequest("simplified", kind, 50_000, seed=5))
     model = train(
         train_set,
         NetworkConfig(input_width=4, hidden_layers=(24, 6), init_seed=7),

@@ -16,8 +16,6 @@ from .generation import (
     DatasetMeta,
     GenerationError,
     GeneratorRequest,
-    gen_tort,
-    gen_welfare,
     generate,
 )
 from .dataset_io import DatasetFormatError, read_dataset, write_dataset

@@ -24,6 +24,7 @@ from .evaluation import (
 from .generation import GenerationError, GeneratorRequest, generate
 from .harness import derive_seed, emit_report, load_plan, replay, run_plan
 from .network import (
+    STANDARD_HIDDEN_LAYERS,
     NetworkConfig,
     TrainConfig,
     TrainingDivergedError,
@@ -72,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--in", dest="path", required=True)
     tr.add_argument("--domain", required=True, choices=DOMAIN_IDS)
     tr.add_argument("--hidden", default="12",
-                    help="comma-separated hidden widths: 12 | 24,6 | 24,10,3")
+                    help="comma-separated hidden widths: "
+                    + " | ".join(",".join(map(str, h)) for h in STANDARD_HIDDEN_LAYERS))
     tr.add_argument("--iterations", type=int, default=TrainConfig.iterations)
     tr.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
     tr.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)

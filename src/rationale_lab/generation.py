@@ -351,14 +351,3 @@ def generate(request: GeneratorRequest) -> Dataset:
         positive_fraction=float(labels.mean()) if len(labels) else 0.0,
     )
     return Dataset(schema.domain_id, request.kind, values, labels, meta)
-
-
-def gen_welfare(kind: str, size: int | None = None, seed: int = 0,
-                simplified: bool = False) -> Dataset:
-    """Generate one welfare-domain dataset (or its simplified-domain variant)."""
-    return generate(GeneratorRequest("simplified" if simplified else "welfare", kind, size, seed))
-
-
-def gen_tort(kind: str, size: int | None = None, seed: int = 0) -> Dataset:
-    """Generate one tort-law dataset."""
-    return generate(GeneratorRequest("tort", kind, size, seed))

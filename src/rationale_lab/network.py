@@ -112,6 +112,11 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not 0 < self.learning_rate < math.inf:  # false for NaN
             raise ValueError("learning_rate must be positive and finite")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.iterations < 1:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .domains import DomainSchema, SchemaValidationError, build_domain
-from .generation import Dataset, DatasetMeta, GENERATOR_VERSION
+from .generation import Dataset
 
 
 # domain -> {condition id: truth over a dict of columns}, in condition order
@@ -66,20 +66,11 @@ def labels_of(schema: DomainSchema, values: np.ndarray) -> np.ndarray:
     return condition_truth(schema, values).all(axis=1)
 
 
-def enumerate_tort() -> Dataset:
-    """All 1024 tort cases with oracle labels, lexicographic case order."""
+def enumerate_tort() -> np.ndarray:
+    """All 1024 tort cases as ``value_dtype`` rows, lexicographic case order."""
     schema = build_domain("tort")
-    values = np.array(
-        list(itertools.product((0, 1), repeat=schema.n_features)), dtype=schema.value_dtype
-    )
-    labels = labels_of(schema, values).astype(np.uint8)
-    meta = DatasetMeta(
-        seed=0,
-        generator_version=GENERATOR_VERSION,
-        size=len(values),
-        positive_fraction=float(labels.mean()),
-    )
-    return Dataset("tort", "unique", values, labels, meta)
+    return np.array(list(itertools.product((0, 1), repeat=schema.n_features)),
+                    dtype=schema.value_dtype)
 
 
 @dataclass(frozen=True)
@@ -101,8 +92,7 @@ def expected_stats(domain_id: str, kind: str) -> ExpectedStats:
         raise ValueError(f"{domain_id} kind {kind!r} has no enumerated statistics")
     target, grid = _ENUMERATED[(domain_id, kind)]
     if grid is None:
-        universe = enumerate_tort()
-        truth = condition_truth(universe.schema, universe.values)
+        truth = condition_truth(build_domain("tort"), enumerate_tort())
         held = [j for j, cid in enumerate(_CONDITIONS["tort"]) if target not in (None, cid)]
         labels = truth[truth[:, held].all(axis=1)].all(axis=1)
         return ExpectedStats(len(labels), float(labels.mean()))

@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -242,6 +243,12 @@ class TestTrainEval:
             defaults.iterations, defaults.learning_rate, defaults.batch_size
         )
 
+    def test_train_help_lists_the_standard_hidden_shapes(self, capsys):
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["train", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "comma-separated hidden widths: 12 | 24,6 | 24,10,3" in help_text
+
     def test_train_on_out_of_range_cell_exits_3(self, tmp_path, capsys):
         data = tmp_path / "train.csv"
         run(["gen", "--domain", "tort", "--kind", "unique", "--out", str(data)], capsys)
@@ -417,6 +424,12 @@ def _edit_layer(key, value):
      "'input_width'"),
     ("eval", lambda model: {**model, "training": {**model["training"], "beta1": 10**400}},
      "TrainConfig value is out of range"),
+    ("eval", lambda model: {**model, "training": {**model["training"], "beta1": 1.5}},
+     "beta1 must be in [0, 1)"),
+    ("eval", lambda model: {**model, "training": {**model["training"], "beta2": math.nan}},
+     "beta2 must be in [0, 1)"),
+    ("eval", lambda model: {**model, "training": {**model["training"], "epsilon": -1.0}},
+     "epsilon must be positive and finite"),
     ("experiment", [], "a plan must be a JSON object"),
     ("experiment", dict(PLAN, train=[{"kind": "regular", "size": "500"}]), "'train'"),
     ("experiment", dict(PLAN, architectures=[12]), "'architectures'"),
@@ -430,7 +443,8 @@ def _edit_layer(key, value):
     ("report", [], "a manifest must be a JSON object"),
 ], ids=["model-list", "model-layers-int", "model-layer-int", "model-weights-int",
         "model-bias-not-base64", "model-bias-short", "model-schema-id-int",
-        "model-input-width-null", "model-beta1-beyond-float",
+        "model-input-width-null", "model-beta1-beyond-float", "model-beta1-above-one",
+        "model-beta2-nan", "model-epsilon-negative",
         "plan-list", "plan-size-string", "plan-flat-architectures", "plan-repetitions-float",
         "plan-repetitions-bool", "plan-learning-rate-bool", "plan-learning-rate-beyond-float",
         "plan-misspelt-key", "plan-spec-misspelt-key", "plan-architecture-bool",
@@ -449,9 +463,7 @@ def test_malformed_json_exits_3(tmp_path, capsys, command, document, named):
               "experiment": ["--plan", str(path), "--out-dir", str(tmp_path / "out")],
               "report": ["--manifest", str(path), "--out-dir", str(tmp_path / "out")]}
     code, _, err = run([command, *source[command]], capsys)
-    assert code == 3 and named in err
-    if command in ("experiment", "report"):
-        assert str(path) in err
+    assert code == 3 and named in err and str(path) in err
     assert not (tmp_path / "out").exists()
 
 

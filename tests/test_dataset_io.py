@@ -17,8 +17,6 @@ from rationale_lab import (
     SchemaValidationError,
     build_domain,
     dataset_io,
-    gen_tort,
-    gen_welfare,
     generate,
     read_dataset,
     write_dataset,
@@ -30,7 +28,7 @@ from rationale_lab.generation import KINDS, Dataset, GeneratorRequest
 
 
 def test_round_trip_tort_unique(tmp_path, tort_schema):
-    ds = gen_tort("unique")
+    ds = generate(GeneratorRequest("tort", "unique"))
     path = tmp_path / "unique.csv"
     write_dataset(ds, path)
     back = read_dataset(path, tort_schema)
@@ -39,7 +37,8 @@ def test_round_trip_tort_unique(tmp_path, tort_schema):
 
 
 def test_round_trip_welfare(tmp_path, welfare_schema):
-    ds = gen_welfare("type-b", size=2 * dataset_io._BLOCK_ROWS + 2, seed=13)  # three blocks
+    three_blocks = 2 * dataset_io._BLOCK_ROWS + 2
+    ds = generate(GeneratorRequest("welfare", "type-b", three_blocks, seed=13))
     path = write_dataset(ds, tmp_path / "b.csv")
     back = read_dataset(path, welfare_schema)
     assert back.equals(ds)
@@ -51,8 +50,8 @@ def test_round_trip_welfare(tmp_path, welfare_schema):
 
 def test_writes_are_byte_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_dataset(gen_welfare("type-a", size=300, seed=8), a)
-    write_dataset(gen_welfare("type-a", size=300, seed=8), b)
+    write_dataset(generate(GeneratorRequest("welfare", "type-a", 300, seed=8)), a)
+    write_dataset(generate(GeneratorRequest("welfare", "type-a", 300, seed=8)), b)
     assert a.read_bytes() == b.read_bytes()
     assert meta_path(a).read_bytes() == meta_path(b).read_bytes()
 
@@ -76,7 +75,7 @@ def test_written_bytes_match_csv_writer_reference(tmp_path, domain, kind):
 
 
 def test_zero_row_and_non_contiguous_writes_match_reference(tmp_path, welfare_schema):
-    ds = gen_welfare("type-b", size=200, seed=3)
+    ds = generate(GeneratorRequest("welfare", "type-b", 200, seed=3))
     for values, labels in ((ds.values[:0], ds.labels[:0]),
                            (ds.values[::3], ds.labels[::3]),
                            (np.asfortranarray(ds.values), ds.labels.astype(bool))):
@@ -138,7 +137,7 @@ def test_written_bytes_of_any_schema_match_reference_and_read_back(tmp_path_fact
     (-1, -1, r"label -1 at row 5 outside \{0, 1\}"),
 ], ids=["value-above", "value-below", "label-2", "label-negative"])
 def test_out_of_range_cell_is_not_written(tmp_path, column, value, message):
-    ds = gen_tort("unique")
+    ds = generate(GeneratorRequest("tort", "unique"))
     rows = np.column_stack([ds.values, ds.labels]).astype(np.int64)
     rows[5, column] = value
     broken = Dataset(ds.schema_id, ds.kind, rows[:, :-1], rows[:, -1], ds.meta)
@@ -150,7 +149,7 @@ def test_out_of_range_cell_is_not_written(tmp_path, column, value, message):
 
 def test_missing_label_column_named(tmp_path, tort_schema):
     path = tmp_path / "broken.csv"
-    write_dataset(gen_tort("unique"), path)
+    write_dataset(generate(GeneratorRequest("tort", "unique")), path)
     lines = path.read_text().splitlines()
     header = lines[0].rsplit(",", 1)[0]
     rows = [line.rsplit(",", 1)[0] for line in lines[1:]]
@@ -161,14 +160,14 @@ def test_missing_label_column_named(tmp_path, tort_schema):
 
 def test_header_schema_mismatch(tmp_path, welfare_schema):
     path = tmp_path / "tort.csv"
-    write_dataset(gen_tort("unique"), path)
+    write_dataset(generate(GeneratorRequest("tort", "unique")), path)
     with pytest.raises(DatasetFormatError, match="missing column"):
         read_dataset(path, welfare_schema)
 
 
 def test_non_numeric_cell_named(tmp_path, tort_schema):
     path = tmp_path / "bad.csv"
-    write_dataset(gen_tort("unique"), path)
+    write_dataset(generate(GeneratorRequest("tort", "unique")), path)
     text = path.read_text().splitlines()
     text[3] = text[3].replace("0", "maybe", 1)
     path.write_text("\n".join(text) + "\n")
@@ -178,7 +177,7 @@ def test_non_numeric_cell_named(tmp_path, tort_schema):
 
 def test_label_outside_binary_rejected(tmp_path, tort_schema):
     path = tmp_path / "bad.csv"
-    write_dataset(gen_tort("unique"), path)
+    write_dataset(generate(GeneratorRequest("tort", "unique")), path)
     lines = path.read_text().splitlines()
     lines[1] = lines[1][:-1] + "2"
     path.write_text("\n".join(lines) + "\n")
@@ -188,7 +187,7 @@ def test_label_outside_binary_rejected(tmp_path, tort_schema):
 
 def test_cell_outside_feature_range_rejected(tmp_path, tort_schema):
     path = tmp_path / "bad.csv"
-    write_dataset(gen_tort("unique"), path)
+    write_dataset(generate(GeneratorRequest("tort", "unique")), path)
     lines = path.read_text().splitlines()
     lines[4] = "7" + lines[4][1:]  # cau is boolean
     path.write_text("\n".join(lines) + "\n")
@@ -197,7 +196,7 @@ def test_cell_outside_feature_range_rejected(tmp_path, tort_schema):
 
 
 def test_read_without_sidecar_still_works(tmp_path, tort_schema):
-    ds = gen_tort("unique")
+    ds = generate(GeneratorRequest("tort", "unique"))
     for sidecar in (None, "{}"):  # a missing and an empty sidecar read the same
         path = tmp_path / "u.csv"
         write_dataset(ds, path)
@@ -225,13 +224,13 @@ def test_empty_file_rejected(tmp_path):
 
 def _tort_lines(tmp_path) -> list[str]:
     path = tmp_path / "u.csv"
-    write_dataset(gen_tort("unique"), path)
+    write_dataset(generate(GeneratorRequest("tort", "unique")), path)
     return path.read_text().splitlines()
 
 
 def _welfare_lines(tmp_path) -> list[str]:
     path = tmp_path / "w.csv"
-    write_dataset(gen_welfare("type-b", size=10, seed=3), path)
+    write_dataset(generate(GeneratorRequest("welfare", "type-b", 10, seed=3)), path)
     return path.read_text().splitlines()
 
 
@@ -350,7 +349,7 @@ def test_overflow_rejected_where_loadtxt_parses_it_via_a_float(tmp_path, monkeyp
 
 
 def test_leading_zero_and_negative_zero_read_as_their_values(tmp_path, tort_schema):
-    ds = gen_tort("unique")
+    ds = generate(GeneratorRequest("tort", "unique"))
     lines = _tort_lines(tmp_path)
     assert lines[3].startswith("0,0,") and lines[-1].startswith("1,")
     lines[3] = "00,-0" + lines[3][3:]
@@ -362,7 +361,7 @@ def test_leading_zero_and_negative_zero_read_as_their_values(tmp_path, tort_sche
 
 def test_byte_that_is_not_utf8_named(tmp_path, tort_schema):
     path = tmp_path / "u.csv"
-    write_dataset(gen_tort("unique"), path)
+    write_dataset(generate(GeneratorRequest("tort", "unique")), path)
     text = path.read_bytes()
     path.write_bytes(text.replace(b"\n0,", b"\n\xff0,", 1))
     with pytest.raises(DatasetFormatError,
@@ -372,7 +371,7 @@ def test_byte_that_is_not_utf8_named(tmp_path, tort_schema):
 
 def test_sidecar_that_is_not_an_object_rejected(tmp_path, tort_schema, capsys):
     path = tmp_path / "u.csv"
-    write_dataset(gen_tort("unique"), path)
+    write_dataset(generate(GeneratorRequest("tort", "unique")), path)
     meta_path(path).write_text("[]")
     with pytest.raises(DatasetFormatError, match="JSON object"):
         read_dataset(path, tort_schema)
@@ -392,7 +391,7 @@ def test_sidecar_that_is_not_an_object_rejected(tmp_path, tort_schema, capsys):
 def test_sidecar_key_of_wrong_json_type_rejected(tmp_path, tort_schema, capsys, key, value,
                                                  what):
     path = tmp_path / "u.csv"
-    write_dataset(gen_tort("unique"), path)
+    write_dataset(generate(GeneratorRequest("tort", "unique")), path)
     sidecar = json.loads(meta_path(path).read_text())
     meta_path(path).write_text(json.dumps({**sidecar, key: value}))
     message = f"{meta_path(path)}: sidecar key '{key}' must be {what}"
@@ -404,7 +403,7 @@ def test_sidecar_key_of_wrong_json_type_rejected(tmp_path, tort_schema, capsys, 
 
 def test_sidecar_with_unknown_key_rejected(tmp_path, tort_schema):
     path = tmp_path / "u.csv"
-    write_dataset(gen_tort("unique"), path)
+    write_dataset(generate(GeneratorRequest("tort", "unique")), path)
     sidecar = json.loads(meta_path(path).read_text())
     meta_path(path).write_text(json.dumps({**sidecar, "sede": 3}))
     with pytest.raises(DatasetFormatError,
@@ -414,7 +413,8 @@ def test_sidecar_with_unknown_key_rejected(tmp_path, tort_schema):
 
 def test_sidecar_of_another_domain_rejected(tmp_path, capsys):
     """A welfare CSV whose sidecar names tort is refused, naming the sidecar."""
-    path = write_dataset(gen_welfare("type-b", size=20, seed=1), tmp_path / "b.csv")
+    path = write_dataset(generate(GeneratorRequest("welfare", "type-b", 20, seed=1)),
+                         tmp_path / "b.csv")
     sidecar = json.loads(meta_path(path).read_text())
     meta_path(path).write_text(json.dumps({**sidecar, "schema_id": "tort"}))
     message = f"{meta_path(path)}: sidecar schema_id 'tort', expected 'welfare'"
@@ -434,7 +434,7 @@ def test_header_only_file_reads_as_zero_cases(tmp_path, tort_schema):
 
 
 def test_blank_lines_skipped(tmp_path, tort_schema):
-    ds = gen_tort("unique")
+    ds = generate(GeneratorRequest("tort", "unique"))
     path = tmp_path / "u.csv"
     write_dataset(ds, path)
     lines = path.read_text().splitlines()
@@ -445,7 +445,7 @@ def test_blank_lines_skipped(tmp_path, tort_schema):
 @pytest.mark.parametrize("tail", [b"", b"\n\n\n", b"\r\n"])
 def test_every_row_read_whatever_the_file_ends_with(tmp_path, tort_schema, tail):
     """The row bound given to loadtxt counts a last row without a newline."""
-    ds = gen_tort("unique")
+    ds = generate(GeneratorRequest("tort", "unique"))
     path = write_dataset(ds, tmp_path / "u.csv")
     path.write_bytes(path.read_bytes().rstrip(b"\n") + tail)
     assert read_dataset(path, tort_schema).equals(ds)
@@ -454,14 +454,15 @@ def test_every_row_read_whatever_the_file_ends_with(tmp_path, tort_schema, tail)
 def test_header_line_ended_by_a_lone_cr_reads(tmp_path, tort_schema):
     """The header line ends where csv's text mode ends it, at a lone "\r"
     too; the body still splits at "\n" only."""
-    ds = gen_tort("unique")
+    ds = generate(GeneratorRequest("tort", "unique"))
     path = write_dataset(ds, tmp_path / "u.csv")
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r", 1))
     assert read_dataset(path, tort_schema).equals(ds)
 
 
 def test_read_peak_memory_stays_below_six_times_the_file(tmp_path, welfare_schema):
-    path = write_dataset(gen_welfare("type-b", size=20_000, seed=2), tmp_path / "b.csv")
+    path = write_dataset(generate(GeneratorRequest("welfare", "type-b", 20_000, seed=2)),
+                         tmp_path / "b.csv")
     read_dataset(path, welfare_schema)  # first-call allocations are not the read's own
     tracemalloc.start()
     try:
@@ -476,7 +477,7 @@ def test_read_peak_memory_stays_below_six_times_the_file(tmp_path, welfare_schem
 def test_line_endings(tmp_path, tort_schema, capsys, name):
     """Lines split at "\n" only: "\r\n" reads as the original, a lone "\r"
     ends no line and a line holding only "\x0c" is not a blank line."""
-    ds = gen_tort("unique")
+    ds = generate(GeneratorRequest("tort", "unique"))
     path = write_dataset(ds, tmp_path / "u.csv")
     text = path.read_bytes()
     if name == "crlf":
@@ -504,7 +505,7 @@ def _traced_peak(call) -> int:
 
 @pytest.fixture(scope="module")
 def welfare_20k():
-    return gen_welfare("type-b", size=20_000, seed=2)
+    return generate(GeneratorRequest("welfare", "type-b", 20_000, seed=2))
 
 
 def test_write_peak_memory_below_half_the_int64_rows(tmp_path, welfare_20k):
@@ -526,7 +527,7 @@ def test_read_peak_memory_below_the_int64_rows(tmp_path, welfare_20k):
 def simplified_2b_plus_1():
     """A simplified `type-a` set of 2B + 1 rows, B the writer's block (the
     kind's sizes are even, so one row is cut off)."""
-    ds = gen_welfare("type-a", size=2 * dataset_io._BLOCK_ROWS + 2, seed=6, simplified=True)
+    ds = generate(GeneratorRequest("simplified", "type-a", 2 * dataset_io._BLOCK_ROWS + 2, seed=6))
     return Dataset(ds.schema_id, ds.kind, ds.values[:-1], ds.labels[:-1], ds.meta)
 
 
@@ -581,7 +582,7 @@ def tort_2000_lines(tmp_path_factory) -> list[str]:
     """The lines of a 2,000-case tort `regular` file with blank lines before
     its first data row and among its rows, the data rows unchanged and in
     order."""
-    path = write_dataset(gen_tort("regular", size=2000, seed=8),
+    path = write_dataset(generate(GeneratorRequest("tort", "regular", 2000, seed=8)),
                          tmp_path_factory.mktemp("tort") / "r.csv")
     lines = path.read_text().splitlines()
     return lines[:1] + ["", ""] + lines[1:3] + [""] + lines[3:1000] + ["", ""] + lines[1000:]
@@ -662,8 +663,10 @@ def fuzz_sources(tmp_path_factory):
     `type-b` CSV: int8 and int16 rows."""
     root = tmp_path_factory.mktemp("fuzz")
     sources = []
-    for dataset in (gen_tort("unique"), gen_welfare("type-b", size=60, seed=4, simplified=True),
-                    gen_welfare("type-b", size=12, seed=4)):
+    for request in (GeneratorRequest("tort", "unique"),
+                    GeneratorRequest("simplified", "type-b", 60, seed=4),
+                    GeneratorRequest("welfare", "type-b", 12, seed=4)):
+        dataset = generate(request)
         write_dataset(dataset, root / f"{dataset.schema_id}.csv")
         text = (root / f"{dataset.schema_id}.csv").read_text()
         sources.append((build_domain(dataset.schema_id), text))

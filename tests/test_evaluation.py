@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from rationale_lab import (
+    GeneratorRequest,
     SchemaValidationError,
     accuracy,
     build_domain,
     condition_table,
     curve_deviation,
-    gen_tort,
-    gen_welfare,
+    generate,
     ideal_curve,
     output_curve,
     turning_points,
@@ -31,31 +31,34 @@ def make_curve(points_by_group, x_feature="Age", group_feature="Gender"):
 
 
 GENERATED = [
-    ("tort", gen_tort("unique")),
-    ("tort", gen_tort("regular", size=600, seed=3)),
-    ("tort", gen_tort("unlawfulness")),
-    ("tort", gen_tort("imputability")),
-    ("welfare", gen_welfare("type-a", size=600, seed=3)),
-    ("welfare", gen_welfare("type-b", size=600, seed=3)),
-    ("welfare", gen_welfare("age-gender", seed=3)),
-    ("simplified", gen_welfare("patient-distance", simplified=True)),
+    ("tort", "unique", None),
+    ("tort", "regular", 600),
+    ("tort", "unlawfulness", None),
+    ("tort", "imputability", None),
+    ("welfare", "type-a", 600),
+    ("welfare", "type-b", 600),
+    ("welfare", "age-gender", None),
+    ("simplified", "patient-distance", None),
 ]
 
 
 class TestAccuracy:
-    @pytest.mark.parametrize("domain_id,dataset", GENERATED,
-                             ids=[f"{d}-{ds.kind}" for d, ds in GENERATED])
-    def test_label_oracle_is_perfect_everywhere(self, domain_id, dataset):
+    @pytest.mark.parametrize("domain_id,kind,size", GENERATED,
+                             ids=[f"{d}-{k}" for d, k, _ in GENERATED])
+    def test_label_oracle_is_perfect_everywhere(self, domain_id, kind, size):
+        dataset = generate(GeneratorRequest(domain_id, kind, size, seed=3))
         assert accuracy(LabelOracleModel(build_domain(domain_id)), dataset) == 1.0
 
     def test_constant_positive_on_unique(self):
-        assert accuracy(ConstantOutputModel(1.0), gen_tort("unique")) == 112 / 1024
+        ds = generate(GeneratorRequest("tort", "unique"))
+        assert accuracy(ConstantOutputModel(1.0), ds) == 112 / 1024
 
     def test_constant_positive_on_imputability(self):
-        assert accuracy(ConstantOutputModel(1.0), gen_tort("imputability")) == 0.875
+        ds = generate(GeneratorRequest("tort", "imputability"))
+        assert accuracy(ConstantOutputModel(1.0), ds) == 0.875
 
     def test_empty_dataset_rejected(self):
-        ds = gen_tort("unique")
+        ds = generate(GeneratorRequest("tort", "unique"))
         empty = dataclasses.replace(ds, values=ds.values[:0], labels=ds.labels[:0])
         with pytest.raises(ValueError, match="no cases"):
             accuracy(ConstantOutputModel(1.0), empty)
@@ -63,12 +66,12 @@ class TestAccuracy:
     def test_schema_mismatch_rejected(self):
         model = LabelOracleModel(build_domain("welfare"))
         with pytest.raises(SchemaValidationError, match="built for"):
-            accuracy(model, gen_tort("unique"))
+            accuracy(model, generate(GeneratorRequest("tort", "unique")))
 
 
 class TestOutputCurve:
     def test_ideal_stub_steps_at_pension_ages(self, welfare_schema):
-        ds = gen_welfare("age-gender", seed=5)
+        ds = generate(GeneratorRequest("welfare", "age-gender", seed=5))
         stub = ConditionOracleModel(welfare_schema, "C1")
         curve = output_curve(stub, ds, "Age", "Gender")
         female = curve.group("female")
@@ -80,7 +83,7 @@ class TestOutputCurve:
         assert set(female.counts.tolist()) == {1000}
 
     def test_ideal_stub_patient_distance_shapes(self, welfare_schema):
-        ds = gen_welfare("patient-distance", seed=5)
+        ds = generate(GeneratorRequest("welfare", "patient-distance", seed=5))
         stub = ConditionOracleModel(welfare_schema, "C6")
         curve = output_curve(stub, ds, "Distance", "Type")
         inp = dict(zip(curve.group("in").xs, curve.group("in").means))
@@ -95,7 +98,7 @@ class TestOutputCurve:
     ])
     def test_ideal_stub_reproduces_ideal_curve(self, domain_id, cond_id, kind, axes):
         schema = build_domain(domain_id)
-        ds = gen_welfare(kind, seed=8, simplified=domain_id == "simplified")
+        ds = generate(GeneratorRequest(domain_id, kind, seed=8))
         got = output_curve(ConditionOracleModel(schema, cond_id), ds, *axes)
         want = ideal_curve(domain_id, cond_id)
         for g, w in zip(got.groups, want.groups):
@@ -105,19 +108,19 @@ class TestOutputCurve:
             assert np.array_equal(g.counts, w.counts)
 
     def test_constant_stub_is_flat(self, welfare_schema):
-        ds = gen_welfare("age-gender", seed=5)
+        ds = generate(GeneratorRequest("welfare", "age-gender", seed=5))
         curve = output_curve(ConstantOutputModel(0.5), ds, "Age", "Gender")
         for g in curve.groups:
             assert np.all(g.means == 0.5)
 
     def test_non_numeric_x_rejected(self, welfare_schema):
-        ds = gen_welfare("age-gender", seed=5)
+        ds = generate(GeneratorRequest("welfare", "age-gender", seed=5))
         stub = ConstantOutputModel(0.5)
         with pytest.raises(SchemaValidationError, match="numeric"):
             output_curve(stub, ds, "Gender", "Type")
 
     def test_x_values_strictly_increasing(self, welfare_schema):
-        ds = gen_welfare("age-gender", seed=5)
+        ds = generate(GeneratorRequest("welfare", "age-gender", seed=5))
         curve = output_curve(ConstantOutputModel(0.3), ds, "Age", "Gender")
         for g in curve.groups:
             assert np.all(np.diff(g.xs) > 0)
@@ -176,20 +179,20 @@ class TestTurningPoints:
 
 class TestConditionTable:
     def test_oracle_stub_on_unlawfulness(self, tort_schema):
-        ds = gen_tort("unlawfulness")
+        ds = generate(GeneratorRequest("tort", "unlawfulness"))
         table = condition_table(LabelOracleModel(tort_schema), ds, "c3")
         assert table.rows[False].mean_output == 0.0
         assert table.rows[True].mean_output == 1.0
         assert table.rows[False].count == 56 and table.rows[True].count == 112
 
     def test_constant_positive_on_imputability(self, tort_schema):
-        ds = gen_tort("imputability")
+        ds = generate(GeneratorRequest("tort", "imputability"))
         table = condition_table(ConstantOutputModel(1.0), ds, "c2")
         assert table.rows[False].mean_output == 1.0
         assert table.rows[True].mean_output == 1.0
 
     def test_never_varying_condition_rejected(self, tort_schema):
-        ds = gen_tort("unlawfulness")  # c1 is identically true there
+        ds = generate(GeneratorRequest("tort", "unlawfulness"))  # c1 is identically true there
         with pytest.raises(ValueError, match="never varies"):
             condition_table(ConstantOutputModel(0.5), ds, "c1")
 
@@ -202,7 +205,7 @@ class TestConditionTable:
             def outputs(self, values):
                 return rng.random(len(values))
 
-        ds = gen_tort("imputability")
+        ds = generate(GeneratorRequest("tort", "imputability"))
         model = NoisyModel()
         outputs = model.outputs(ds.values)
 
@@ -219,7 +222,7 @@ class TestConditionTable:
     def test_accuracy_identity_on_dedicated_sets(self, tort_schema):
         """Accuracy is recoverable from the table's per-row positive rates:
         on a dedicated set the label is the isolated condition's truth."""
-        ds = gen_tort("imputability")
+        ds = generate(GeneratorRequest("tort", "imputability"))
         for model in (LabelOracleModel(tort_schema), ConstantOutputModel(0.51)):
             rows = condition_table(model, ds, "c2").rows
             t, f = rows[True], rows[False]
@@ -236,7 +239,7 @@ class TestCurveDeviation:
         assert dev.max_abs == 0.0 and dev.mean_abs == 0.0
 
     def test_constant_half_deviates_half(self, welfare_schema):
-        ds = gen_welfare("age-gender", seed=2)
+        ds = generate(GeneratorRequest("welfare", "age-gender", seed=2))
         flat = output_curve(ConstantOutputModel(0.5), ds, "Age", "Gender")
         dev = curve_deviation(flat, ideal_curve("welfare", "C1"))
         assert dev.max_abs == 0.5

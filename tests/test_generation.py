@@ -7,9 +7,6 @@ import pytest
 from rationale_lab import (
     GenerationError,
     GeneratorRequest,
-    build_domain,
-    gen_tort,
-    gen_welfare,
     generate,
 )
 from rationale_lab.generation import DEDICATED_TARGET, KINDS
@@ -40,34 +37,34 @@ class TestRequestValidation:
 
 class TestBalancedSets:
     @pytest.mark.parametrize("kind", ["type-a", "type-b"])
-    @pytest.mark.parametrize("simplified", [False, True])
-    def test_exact_balance(self, kind, simplified):
-        ds = gen_welfare(kind, size=2400, seed=7, simplified=simplified)
+    @pytest.mark.parametrize("domain", ["welfare", "simplified"])
+    def test_exact_balance(self, kind, domain):
+        ds = generate(GeneratorRequest(domain, kind, 2400, seed=7))
         assert len(ds) == 2400
         assert int(ds.labels.sum()) == 1200
         assert ds.meta.positive_fraction == 0.5
 
     def test_labels_match_rule(self, welfare_schema):
-        ds = gen_welfare("type-a", size=2000, seed=3)
+        ds = generate(GeneratorRequest("welfare", "type-a", 2000, seed=3))
         assert np.array_equal(
             ds.labels.astype(bool), welfare_schema.label_matrix(ds.values)
         )
 
     def test_type_b_negatives_fail_exactly_one(self, welfare_schema):
-        ds = gen_welfare("type-b", size=4000, seed=11)
+        ds = generate(GeneratorRequest("welfare", "type-b", 4000, seed=11))
         truth = welfare_schema.condition_matrix(ds.values)
         negatives = truth[~ds.labels.astype(bool)]
         assert np.array_equal((~negatives).sum(axis=1), np.ones(len(negatives)))
 
     def test_type_b_buckets_near_equal(self, welfare_schema):
-        ds = gen_welfare("type-b", size=2400, seed=1)
+        ds = generate(GeneratorRequest("welfare", "type-b", 2400, seed=1))
         truth = welfare_schema.condition_matrix(ds.values)
         negatives = truth[~ds.labels.astype(bool)]
         per_condition = (~negatives).sum(axis=0)
         assert per_condition.tolist() == [200] * 6
 
     def test_type_a_negatives_fail_at_least_one(self, welfare_schema):
-        ds = gen_welfare("type-a", size=4000, seed=11)
+        ds = generate(GeneratorRequest("welfare", "type-a", 4000, seed=11))
         truth = welfare_schema.condition_matrix(ds.values)
         negatives = truth[~ds.labels.astype(bool)]
         fails = (~negatives).sum(axis=1)
@@ -75,7 +72,7 @@ class TestBalancedSets:
 
     def test_type_a_mean_failures_near_four(self, welfare_schema):
         """Chance failures on the free features push the average to ~4."""
-        ds = gen_welfare("type-a", size=24_000, seed=5)
+        ds = generate(GeneratorRequest("welfare", "type-a", 24_000, seed=5))
         truth = welfare_schema.condition_matrix(ds.values)
         negatives = truth[~ds.labels.astype(bool)]
         assert len(negatives) >= 10_000
@@ -83,7 +80,7 @@ class TestBalancedSets:
         assert 3.8 <= mean_fails <= 4.3
 
     def test_simplified_type_a_fails_at_most_two(self, simplified_schema):
-        ds = gen_welfare("type-a", size=4000, seed=2, simplified=True)
+        ds = generate(GeneratorRequest("simplified", "type-a", 4000, seed=2))
         truth = simplified_schema.condition_matrix(ds.values)
         negatives = truth[~ds.labels.astype(bool)]
         assert set((~negatives).sum(axis=1).tolist()) <= {1, 2}
@@ -106,7 +103,7 @@ class TestBalancedSets:
 
 class TestDedicatedWelfareSets:
     def test_age_gender_full(self, welfare_schema):
-        ds = gen_welfare("age-gender", seed=9)
+        ds = generate(GeneratorRequest("welfare", "age-gender", seed=9))
         assert len(ds) == 40_000
         assert ds.meta.positive_fraction == 0.425
         ages = ds.values[:, welfare_schema.index_of("Age")]
@@ -121,7 +118,7 @@ class TestDedicatedWelfareSets:
         assert np.array_equal(ds.labels.astype(bool), truth[:, 0])
 
     def test_patient_distance_full(self, welfare_schema):
-        ds = gen_welfare("patient-distance", seed=9)
+        ds = generate(GeneratorRequest("welfare", "patient-distance", seed=9))
         assert len(ds) == 40_000
         assert ds.meta.positive_fraction == 0.5
         truth = welfare_schema.condition_matrix(ds.values)
@@ -129,21 +126,21 @@ class TestDedicatedWelfareSets:
         assert truth[:, others].all()
 
     def test_age_gender_simplified(self):
-        ds = gen_welfare("age-gender", simplified=True)
+        ds = generate(GeneratorRequest("simplified", "age-gender"))
         assert len(ds) == 4242
         # one unique instance per (age, gender, distance-grid) combination
         assert len(np.unique(ds.values, axis=0)) == 4242
         assert ds.meta.positive_fraction == 77 / 202
 
     def test_patient_distance_simplified(self):
-        ds = gen_welfare("patient-distance", simplified=True)
+        ds = generate(GeneratorRequest("simplified", "patient-distance"))
         assert len(ds) == 3234
         assert len(np.unique(ds.values, axis=0)) == 3234
         assert ds.meta.positive_fraction == 0.5
 
     @pytest.mark.parametrize("kind", ["age-gender", "patient-distance"])
     def test_dedicated_label_tracks_target_condition(self, kind, simplified_schema):
-        ds = gen_welfare(kind, simplified=True)
+        ds = generate(GeneratorRequest("simplified", kind))
         target = DEDICATED_TARGET[("simplified", kind)]
         j = [c.id for c in simplified_schema.conditions].index(target)
         truth = simplified_schema.condition_matrix(ds.values)
@@ -152,7 +149,7 @@ class TestDedicatedWelfareSets:
 
 class TestTortSets:
     def test_unique_enumeration(self):
-        ds = gen_tort("unique")
+        ds = generate(GeneratorRequest("tort", "unique"))
         assert len(ds) == 1024
         assert int(ds.labels.sum()) == 112
         assert ds.meta.positive_fraction == 112 / 1024
@@ -162,7 +159,7 @@ class TestTortSets:
         assert first_as_int == [0, 1, 2, 3, 4]
 
     def test_unlawfulness_set(self, tort_schema):
-        ds = gen_tort("unlawfulness")
+        ds = generate(GeneratorRequest("tort", "unlawfulness"))
         assert (len(ds), int(ds.labels.sum())) == (168, 112)
         truth = tort_schema.condition_matrix(ds.values)
         others = [j for j, c in enumerate(tort_schema.conditions) if c.id != "c3"]
@@ -170,7 +167,7 @@ class TestTortSets:
         assert np.array_equal(ds.labels.astype(bool), truth[:, 2])
 
     def test_imputability_set(self, tort_schema):
-        ds = gen_tort("imputability")
+        ds = generate(GeneratorRequest("tort", "imputability"))
         assert (len(ds), int(ds.labels.sum())) == (128, 112)
         truth = tort_schema.condition_matrix(ds.values)
         others = [j for j, c in enumerate(tort_schema.conditions) if c.id != "c2"]
@@ -182,52 +179,44 @@ class TestTortSets:
         assert tort_schema.condition(DEDICATED_TARGET[("tort", kind)]).notion == kind
 
     def test_regular_is_balanced_resample(self, tort_schema):
-        ds = gen_tort("regular", size=5000, seed=21)
+        ds = generate(GeneratorRequest("tort", "regular", 5000, seed=21))
         assert int(ds.labels.sum()) == 2500
         # every row is one of the 1024 unique cases with its true label
         assert np.array_equal(ds.labels.astype(bool), tort_schema.label_matrix(ds.values))
 
     def test_regular_small(self):
-        ds = gen_tort("regular", size=500, seed=21)
+        ds = generate(GeneratorRequest("tort", "regular", 500, seed=21))
         assert (len(ds), int(ds.labels.sum())) == (500, 250)
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda seed: gen_welfare("type-a", size=600, seed=seed),
-            lambda seed: gen_welfare("type-b", size=600, seed=seed, simplified=True),
-            lambda seed: gen_welfare("age-gender", seed=seed),
-            lambda seed: gen_tort("regular", size=600, seed=seed),
-        ],
-    )
-    def test_same_seed_same_dataset(self, make):
-        a, b = make(99), make(99)
+    @pytest.mark.parametrize("domain,kind,size", [
+        ("welfare", "type-a", 600),
+        ("simplified", "type-b", 600),
+        ("welfare", "age-gender", None),
+        ("tort", "regular", 600),
+    ])
+    def test_same_seed_same_dataset(self, domain, kind, size):
+        a, b = (generate(GeneratorRequest(domain, kind, size, seed=99)) for _ in range(2))
         assert a.equals(b)
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda seed: gen_welfare("type-a", size=600, seed=seed),
-            lambda seed: gen_tort("regular", size=600, seed=seed),
-        ],
-    )
-    def test_different_seed_different_cases(self, make):
-        assert not np.array_equal(make(1).values, make(2).values)
+    @pytest.mark.parametrize("domain,kind,size", [
+        ("welfare", "type-a", 600),
+        ("tort", "regular", 600),
+    ])
+    def test_different_seed_different_cases(self, domain, kind, size):
+        a, b = (generate(GeneratorRequest(domain, kind, size, seed)) for seed in (1, 2))
+        assert not np.array_equal(a.values, b.values)
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda seed: gen_tort("unique", seed=seed),
-            lambda seed: gen_tort("unlawfulness", seed=seed),
-            lambda seed: gen_tort("imputability", seed=seed),
-            lambda seed: gen_welfare("age-gender", seed=seed, simplified=True),
-            lambda seed: gen_welfare("patient-distance", seed=seed, simplified=True),
-        ],
-    )
-    def test_enumerated_kinds_seed_independent(self, make):
-        a, b = make(1), make(2)
+    @pytest.mark.parametrize("domain,kind", [
+        ("tort", "unique"),
+        ("tort", "unlawfulness"),
+        ("tort", "imputability"),
+        ("simplified", "age-gender"),
+        ("simplified", "patient-distance"),
+    ])
+    def test_enumerated_kinds_seed_independent(self, domain, kind):
+        a, b = (generate(GeneratorRequest(domain, kind, seed=seed)) for seed in (1, 2))
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.labels, b.labels)
         assert len(np.unique(a.values, axis=0)) == len(a)
@@ -280,7 +269,7 @@ class TestDeterminism:
         assert hashlib.sha256(data).hexdigest() == digest
 
     def test_meta_consistency(self):
-        ds = gen_welfare("type-b", size=800, seed=4)
+        ds = generate(GeneratorRequest("welfare", "type-b", 800, seed=4))
         assert ds.meta.size == len(ds)
         assert ds.meta.positive_fraction == float(ds.labels.mean())
         assert ds.meta.seed == 4

@@ -16,9 +16,9 @@ from rationale_lab import (
     NetworkConfig,
     TrainConfig,
     TrainingDivergedError,
+    GeneratorRequest,
     accuracy,
-    gen_tort,
-    gen_welfare,
+    generate,
     init_params,
     load_model,
     loss_and_grads,
@@ -154,9 +154,9 @@ def first_diverged_step(dataset, network_config, train_config):
 # One training set per domain width: 4 (simplified), 10 (tort), 64 (welfare),
 # 130 cases, so that a 40-case batch schedule ends each epoch on a short batch.
 REFERENCE_SETS = {
-    4: lambda: gen_welfare("type-b", size=130, seed=3, simplified=True),
-    10: lambda: gen_tort("regular", size=130, seed=3),
-    64: lambda: gen_welfare("type-b", size=130, seed=3),
+    4: GeneratorRequest("simplified", "type-b", 130, seed=3),
+    10: GeneratorRequest("tort", "regular", 130, seed=3),
+    64: GeneratorRequest("welfare", "type-b", 130, seed=3),
 }
 
 
@@ -177,6 +177,14 @@ class TestConfigs:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+        for name in ("beta1", "beta2"):
+            for bad in (-0.1, 1.0, 1.5, math.nan, math.inf):
+                with pytest.raises(ValueError, match=rf"{name} must be in \[0, 1\)"):
+                    TrainConfig(**{name: bad})
+            TrainConfig(**{name: 0.0})
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                TrainConfig(epsilon=bad)
 
 
 class TestInit:
@@ -265,15 +273,16 @@ class TestForward:
 
     @pytest.mark.parametrize("layout", ["C", "Fortran", "one-row"])
     @pytest.mark.parametrize("hidden", STANDARD_HIDDEN_LAYERS)
-    @pytest.mark.parametrize("dataset", [
-        lambda: gen_tort("regular", size=500, seed=3),
-        lambda: gen_welfare("type-b", size=3000, seed=3, simplified=True),
-        lambda: gen_welfare("type-b", size=2000, seed=3),
+    @pytest.mark.parametrize("domain,kind,size", [
+        ("tort", "regular", 500),
+        ("simplified", "type-b", 3000),
+        ("welfare", "type-b", 2000),
     ], ids=["tort", "simplified", "welfare"])
-    def test_evaluation_pass_matches_training_forward_pass(self, dataset, hidden, layout):
+    def test_evaluation_pass_matches_training_forward_pass(self, domain, kind, size, hidden,
+                                                           layout):
         """The evaluation forward pass has the bits of the training one, on
         parameters whose biases are not zero."""
-        ds = dataset()
+        ds = generate(GeneratorRequest(domain, kind, size, seed=3))
         params = init_params(NetworkConfig(ds.values.shape[1], hidden, init_seed=4))
         params.flat[:] = np.random.default_rng(6).normal(size=params.flat.size)
         x = schema_scaling(ds.schema_id).apply(ds.values)
@@ -393,7 +402,7 @@ class TestAdam:
 
 class TestTrain:
     def test_bit_deterministic(self):
-        ds = gen_tort("regular", size=200, seed=3)
+        ds = generate(GeneratorRequest("tort", "regular", 200, seed=3))
         cfg = NetworkConfig(10, (12,), init_seed=9)
         tc = TrainConfig(iterations=200, shuffle_seed=17)
         a, b = train(ds, cfg, tc), train(ds, cfg, tc)
@@ -403,20 +412,20 @@ class TestTrain:
         assert np.array_equal(a.loss_trace, b.loss_trace)
 
     def test_one_iteration_moves_params(self):
-        ds = gen_tort("regular", size=200, seed=3)
+        ds = generate(GeneratorRequest("tort", "regular", 200, seed=3))
         cfg = NetworkConfig(10, (12,), init_seed=9)
         model = train(ds, cfg, TrainConfig(iterations=1, shuffle_seed=1))
         assert not np.array_equal(model.params.flat, init_params(cfg).flat)
 
     def test_loss_trace_recorded_and_finite(self):
-        ds = gen_tort("regular", size=200, seed=3)
+        ds = generate(GeneratorRequest("tort", "regular", 200, seed=3))
         model = train(ds, NetworkConfig(10, (12,), init_seed=2),
                       TrainConfig(iterations=150, shuffle_seed=5))
         assert model.loss_trace.shape == (150,)
         assert np.isfinite(model.loss_trace).all()
 
     def test_divergence_names_the_first_non_finite_step(self):
-        base = gen_tort("regular", size=130, seed=3)
+        base = generate(GeneratorRequest("tort", "regular", 130, seed=3))
         values = base.values.astype(np.float64)
         values[109, 0] = np.inf  # in the last batch of epoch 1: inf gradients, then NaN weights
         ds = Dataset(base.schema_id, base.kind, values, base.labels.copy(), base.meta)
@@ -430,14 +439,14 @@ class TestTrain:
                 train(ds, cfg, tc)
 
     def test_width_mismatch_rejected(self):
-        ds = gen_tort("regular", size=200, seed=3)
+        ds = generate(GeneratorRequest("tort", "regular", 200, seed=3))
         with pytest.raises(ValueError, match="inputs"):
             train(ds, NetworkConfig(64, (12,), init_seed=0), TrainConfig(iterations=1))
 
     def test_chunked_epoch_gathers_match_per_array_reference_training(self):
         """Epochs over more rows than one gather chunk, the last chunk short,
         give the reference's bits."""
-        ds = gen_welfare("type-b", size=9000, seed=3, simplified=True)
+        ds = generate(GeneratorRequest("simplified", "type-b", 9000, seed=3))
         cfg = NetworkConfig(4, (12,), init_seed=2)
         tc = TrainConfig(iterations=5, batch_size=2000, shuffle_seed=5)  # 2 epochs
         model = train(ds, cfg, tc)
@@ -449,7 +458,7 @@ class TestTrain:
         """The traced peak of ``train`` is the epoch's float rows plus
         chunk-sized buffers, not a second full-size float matrix; the bound
         is in the rows' int64-equivalent bytes."""
-        ds = gen_welfare("type-b", size=20_000, seed=2)
+        ds = generate(GeneratorRequest("welfare", "type-b", 20_000, seed=2))
         cfg, tc = NetworkConfig(64, (12,)), TrainConfig(iterations=10)
         train(ds, cfg, tc)  # first-call allocations are not the run's own
         tracemalloc.start()
@@ -476,7 +485,7 @@ class TestTrain:
         """``apply`` scales a copy in place: the result has the bits of the
         expression it replaces, and its input is neither written nor shared."""
         scaling = schema_scaling("welfare")
-        values = gen_welfare("type-b", size=300, seed=4).values.astype(dtype)
+        values = generate(GeneratorRequest("welfare", "type-b", 300, seed=4)).values.astype(dtype)
         values = {"C": values, "Fortran": np.asfortranarray(values),
                   "sliced": values[::3]}[layout]
         before = values.copy()
@@ -495,9 +504,9 @@ class TestTrain:
         """The traced peak of ``outputs`` on a dataset's integer rows is the
         scaled float copy and the forward pass, not a second full copy; the
         bound is in the rows' int64-equivalent bytes."""
-        model = train(gen_welfare("type-b", size=200, seed=3), NetworkConfig(64, (12,)),
-                      TrainConfig(iterations=1))
-        values = gen_welfare("type-b", size=20_000, seed=4).values
+        model = train(generate(GeneratorRequest("welfare", "type-b", 200, seed=3)),
+                      NetworkConfig(64, (12,)), TrainConfig(iterations=1))
+        values = generate(GeneratorRequest("welfare", "type-b", 20_000, seed=4)).values
         tracemalloc.start()
         try:
             model.outputs(values)
@@ -509,7 +518,7 @@ class TestTrain:
     def test_outputs_scale_raw_rows_exactly_once(self):
         """On simplified, whose scaling is not the identity, ``outputs`` of
         raw rows equals the forward pass on the rows scaled once."""
-        ds = gen_welfare("type-b", size=200, seed=3, simplified=True)
+        ds = generate(GeneratorRequest("simplified", "type-b", 200, seed=3))
         model = train(ds, NetworkConfig(4, (12,), init_seed=2),
                       TrainConfig(iterations=100, shuffle_seed=5))
         scaling = schema_scaling("simplified")
@@ -529,14 +538,14 @@ class TestPredict:
         """An output of exactly 0.5 counts as a positive prediction."""
         model = tiny_model([np.zeros((10, 1))], [np.zeros(1)],
                            schema_id="tort")
-        ds = gen_tort("unique")
+        ds = generate(GeneratorRequest("tort", "unique"))
         assert (model.outputs(ds.values) == 0.5).all()
         assert accuracy(model, ds) == ds.labels.mean() == 112 / 1024
 
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
-        ds = gen_tort("regular", size=200, seed=3)
+        ds = generate(GeneratorRequest("tort", "regular", 200, seed=3))
         model = train(ds, NetworkConfig(10, (24, 6), init_seed=2),
                       TrainConfig(iterations=120, shuffle_seed=5))
         path = tmp_path / "model.json"
@@ -554,7 +563,7 @@ class TestPersistence:
     @pytest.mark.parametrize("width", sorted(REFERENCE_SETS))
     @pytest.mark.parametrize("hidden", STANDARD_HIDDEN_LAYERS)
     def test_saved_bytes_match_per_array_reference_training(self, tmp_path, hidden, width):
-        ds = REFERENCE_SETS[width]()
+        ds = generate(REFERENCE_SETS[width])
         cfg = NetworkConfig(width, hidden, init_seed=2)
         tc = TrainConfig(iterations=150, batch_size=40, shuffle_seed=5)  # 37.5 epochs
         model = train(ds, cfg, tc)
@@ -577,7 +586,7 @@ class TestPersistence:
             assert base64.b64decode(layer["bias"]) == b.astype("<f8").tobytes()
 
     def test_every_config_field_round_trips(self, tmp_path):
-        ds = gen_tort("regular", size=200, seed=3)
+        ds = generate(GeneratorRequest("tort", "regular", 200, seed=3))
         cfg = NetworkConfig(10, (5, 4), init_seed=7, allow_nonstandard=True)
         tc = TrainConfig(learning_rate=0.002, batch_size=30, iterations=5, beta1=0.8,
                          beta2=0.99, epsilon=1e-7, shuffle_seed=9)
@@ -595,7 +604,7 @@ class TestPersistence:
     @pytest.mark.parametrize("block", ["network", "training"])
     @pytest.mark.parametrize("edit", ["missing", "unknown"])
     def test_rejects_config_keys_that_are_not_the_fields(self, tmp_path, block, edit):
-        path = save_model(train(gen_tort("regular", size=200, seed=3),
+        path = save_model(train(generate(GeneratorRequest("tort", "regular", 200, seed=3)),
                                 NetworkConfig(10, (12,), init_seed=2),
                                 TrainConfig(iterations=5, shuffle_seed=5)),
                           tmp_path / "model.json")
@@ -611,7 +620,7 @@ class TestPersistence:
     @pytest.mark.parametrize("edit", ["unchained", "other-architecture"])
     def test_rejects_layers_that_do_not_fit_the_network(self, tmp_path, edit):
         path = tmp_path / "model.json"
-        save_model(train(gen_tort("regular", size=200, seed=3),
+        save_model(train(generate(GeneratorRequest("tort", "regular", 200, seed=3)),
                          NetworkConfig(10, (24, 6), init_seed=2),
                          TrainConfig(iterations=5, shuffle_seed=5)), path)
         path.write_text(json.dumps(mismatched_model_doc(json.loads(path.read_text()), edit)))
@@ -629,8 +638,8 @@ class TestPersistence:
 def saved_tort_model(tmp_path_factory):
     """The path and document of a tort model saved after 1 iteration."""
     path = tmp_path_factory.mktemp("model") / "model.json"
-    save_model(train(gen_tort("regular", size=200, seed=3), NetworkConfig(10, (24, 6)),
-                     TrainConfig(iterations=1)), path)
+    save_model(train(generate(GeneratorRequest("tort", "regular", 200, seed=3)),
+                     NetworkConfig(10, (24, 6)), TrainConfig(iterations=1)), path)
     return path, json.loads(path.read_text())
 
 
@@ -652,14 +661,14 @@ class TestFullBudgetBehaviour:
     """Single training runs at the published budget (50,000 steps)."""
 
     def test_tort_full_information_is_perfect(self):
-        ds = gen_tort("unique")
+        ds = generate(GeneratorRequest("tort", "unique"))
         model = train(ds, NetworkConfig(10, (12,), init_seed=41),
                       TrainConfig(iterations=50_000, shuffle_seed=42))
         assert accuracy(model, ds) == 1.0
 
     def test_simplified_type_b_generalises(self):
-        train_set = gen_welfare("type-b", size=50_000, seed=61, simplified=True)
-        test_set = gen_welfare("type-a", size=50_000, seed=62, simplified=True)
+        train_set = generate(GeneratorRequest("simplified", "type-b", 50_000, seed=61))
+        test_set = generate(GeneratorRequest("simplified", "type-a", 50_000, seed=62))
         model = train(train_set, NetworkConfig(4, (24, 10, 3), init_seed=63),
                       TrainConfig(iterations=50_000, shuffle_seed=64))
         assert accuracy(model, test_set) >= 0.98

@@ -8,8 +8,6 @@ from rationale_lab import (
     SchemaValidationError,
     build_domain,
     expected_stats,
-    gen_tort,
-    gen_welfare,
     generate,
     read_dataset,
     verify_dataset,
@@ -25,25 +23,24 @@ SAMPLED_KINDS = [key for key, kind in KINDS.items() if kind.sized]
 
 
 class TestEnumerateTort:
-    def test_positive_count(self):
-        ds = enumerate_tort()
-        assert len(ds) == 1024
-        assert int(ds.labels.sum()) == 112
+    def test_positive_count(self, tort_schema):
+        values = enumerate_tort()
+        assert values.shape == (1024, 10) and values.dtype == tort_schema.value_dtype
+        assert int(labels_of(tort_schema, values).sum()) == 112
 
     def test_agrees_with_rule_module_on_all_cases(self, tort_schema):
         """Two independent transcriptions of the formulas, one verdict."""
-        ds = enumerate_tort()
-        assert np.array_equal(
-            ds.labels.astype(bool), tort_schema.label_matrix(ds.values)
-        )
+        values = enumerate_tort()
+        labels = labels_of(tort_schema, values)
+        assert np.array_equal(labels, tort_schema.label_matrix(values))
         # and one case at a time, as one-row matrices, on a stride of cases
         for i in range(0, 1024, 101):
-            assert bool(tort_schema.label_matrix(ds.values[i : i + 1])[0]) == bool(ds.labels[i])
+            assert bool(tort_schema.label_matrix(values[i : i + 1])[0]) == bool(labels[i])
 
-    def test_all_false_case_is_negative(self):
-        ds = enumerate_tort()
-        assert ds.values[0].tolist() == [0] * 10
-        assert ds.labels[0] == 0
+    def test_all_false_case_is_negative(self, tort_schema):
+        values = enumerate_tort()
+        assert values[0].tolist() == [0] * 10
+        assert not labels_of(tort_schema, values[:1])[0]
 
     def test_sixteen_contexts_satisfy_both_dependent_conditions(self):
         """Brute force over the 32 (vun,vst,vrt,jus,prp) assignments."""
@@ -88,7 +85,7 @@ class TestExpectedStats:
 
 class TestVerifyDataset:
     def test_unlawfulness_audit(self, tort_schema):
-        report = verify_dataset(gen_tort("unlawfulness"), tort_schema)
+        report = verify_dataset(generate(GeneratorRequest("tort", "unlawfulness")), tort_schema)
         assert report.passed
         assert report.size_ok
         assert report.label_mismatches == 0
@@ -99,9 +96,9 @@ class TestVerifyDataset:
                                       "read-back"])
     def test_duplicate_count_matches_a_set_of_row_tuples(self, case, tmp_path):
         if case == "simplified-type-a":
-            ds = gen_welfare("type-a", size=5000, seed=2, simplified=True)
+            ds = generate(GeneratorRequest("simplified", "type-a", 5000, seed=2))
         else:
-            base = gen_welfare("type-b", size=300, seed=4)
+            base = generate(GeneratorRequest("welfare", "type-b", 300, seed=4))
             take = np.r_[np.arange(300), [7, 7, 7, 120, 299, 0]]  # 6 repeats of 4 rows
             values, labels = base.values[take], base.labels[take]
             if case == "fortran-order":
@@ -125,7 +122,8 @@ class TestVerifyDataset:
         duplicate count copies nothing before ``np.unique``: the traced peak
         stays below 0.7 times the rows' int64-equivalent bytes (a copy of the
         int16 rows would take it past 0.75)."""
-        path = write_dataset(gen_welfare("type-b", size=20_000, seed=2), tmp_path / "b.csv")
+        path = write_dataset(generate(GeneratorRequest("welfare", "type-b", 20_000, seed=2)),
+                             tmp_path / "b.csv")
         ds = read_dataset(path, welfare_schema)
         verify_dataset(ds, welfare_schema)  # first-call allocations are not the audit's own
         tracemalloc.start()
@@ -137,7 +135,7 @@ class TestVerifyDataset:
         assert peak < 0.7 * 8 * ds.values.size
 
     def test_flipped_label_detected(self, tort_schema):
-        ds = gen_tort("unique")
+        ds = generate(GeneratorRequest("tort", "unique"))
         labels = ds.labels.copy()
         labels[37] ^= 1
         broken = Dataset(ds.schema_id, ds.kind, ds.values.copy(), labels, ds.meta)
@@ -147,7 +145,7 @@ class TestVerifyDataset:
         assert report.mismatch_rows == (37,)
 
     def test_wrong_size_detected(self, tort_schema):
-        ds = gen_tort("unique")
+        ds = generate(GeneratorRequest("tort", "unique"))
         truncated = Dataset(
             ds.schema_id,
             ds.kind,
@@ -159,13 +157,15 @@ class TestVerifyDataset:
         assert not report.size_ok and not report.passed
 
     def test_type_b_histogram_mass_at_one(self, welfare_schema):
-        report = verify_dataset(gen_welfare("type-b", size=10_000, seed=5), welfare_schema)
+        report = verify_dataset(generate(GeneratorRequest("welfare", "type-b", 10_000, seed=5)),
+                                welfare_schema)
         assert report.passed
         assert set(report.failed_condition_histogram) == {1}
         assert report.failed_condition_histogram[1] == 5000
 
     def test_type_a_mean_failures(self, welfare_schema):
-        report = verify_dataset(gen_welfare("type-a", size=24_000, seed=5), welfare_schema)
+        report = verify_dataset(generate(GeneratorRequest("welfare", "type-a", 24_000, seed=5)),
+                                welfare_schema)
         hist = report.failed_condition_histogram
         mean = sum(k * n for k, n in hist.items()) / sum(hist.values())
         assert 3.8 <= mean <= 4.3
@@ -183,10 +183,11 @@ class TestVerifyDataset:
 
     def test_schema_mismatch_rejected(self, welfare_schema):
         with pytest.raises(SchemaValidationError, match="schema"):
-            verify_dataset(gen_tort("unique"), welfare_schema)
+            verify_dataset(generate(GeneratorRequest("tort", "unique")), welfare_schema)
 
     def test_report_serialises(self, tort_schema):
-        doc = verify_dataset(gen_tort("imputability"), tort_schema).to_dict()
+        report = verify_dataset(generate(GeneratorRequest("tort", "imputability")), tort_schema)
+        doc = report.to_dict()
         assert doc["passed"] is True
         assert doc["dataset_kind"] == "imputability"
 
