@@ -1,7 +1,8 @@
 #!/bin/sh
 # Smoke run of the installed rationale-lab console script, in the current
-# directory: gen and verify of every dataset kind, then a welfare plan run at
-# parallelism 2 and replayed at parallelism 1 to the same report bytes.
+# directory: gen and verify of every dataset kind, a short train and an eval
+# with a curve and a condition table, then a welfare plan run at parallelism 2
+# and replayed at parallelism 1 to the same report bytes.
 set -eu
 
 python -c 'from rationale_lab.generation import KINDS
@@ -11,6 +12,12 @@ while read -r domain kind size; do
   rationale-lab gen --domain "$domain" --kind "$kind" $size --out "$domain-$kind.csv"
   rationale-lab verify --in "$domain-$kind.csv" --domain "$domain"
 done < kinds.txt
+
+rationale-lab train --in welfare-type-b.csv --domain welfare --hidden 12 --iterations 40 \
+  --seed 1 --out model.json
+rationale-lab eval --model model.json --in welfare-age-gender.csv --curve Age:Gender \
+  --curve-out curve.tsv --condition-table C1
+test -s curve.tsv
 
 # 130 training cases, so that each epoch ends on a short batch
 echo '{"domain": "welfare", "train": [{"kind": "type-b", "size": 130}], "test": [{"kind": "type-b", "size": 130}, {"kind": "age-gender"}], "architectures": [[12]], "repetitions": 2, "iterations": 60}' > plan.json

@@ -16,6 +16,7 @@ import sys
 from .dataset_io import read_dataset, write_dataset
 from .domains import DOMAIN_IDS, build_domain
 from .evaluation import (
+    _FixedOutputs,
     accuracy,
     condition_table,
     output_curve,
@@ -158,14 +159,15 @@ def _cmd_eval(args) -> int:
     if args.curve is not None and args.curve.count(":") != 1:
         raise UsageError("--curve takes X_FEATURE:GROUP_FEATURE")
     model = load_model(args.model)
-    schema = build_domain(model.schema_id)
-    dataset = read_dataset(args.path, schema)
-    result = {"accuracy": accuracy(model, dataset), "cases": len(dataset)}
+    dataset = read_dataset(args.path, build_domain(model.schema_id))
+    model_outputs = _FixedOutputs(model.schema_id, model.outputs(dataset.values))  # one pass
+    result = {"accuracy": accuracy(model_outputs, dataset), "cases": len(dataset)}
     if args.curve is not None:
-        write_curve_tsv(output_curve(model, dataset, *args.curve.split(":")), args.curve_out)
+        curve = output_curve(model_outputs, dataset, *args.curve.split(":"))
+        write_curve_tsv(curve, args.curve_out)
         result["curve"] = args.curve_out
     if args.cond is not None:
-        result["condition_table"] = condition_table(model, dataset, args.cond).to_dict()
+        result["condition_table"] = condition_table(model_outputs, dataset, args.cond).to_dict()
     print(json.dumps(result, indent=2, sort_keys=True))
     return EXIT_OK
 

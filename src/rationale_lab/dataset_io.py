@@ -54,9 +54,7 @@ def write_dataset(dataset: Dataset, path: str | Path) -> Path:
     path = Path(path)
     schema = dataset.schema
     schema.validate_matrix(dataset.values)
-    if np.any(bad := (dataset.labels != 0) & (dataset.labels != 1)):
-        row = int(np.argmax(bad))
-        raise SchemaValidationError(f"label {dataset.labels[row]} at row {row} outside {{0, 1}}")
+    schema.validate_labels(dataset.labels)
     lo, hi = min(0, *(f.lo for f in schema.features)), max(0, *(f.hi for f in schema.features))
     # each cell's text and separator, NUL-padded: "0," .. "hi,", the labels' "0\n" and "1\n",
     # then "lo," .. "-1,", so that a negative value indexes its entry from the end
@@ -207,12 +205,9 @@ def _range_error(path: Path, schema: DomainSchema, data: np.ndarray,
     its first row counted from ``first_row``, else for the first bad label."""
     try:
         schema.validate_matrix(data[:, :-1], first_row)
+        schema.validate_labels(data[:, -1], first_row)
     except SchemaValidationError as err:
         return DatasetFormatError(f"{path}: {err}")
-    if np.any(bad := (data[:, -1] < 0) | (data[:, -1] > 1)):
-        row = int(np.argmax(bad))
-        return DatasetFormatError(f"{path}: label {data[row, -1]} at data row "
-                                  f"{first_row + row} is outside {{0, 1}}")
     return None
 
 

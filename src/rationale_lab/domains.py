@@ -21,7 +21,7 @@ unrestricted concurrent reads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -30,16 +30,14 @@ import numpy as np
 MALE, FEMALE = 0, 1
 IN_PATIENT, OUT_PATIENT = 0, 1
 
-DOMAIN_IDS = ("welfare", "simplified", "tort")
-
 N_NOISE_FEATURES = 52
 
 
 class SchemaValidationError(ValueError):
     """Input that does not fit a domain: an unknown domain, feature or
     condition name; a value matrix of the wrong shape or dtype, or with a
-    value outside its feature's range; or a dataset or model of another
-    domain."""
+    value outside its feature's range; a label that is not 0 or 1; or a
+    dataset or model of another domain."""
 
 
 @dataclass(frozen=True)
@@ -186,6 +184,18 @@ class DomainSchema:
                 f"[{spec.lo}, {spec.hi}]"
             )
 
+    def validate_labels(self, labels: np.ndarray, first_row: int = 0) -> None:
+        """Check that bool or integer labels are 0 or 1, counting rows from ``first_row``."""
+        labels = np.asarray(labels)
+        if labels.dtype != bool and not np.issubdtype(labels.dtype, np.integer):
+            raise SchemaValidationError(f"{self.domain_id}: expected bool or integer labels, "
+                                        f"got dtype {labels.dtype}")
+        if np.any(bad := (labels != 0) & (labels != 1)):
+            row = int(np.argmax(bad))
+            raise SchemaValidationError(
+                f"label {int(labels[row])} at row {first_row + row} outside {{0, 1}}"
+            )
+
     def _truth(self, cond: Condition, values: np.ndarray) -> np.ndarray:
         """Truth of one of this schema's conditions on every row of a
         (n, n_features) matrix: the only code that feeds a condition its
@@ -275,23 +285,6 @@ def _tort_c5(v):  # ~(vst & ~prp)
     return ~((v["vst"] == 1) & ~(v["prp"] == 1))
 
 
-def _welfare_substantive_features() -> list[FeatureSpec]:
-    return [
-        FeatureSpec("Age", "int_range", 0, 100),
-        FeatureSpec("Gender", "categorical", value_names=("male", "female")),
-        FeatureSpec("Con1", "boolean"),
-        FeatureSpec("Con2", "boolean"),
-        FeatureSpec("Con3", "boolean"),
-        FeatureSpec("Con4", "boolean"),
-        FeatureSpec("Con5", "boolean"),
-        FeatureSpec("Spouse", "boolean"),
-        FeatureSpec("Absent", "boolean"),
-        FeatureSpec("Resources", "int_range", 0, 10_000),
-        FeatureSpec("Type", "categorical", value_names=("in", "out")),
-        FeatureSpec("Distance", "int_range", 0, 100),
-    ]
-
-
 _WELFARE_CONDITIONS = (
     Condition("C1", "age-gender", ("Age", "Gender"), _welfare_c1),
     Condition("C2", "contributions", ("Con1", "Con2", "Con3", "Con4", "Con5"), _welfare_c2),
@@ -309,26 +302,35 @@ _TORT_CONDITIONS = (
     Condition("c5", "violation-exception", ("vst", "prp"), _tort_c5),
 )
 
-TORT_FEATURE_NAMES = ("cau", "ico", "ila", "ift", "vun", "vst", "vrt", "jus", "dmg", "prp")
+_WELFARE_FEATURES = (
+    FeatureSpec("Age", "int_range", 0, 100),
+    FeatureSpec("Gender", "categorical", value_names=("male", "female")),
+    *(FeatureSpec(f"Con{i}", "boolean") for i in range(1, 6)),
+    FeatureSpec("Spouse", "boolean"),
+    FeatureSpec("Absent", "boolean"),
+    FeatureSpec("Resources", "int_range", 0, 10_000),
+    FeatureSpec("Type", "categorical", value_names=("in", "out")),
+    FeatureSpec("Distance", "int_range", 0, 100),
+)
+
+# domain id -> its schema; simplified keeps welfare's order of the features it has
+_SCHEMAS = {
+    "welfare": DomainSchema("welfare", _WELFARE_FEATURES + tuple(
+        FeatureSpec(f"noise_{i}", "int_range", 0, 100, role="noise")
+        for i in range(1, N_NOISE_FEATURES + 1)), _WELFARE_CONDITIONS, "Eligible"),
+    "simplified": DomainSchema("simplified", tuple(
+        f for f in _WELFARE_FEATURES if f.name in ("Age", "Gender", "Type", "Distance")
+    ), tuple(c for c in _WELFARE_CONDITIONS if c.id in ("C1", "C6")), "Eligible"),
+    "tort": DomainSchema("tort", tuple(FeatureSpec(name, "boolean") for name in (
+        "cau", "ico", "ila", "ift", "vun", "vst", "vrt", "jus", "dmg", "prp")),
+        _TORT_CONDITIONS, "dut"),
+}
+
+DOMAIN_IDS = tuple(_SCHEMAS)
 
 
-@lru_cache(maxsize=None)
 def build_domain(domain_id: str) -> DomainSchema:
     """Return the fully populated schema for ``welfare``, ``simplified`` or ``tort``."""
-    if domain_id == "welfare":
-        features = _welfare_substantive_features() + [
-            FeatureSpec(f"noise_{i}", "int_range", 0, 100, role="noise")
-            for i in range(1, N_NOISE_FEATURES + 1)
-        ]
-        return DomainSchema("welfare", tuple(features), _WELFARE_CONDITIONS, "Eligible")
-    if domain_id == "simplified":
-        by_name = {f.name: f for f in _welfare_substantive_features()}
-        features = tuple(by_name[n] for n in ("Age", "Gender", "Type", "Distance"))
-        conditions = tuple(c for c in _WELFARE_CONDITIONS if c.id in ("C1", "C6"))
-        return DomainSchema("simplified", features, conditions, "Eligible")
-    if domain_id == "tort":
-        features = tuple(FeatureSpec(n, "boolean") for n in TORT_FEATURE_NAMES)
-        return DomainSchema("tort", features, _TORT_CONDITIONS, "dut")
-    raise SchemaValidationError(
-        f"unknown domain {domain_id!r}; expected one of {DOMAIN_IDS}"
-    )
+    if domain_id not in _SCHEMAS:
+        raise SchemaValidationError(f"unknown domain {domain_id!r}; expected one of {DOMAIN_IDS}")
+    return _SCHEMAS[domain_id]

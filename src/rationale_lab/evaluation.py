@@ -19,6 +19,18 @@ from .domains import SchemaValidationError, build_domain
 from .generation import CURVE_GRIDS, Dataset
 
 
+class _FixedOutputs:
+    """A model's outputs on one dataset, computed once and handed to every
+    evaluation of that dataset; ``outputs`` ignores its argument."""
+
+    def __init__(self, schema_id: str, outputs: np.ndarray):
+        self.schema_id = schema_id
+        self._outputs = outputs
+
+    def outputs(self, values) -> np.ndarray:
+        return self._outputs
+
+
 def _check_schema(model, dataset: Dataset) -> None:
     model_schema = getattr(model, "schema_id", None)
     if model_schema is not None and model_schema != dataset.schema_id:

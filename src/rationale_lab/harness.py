@@ -38,6 +38,7 @@ from .evaluation import (
     ConditionTableRow,
     CurveGroup,
     RationaleCurve,
+    _FixedOutputs,
     accuracy,
     condition_table,
     output_curve,
@@ -286,18 +287,6 @@ def _dataset(spec: GeneratorRequest, seed: int) -> Dataset:
     return generate(
         GeneratorRequest(spec.domain_id, spec.kind, spec.size, seed)
     )
-
-
-class _FixedOutputs:
-    """A model's outputs on one test set, computed once and handed to every
-    evaluation of that set; ``outputs`` ignores its argument."""
-
-    def __init__(self, schema_id: str, outputs: np.ndarray):
-        self.schema_id = schema_id
-        self._outputs = outputs
-
-    def outputs(self, values) -> np.ndarray:
-        return self._outputs
 
 
 def _run_repetition(plan: ExperimentPlan, seeds: _RepSeeds) -> _RepResult:

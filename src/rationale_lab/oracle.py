@@ -128,6 +128,7 @@ class VerificationReport:
 def verify_dataset(dataset: Dataset, schema: DomainSchema) -> VerificationReport:
     """Audit a dataset: labels, size, distribution, and negative structure.
 
+    Cells and labels are range-checked as ``write_dataset`` checks them.
     Labels are recomputed twice, once through the schema's condition objects
     and once through this module's transcription; a stored label counts as a
     mismatch if it disagrees with either.  Duplicates are counted on the rows
@@ -141,6 +142,7 @@ def verify_dataset(dataset: Dataset, schema: DomainSchema) -> VerificationReport
             f"{schema.domain_id!r}"
         )
     schema.validate_matrix(dataset.values)
+    schema.validate_labels(dataset.labels)
     stored = dataset.labels.astype(bool)
 
     truth = condition_truth(schema, dataset.values)

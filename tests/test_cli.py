@@ -5,8 +5,20 @@ from pathlib import Path
 
 import pytest
 
-from rationale_lab import ExperimentPlan, GeneratorRequest, TrainConfig, build_domain
+from rationale_lab import (
+    ExperimentPlan,
+    GeneratorRequest,
+    TrainConfig,
+    accuracy,
+    build_domain,
+    condition_table,
+    load_model,
+    output_curve,
+    read_dataset,
+    write_curve_tsv,
+)
 from rationale_lab import harness as harness_module
+from rationale_lab import network
 from rationale_lab.cli import _build_parser, main
 from rationale_lab.dataset_io import meta_path
 from rationale_lab.network import schema_scaling
@@ -156,6 +168,35 @@ class TestTrainEval:
         )
         assert code == 0
         assert curve.read_text().startswith("group\tx\tmean_output\tn")
+
+    def test_eval_runs_the_network_once(self, tmp_path, monkeypatch, capsys):
+        """The accuracy, ``--curve`` and ``--condition-table`` read one forward
+        pass, and print what each reads from the model itself."""
+        data, test_data = tmp_path / "train.csv", tmp_path / "ag.csv"
+        run(["gen", "--domain", "simplified", "--kind", "type-b", "--size", "400",
+             "--seed", "3", "--out", str(data)], capsys)
+        run(["gen", "--domain", "simplified", "--kind", "age-gender", "--out", str(test_data)],
+            capsys)
+        model = tmp_path / "model.json"
+        run(["train", "--in", str(data), "--domain", "simplified", "--hidden", "12",
+             "--iterations", "50", "--seed", "1", "--out", str(model)], capsys)
+        calls, scaled_outputs = [], network._scaled_outputs
+        monkeypatch.setattr(network, "_scaled_outputs",
+                            lambda *args: calls.append(1) or scaled_outputs(*args))
+        curve = tmp_path / "curve.tsv"
+        code, stdout, _ = run(["eval", "--model", str(model), "--in", str(test_data),
+                               "--curve", "Age:Gender", "--curve-out", str(curve),
+                               "--condition-table", "C1"], capsys)
+        assert code == 0 and len(calls) == 1
+        trained, dataset = load_model(model), read_dataset(test_data, build_domain("simplified"))
+        direct = write_curve_tsv(output_curve(trained, dataset, "Age", "Gender"),
+                                 tmp_path / "direct.tsv")
+        assert curve.read_bytes() == direct.read_bytes()
+        assert json.loads(stdout) == {
+            "accuracy": accuracy(trained, dataset), "cases": len(dataset), "curve": str(curve),
+            "condition_table": json.loads(json.dumps(
+                condition_table(trained, dataset, "C1").to_dict())),
+        }
 
     def test_eval_of_header_only_dataset_exits_3(self, tmp_path, capsys):
         data, empty = tmp_path / "u.csv", tmp_path / "empty.csv"

@@ -286,7 +286,7 @@ MALFORMED_BODIES = {
     # int64 cells beyond the int8 rows: named as the range check names them
     "cau-200": (_first_cell_of_row_2("200"), r"cau: value 200 at row 2 outside \[0, 1\]"),
     "label-300": (_cell_of_row_2(LABEL_COLUMN, "300"),
-                  r"label 300 at data row 2 is outside \{0, 1\}"),
+                  r"label 300 at row 2 outside \{0, 1\}"),
     "int8-max": (_first_cell_of_row_2("127"), r"cau: value 127 at row 2 outside \[0, 1\]"),
     "int8-max-plus-1": (_first_cell_of_row_2("128"),
                         r"cau: value 128 at row 2 outside \[0, 1\]"),
@@ -562,9 +562,9 @@ FAULTS_IN_A_ROW = {
     "value-above": (lambda line: "7" + line[1:], r"cau: value 7 at row {row} outside \[0, 1\]"),
     "value-below": (lambda line: "-1" + line[1:],
                     r"cau: value -1 at row {row} outside \[0, 1\]"),
-    "label-2": (lambda line: line[:-1] + "2", r"label 2 at data row {row} is outside \{0, 1\}"),
+    "label-2": (lambda line: line[:-1] + "2", r"label 2 at row {row} outside \{0, 1\}"),
     "label-negative": (lambda line: line[:-1] + "-1",
-                       r"label -1 at data row {row} is outside \{0, 1\}"),
+                       r"label -1 at row {row} outside \{0, 1\}"),
     "non-numeric": (lambda line: "maybe" + line[1:],
                     r"cell 'maybe' at data row {row}, column 'cau'"),
     "plus-sign": (lambda line: "+1" + line[1:], r"cell '\+1' at data row {row}, column 'cau'"),
@@ -627,7 +627,7 @@ def test_several_faults_reported_in_order(tmp_path, tort_schema):
               (12, "ift", "", r"cell '' at data row 12, column 'ift'"),
               (3, "cau", "7", r"cau: value 7 at row 3 outside \[0, 1\]"),
               (2, "ico", "5", r"ico: value 5 at row 2 outside \[0, 1\]"),
-              (1, LABEL_COLUMN, "2", r"label 2 at data row 1 is outside \{0, 1\}")]
+              (1, LABEL_COLUMN, "2", r"label 2 at row 1 outside \{0, 1\}")]
     path = tmp_path / "bad.csv"
     for k, (*_, message) in enumerate(faults):
         lines = list(original)

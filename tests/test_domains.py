@@ -66,7 +66,8 @@ class TestSchemas:
         assert all((f.lo, f.hi) == (0, 100) for f in noise)
 
     def test_unknown_domain_rejected(self):
-        with pytest.raises(SchemaValidationError, match="unknown domain"):
+        with pytest.raises(SchemaValidationError, match=r"^unknown domain 'trade-law'; expected "
+                           r"one of \('welfare', 'simplified', 'tort'\)$"):
             build_domain("trade-law")
 
     @pytest.mark.parametrize("lookup", ["feature", "index_of"])
@@ -216,6 +217,21 @@ class TestLabelExamples:
             schema.validate_matrix(values)
         assert str(err.value) == _per_column_message(schema, values) == (
             "b: value 0 at row 2 outside [1, 9]")
+
+    @pytest.mark.parametrize("labels,message", [
+        (np.array([1, 0, 2, 3], dtype=np.uint8), r"label 2 at row 7 outside \{0, 1\}"),
+        (np.array([0, -1, 1]), r"label -1 at row 6 outside \{0, 1\}"),
+        (np.array([0.0, 1.0]), r"tort: expected bool or integer labels, got dtype float64"),
+    ], ids=["uint8-2", "int64-negative", "float"])
+    def test_bad_labels_rejected_counting_rows_from_first_row(self, tort_schema, labels,
+                                                             message):
+        with pytest.raises(SchemaValidationError, match=f"^{message}$"):
+            tort_schema.validate_labels(labels, first_row=5)
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int8, np.int64])
+    def test_binary_labels_accepted(self, tort_schema, dtype):
+        tort_schema.validate_labels(np.array([0, 1, 1, 0], dtype=dtype))
+        tort_schema.validate_labels(np.array([], dtype=dtype))
 
 
 def _per_column_message(schema, values):

@@ -144,6 +144,19 @@ class TestVerifyDataset:
         assert report.label_mismatches == 1
         assert report.mismatch_rows == (37,)
 
+    def test_label_outside_binary_refused_as_write_refuses_it(self, tmp_path, tort_schema):
+        """A label of 2 is not counted as positive: the audit raises the
+        error that ``write_dataset`` raises for the same set."""
+        ds = generate(GeneratorRequest("tort", "unique"))
+        doubled = Dataset(ds.schema_id, ds.kind, ds.values.copy(), ds.labels * 2, ds.meta)
+        first = int(np.argmax(ds.labels))
+        with pytest.raises(SchemaValidationError,
+                           match=rf"^label 2 at row {first} outside \{{0, 1\}}$") as audit:
+            verify_dataset(doubled, tort_schema)
+        with pytest.raises(SchemaValidationError) as write:
+            write_dataset(doubled, tmp_path / "doubled.csv")
+        assert str(audit.value) == str(write.value)
+
     def test_wrong_size_detected(self, tort_schema):
         ds = generate(GeneratorRequest("tort", "unique"))
         truncated = Dataset(

@@ -1,15 +1,17 @@
 """Mutation adequacy of the desk plans' probes (DeMillo, Lipton and Sayward,
 "Hints on test data selection", 1978).
 
-A mutant is the label rule with one condition dropped, run as a stub model
-in the style of ``conftest.ConditionOracleModel``.  The probe is what a plan
-reads from each dedicated test set: the condition table's false-row mean
-output, or the first turning points of the curve on the set's grid.  A
-mutant is killed when its probe differs from the true rule's.  The pinned
-kill sets say which wrong rules the desk plans can tell from the right one,
-so a change that widens the probe updates them.  Nothing here trains.
+A mutant is the label rule with one condition dropped, or with one
+condition's threshold moved, run as a stub model in the style of
+``conftest.ConditionOracleModel``.  The probe is what a plan reads from each
+dedicated test set: the condition table's false-row mean output, or the
+first turning points of the curve on the set's grid.  A mutant is killed
+when its probe differs from the true rule's.  The pinned kill sets say which
+wrong rules the desk plans can tell from the right one, so a change that
+widens the probe updates them.  Nothing here trains.
 """
 
+import dataclasses
 from functools import cache
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from rationale_lab import (
     output_curve,
     turning_points,
 )
+from rationale_lab.domains import FEMALE, IN_PATIENT
 from rationale_lab.generation import CURVE_GRIDS, DEDICATED_TARGET
 from rationale_lab.harness import _schedule
 
@@ -46,6 +49,69 @@ KILLED_BY = {
 }
 
 
+# mutant -> (the condition it moves, the moved condition's truth over its columns)
+SHIFT_MUTANTS = {
+    "C1-five-years-later": ("C1", lambda v: np.where(v["Gender"] == FEMALE, v["Age"] >= 65,
+                                                     v["Age"] >= 70)),
+    "C1-gender-blind": ("C1", lambda v: v["Age"] >= 60),
+    "C6-five-units-later": ("C6", lambda v: np.where(v["Type"] == IN_PATIENT, v["Distance"] < 55,
+                                                     v["Distance"] >= 55)),
+    "C5-at-3500": ("C5", lambda v: v["Resources"] < 3500),
+    "C2-three-of-five": ("C2", lambda v: sum(v[f"Con{i}"] for i in range(1, 6)) >= 3),
+    "c3-without-jus": ("c3", lambda v: (v["vun"] == 1) | (v["vst"] == 1) | (v["vrt"] == 1)),
+}
+
+# (domain, dedicated test set) -> {shift mutant: its probe's reading} for every
+# shift mutant of the domain's conditions.  The true rule reads (62.5, 57.5) on
+# welfare age-gender, (64.5, 59.5) on simplified age-gender, (47.5, 47.5) on
+# both patient-distance sets and 0.0 on both tort sets: a mutant that reads the
+# same survives the set.  No desk set is a curve over Resources or the
+# contributions, so the shifts of C5 and C2 survive every set.
+SHIFT_READINGS = {
+    ("welfare", "age-gender"): {
+        "C1-five-years-later": (67.5, 62.5),
+        "C1-gender-blind": (57.5, 57.5),
+        "C6-five-units-later": (62.6427, 57.6288),
+        "C5-at-3500": (62.5, 57.5),
+        "C2-three-of-five": (62.5, 57.5),
+    },
+    ("welfare", "patient-distance"): {
+        "C1-five-years-later": (47.0554, 47.8539),
+        "C1-gender-blind": (47.5, 47.5),
+        "C6-five-units-later": (52.5, 52.5),
+        "C5-at-3500": (47.5, 47.5),
+        "C2-three-of-five": (47.5, 47.5),
+    },
+    ("simplified", "age-gender"): {
+        "C1-five-years-later": (69.5, 64.5),
+        "C1-gender-blind": (59.5, 59.5),
+        "C6-five-units-later": (64.525, 59.525),
+    },
+    ("simplified", "patient-distance"): {
+        "C1-five-years-later": (47.1269, 47.8731),
+        "C1-gender-blind": (47.5, 47.5),
+        "C6-five-units-later": (52.5, 52.5),
+    },
+    ("tort", "unlawfulness"): {"c3-without-jus": 0.5},
+    ("tort", "imputability"): {"c3-without-jus": 0.0},
+}
+
+# (domain, dedicated test set) -> the shift mutants its probe kills
+SHIFT_KILLED_BY = {
+    ("welfare", "age-gender"): {"C1-five-years-later", "C1-gender-blind",
+                                "C6-five-units-later"},
+    ("welfare", "patient-distance"): {"C1-five-years-later", "C6-five-units-later"},
+    ("simplified", "age-gender"): {"C1-five-years-later", "C1-gender-blind",
+                                   "C6-five-units-later"},
+    ("simplified", "patient-distance"): {"C1-five-years-later", "C6-five-units-later"},
+    ("tort", "unlawfulness"): {"c3-without-jus"},
+    ("tort", "imputability"): set(),
+}
+
+# drop-one mutant -> its accuracy on the tort desk plan's regular-5000, in cases of 5000
+TORT_DROP_ONE_CORRECT = {"c1": 4698, "c2": 4951, "c3": 4845, "c4": 4678, "c5": 4890}
+
+
 class DropOneMutant:
     """The label rule without one condition: outputs 1.0 where every other
     condition holds and 0.0 elsewhere."""
@@ -58,6 +124,23 @@ class DropOneMutant:
     def outputs(self, values) -> np.ndarray:
         truth = self.schema.condition_matrix(np.asarray(values))
         return truth[:, self.kept].all(axis=1).astype(np.float64)
+
+
+class ShiftMutant:
+    """The label rule with one condition moved: outputs 1.0 where the moved
+    condition and every other condition hold and 0.0 elsewhere."""
+
+    def __init__(self, schema: DomainSchema, name: str):
+        cond_id, moved = SHIFT_MUTANTS[name]
+        self.schema = schema
+        self.schema_id = schema.domain_id
+        self.conditions = [dataclasses.replace(c, fn=moved) if c.id == cond_id else c
+                           for c in schema.conditions]
+
+    def outputs(self, values) -> np.ndarray:
+        values = np.asarray(values)
+        truth = [self.schema._truth(c, values) for c in self.conditions]
+        return np.logical_and.reduce(truth).astype(np.float64)
 
 
 @cache
@@ -102,3 +185,35 @@ def test_accuracy_kills_no_welfare_mutant(cond_id):
     mutant = DropOneMutant(build_domain("welfare"), cond_id)
     assert accuracy(mutant, desk_test_set("welfare", "type-b-2400")) == 11 / 12
     assert accuracy(mutant, desk_test_set("welfare", "type-a-2400")) >= 0.99
+
+
+def test_shift_readings_cover_every_shift_of_each_dedicated_set():
+    assert set(SHIFT_READINGS) == set(SHIFT_KILLED_BY) == set(KILLED_BY)
+    for domain_id, label in SHIFT_READINGS:
+        ids = {c.id for c in build_domain(domain_id).conditions}
+        assert set(SHIFT_READINGS[domain_id, label]) == {
+            name for name, (cond_id, _) in SHIFT_MUTANTS.items() if cond_id in ids}
+
+
+@pytest.mark.parametrize("domain_id,label", sorted(SHIFT_READINGS))
+def test_dedicated_set_reads_each_shift_mutant(domain_id, label):
+    """Each shift mutant's reading on the set, pinned to 1e-4, and the set's
+    kill set: the mutants whose reading is not exactly the true rule's."""
+    schema = build_domain(domain_id)
+    dataset = desk_test_set(domain_id, label)
+    truth = probe(LabelOracleModel(schema), dataset)
+    readings = {name: probe(ShiftMutant(schema, name), dataset)
+                for name in SHIFT_READINGS[domain_id, label]}
+    assert readings == {name: pytest.approx(reading, abs=1e-4)
+                        for name, reading in SHIFT_READINGS[domain_id, label].items()}
+    assert {name for name, reading in readings.items() if reading != truth} == (
+        SHIFT_KILLED_BY[domain_id, label])
+
+
+@pytest.mark.parametrize("cond_id", sorted(TORT_DROP_ONE_CORRECT))
+def test_tort_drop_one_accuracy_on_regular_5000(cond_id):
+    """Drop-c2, which only imputability kills, scores 99.02% on the plan's
+    ordinary test set; drop-c5, which no dedicated set kills, scores 97.8%."""
+    mutant = DropOneMutant(build_domain("tort"), cond_id)
+    assert accuracy(mutant, desk_test_set("tort", "regular-5000")) == (
+        TORT_DROP_ONE_CORRECT[cond_id] / 5000)
