@@ -2,7 +2,8 @@
 # Smoke run of the installed rationale-lab console script, in the current
 # directory: gen and verify of every dataset kind, a short train and an eval
 # with a curve and a condition table, then a welfare plan run at parallelism 2
-# and replayed at parallelism 1 to the same report bytes.
+# and replayed at parallelism 1 to the same report bytes, also with two BLAS
+# threads.
 set -eu
 
 python -c 'from rationale_lab.generation import KINDS
@@ -26,3 +27,8 @@ rationale-lab report --manifest run/manifest.json --out-dir replayed --paralleli
 cmp run/summary.json replayed/summary.json
 cmp run/accuracy_matrix.csv replayed/accuracy_matrix.csv
 diff -r run/curves replayed/curves
+# importing the package sets one BLAS thread; a user's own setting must not change the bytes
+OPENBLAS_NUM_THREADS=2 rationale-lab report --manifest run/manifest.json --out-dir replayed-blas2 \
+  --parallelism 1
+cmp run/summary.json replayed-blas2/summary.json
+cmp run/accuracy_matrix.csv replayed-blas2/accuracy_matrix.csv

@@ -3,6 +3,14 @@ and condition-level rationale evaluation of the trained models."""
 
 __version__ = "0.1.0"
 
+import os
+
+# OpenBLAS reads this once, when numpy first loads it. The networks' products
+# are below its threading threshold except for whole-test-set forward passes,
+# and the process pool already uses the cores, so a second thread only holds
+# memory. A value the user set, or numpy loaded earlier, wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .domains import (
     Condition,
     DomainSchema,

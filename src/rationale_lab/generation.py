@@ -57,7 +57,8 @@ class Dataset:
     """An ordered collection of labelled cases plus generation metadata.
 
     ``values`` holds one case per row in the schema's canonical feature
-    order; ``labels`` holds the matching 0/1 labels.  Both are read-only.
+    order; ``labels`` holds the matching 0/1 labels, one per row, or
+    construction raises ``ValueError``.  Both are read-only.
     ``generate`` and ``read_dataset`` give ``values`` as a C-contiguous
     ``schema.value_dtype`` matrix (int8 for tort and simplified, int16 for
     welfare), so arithmetic on it that can leave a feature's range must
@@ -71,6 +72,11 @@ class Dataset:
     meta: DatasetMeta
 
     def __post_init__(self) -> None:
+        if self.values.ndim != 2 or self.labels.shape != (self.values.shape[0],):
+            raise ValueError(
+                f"a dataset needs a 2-D values matrix and one label per row: values "
+                f"{self.values.shape}, labels {self.labels.shape}"
+            )
         self.values.setflags(write=False)
         self.labels.setflags(write=False)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rationale_lab import (
+    Dataset,
     GenerationError,
     GeneratorRequest,
     generate,
@@ -33,6 +34,26 @@ class TestRequestValidation:
     def test_generate_dispatches(self):
         ds = generate(GeneratorRequest("simplified", "type-b", 200, seed=5))
         assert ds.schema_id == "simplified" and len(ds) == 200
+
+
+class TestDatasetShape:
+    @pytest.mark.parametrize(
+        "edit,shapes",
+        [
+            ("label-short", r"values \(1024, 10\), labels \(1023,\)"),
+            ("labels-2d", r"labels \(1024, 1\)"),
+            ("values-1d", r"values \(1024,\), labels"),
+        ],
+    )
+    def test_mismatched_shapes_refused_at_construction(self, edit, shapes):
+        ds = generate(GeneratorRequest("tort", "unique"))
+        values, labels = {
+            "label-short": (ds.values, ds.labels[:-1]),
+            "labels-2d": (ds.values, ds.labels[:, None]),
+            "values-1d": (ds.values[:, 0], ds.labels),
+        }[edit]
+        with pytest.raises(ValueError, match=shapes):
+            Dataset(ds.schema_id, ds.kind, values, labels, ds.meta)
 
 
 class TestBalancedSets:
