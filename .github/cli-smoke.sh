@@ -3,8 +3,12 @@
 # directory: gen and verify of every dataset kind, a short train and an eval
 # with a curve and a condition table, then a welfare plan run at parallelism 2
 # and replayed at parallelism 1 to the same report bytes, also with two BLAS
-# threads.
+# threads. The installed distribution's version must be the package's.
 set -eu
+
+python -c 'import importlib.metadata, rationale_lab
+installed = importlib.metadata.version("rationale-lab")
+assert installed == rationale_lab.__version__, (installed, rationale_lab.__version__)'
 
 python -c 'from rationale_lab.generation import KINDS
 for (domain, kind), entry in KINDS.items():

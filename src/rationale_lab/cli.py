@@ -15,13 +15,7 @@ import sys
 
 from .dataset_io import read_dataset, write_dataset
 from .domains import DOMAIN_IDS, build_domain
-from .evaluation import (
-    _FixedOutputs,
-    accuracy,
-    condition_table,
-    output_curve,
-    write_curve_tsv,
-)
+from .evaluation import accuracy, condition_table, output_curve, write_curve_tsv
 from .generation import GenerationError, GeneratorRequest, generate
 from .harness import derive_seed, emit_report, load_plan, replay, run_plan
 from .network import (
@@ -160,14 +154,14 @@ def _cmd_eval(args) -> int:
         raise UsageError("--curve takes X_FEATURE:GROUP_FEATURE")
     model = load_model(args.model)
     dataset = read_dataset(args.path, build_domain(model.schema_id))
-    model_outputs = _FixedOutputs(model.schema_id, model.outputs(dataset.values))  # one pass
-    result = {"accuracy": accuracy(model_outputs, dataset), "cases": len(dataset)}
+    outputs = model.outputs(dataset.values)  # one pass
+    result = {"accuracy": accuracy(outputs, dataset), "cases": len(dataset)}
     if args.curve is not None:
-        curve = output_curve(model_outputs, dataset, *args.curve.split(":"))
+        curve = output_curve(outputs, dataset, *args.curve.split(":"))
         write_curve_tsv(curve, args.curve_out)
         result["curve"] = args.curve_out
     if args.cond is not None:
-        result["condition_table"] = condition_table(model_outputs, dataset, args.cond).to_dict()
+        result["condition_table"] = condition_table(outputs, dataset, args.cond).to_dict()
     print(json.dumps(result, indent=2, sort_keys=True))
     return EXIT_OK
 

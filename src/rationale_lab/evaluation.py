@@ -2,10 +2,12 @@
 condition: accuracy, mean-output curves against ideal curves, turning-point
 extraction, and per-condition output tables.
 
-All functions are pure over immutable models and datasets.  A "model" is
-anything exposing ``outputs(values) -> probabilities`` over raw case rows in
-the dataset's canonical feature order; predictions threshold the output at
-0.5, ties counting as positive.
+All functions are pure over immutable models and datasets.  Each
+measurement takes as its first argument either a model, anything exposing
+``outputs(values) -> probabilities`` over raw case rows in the dataset's
+canonical feature order, or the array of outputs already computed on the
+dataset, one per case.  Predictions threshold the output at 0.5, ties
+counting as positive.
 """
 
 from __future__ import annotations
@@ -15,38 +17,37 @@ from pathlib import Path
 
 import numpy as np
 
-from .domains import SchemaValidationError, build_domain
-from .generation import CURVE_GRIDS, Dataset
+from .domains import SchemaValidationError
+from .generation import CURVE_GRIDS, DEDICATED_TARGET, Dataset, GeneratorRequest, generate
 
 
-class _FixedOutputs:
-    """A model's outputs on one dataset, computed once and handed to every
-    evaluation of that dataset; ``outputs`` ignores its argument."""
-
-    def __init__(self, schema_id: str, outputs: np.ndarray):
-        self.schema_id = schema_id
-        self._outputs = outputs
-
-    def outputs(self, values) -> np.ndarray:
-        return self._outputs
-
-
-def _check_schema(model, dataset: Dataset) -> None:
+def _outputs(model, dataset: Dataset) -> np.ndarray:
+    """The outputs on ``dataset``: a model's, which must be built for the
+    dataset's schema, or an array of one output per case as given."""
+    if not hasattr(model, "outputs"):
+        outputs = np.asarray(model, dtype=np.float64)
+        if outputs.shape != (len(dataset),):
+            raise ValueError(
+                f"outputs of shape {outputs.shape} for a dataset of {len(dataset)} "
+                "cases; expected one output per case"
+            )
+        return outputs
     model_schema = getattr(model, "schema_id", None)
     if model_schema is not None and model_schema != dataset.schema_id:
         raise SchemaValidationError(
             f"model was built for {model_schema!r} but dataset is "
             f"{dataset.schema_id!r}"
         )
+    return np.asarray(model.outputs(dataset.values), dtype=np.float64)
 
 
 def accuracy(model, dataset: Dataset) -> float:
     """Fraction of cases whose thresholded output equals the stored label.
     Raises ValueError on a dataset of no cases, where it is undefined."""
-    _check_schema(model, dataset)
+    outputs = _outputs(model, dataset)
     if len(dataset) == 0:
         raise ValueError("accuracy is undefined on a dataset of no cases")
-    predicted = model.outputs(dataset.values) >= 0.5
+    predicted = outputs >= 0.5
     return float((predicted == dataset.labels.astype(bool)).mean())
 
 
@@ -83,7 +84,7 @@ def output_curve(
     model, dataset: Dataset, x_feature: str, group_feature: str
 ) -> RationaleCurve:
     """Average model outputs over the cases at each (group, x) grid value."""
-    _check_schema(model, dataset)
+    outputs = _outputs(model, dataset)
     schema = dataset.schema
     x_spec = schema.feature(x_feature)
     g_spec = schema.feature(group_feature)
@@ -92,7 +93,6 @@ def output_curve(
     if g_spec.kind not in ("boolean", "categorical"):
         raise SchemaValidationError(f"{group_feature}: group feature must be binary")
 
-    outputs = np.asarray(model.outputs(dataset.values), dtype=np.float64)
     xcol = dataset.values[:, schema.index_of(x_feature)]
     gcol = dataset.values[:, schema.index_of(group_feature)]
 
@@ -117,34 +117,22 @@ def ideal_curve(domain_id: str, cond_id: str) -> RationaleCurve:
     """The 0/1 curve a perfect learner of one condition would produce.
 
     Supported for the two curve-testable conditions, C1 and C6, on the
-    welfare and simplified domains.  Means come from evaluating the schema's
-    condition formula over the dedicated test set's grid.
+    welfare and simplified domains: the curve of the condition's truth on
+    its dedicated test set.
     """
     try:
-        x_feature, group_feature, xs, per_cell = CURVE_GRIDS[(domain_id, cond_id)]
+        x_feature, group_feature = CURVE_GRIDS[(domain_id, cond_id)][:2]
     except KeyError:
         raise ValueError(
             f"no ideal curve for condition {cond_id!r} in domain {domain_id!r}; "
             "supported: C1 and C6 on welfare/simplified"
         ) from None
-    schema = build_domain(domain_id)
-    cond = schema.condition(cond_id)
-    g_spec = schema.feature(group_feature)
-    grid = np.zeros((len(xs), schema.n_features), dtype=np.int64)
-    grid[:, schema.index_of(x_feature)] = xs
-    groups = []
-    for code in (0, 1):
-        grid[:, schema.index_of(group_feature)] = code
-        truth = schema._truth(cond, grid)
-        groups.append(
-            CurveGroup(
-                label=str(g_spec.decode(code)),
-                xs=xs.astype(np.int64),
-                means=truth.astype(np.float64),
-                counts=np.full(len(xs), per_cell, dtype=np.int64),
-            )
-        )
-    return RationaleCurve(x_feature, group_feature, tuple(groups))
+    (kind,) = [k for (d, k), target in DEDICATED_TARGET.items()
+               if (d, target) == (domain_id, cond_id)]
+    dataset = generate(GeneratorRequest(domain_id, kind))
+    schema = dataset.schema
+    truth = schema._truth(schema.condition(cond_id), dataset.values)
+    return output_curve(truth, dataset, x_feature, group_feature)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +212,7 @@ class ConditionOutputTable:
 
 def condition_table(model, dataset: Dataset, cond_id: str) -> ConditionOutputTable:
     """Mean output among cases where a condition is true versus false."""
-    _check_schema(model, dataset)
+    outputs = _outputs(model, dataset)
     schema = dataset.schema
     truth = schema._truth(schema.condition(cond_id), dataset.values)
     if truth.all() or not truth.any():
@@ -232,7 +220,6 @@ def condition_table(model, dataset: Dataset, cond_id: str) -> ConditionOutputTab
             f"condition {cond_id!r} never varies in this dataset; a dedicated "
             "set must contain both outcomes"
         )
-    outputs = np.asarray(model.outputs(dataset.values), dtype=np.float64)
     rows = {}
     for value in (False, True):
         mask = truth == value

@@ -101,14 +101,16 @@ class Dataset:
 
 @dataclass(frozen=True)
 class GeneratorRequest:
-    """A fully specified generation order: domain, kind, size, seed."""
+    """A fully specified generation order: domain, kind, size, seed.
+    A request the kind's size or domain rules refuse raises
+    ``GenerationError`` at construction."""
 
     domain_id: str
     kind: str
     size: int | None = None
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         known = tuple(k for d, k in KINDS if d == self.domain_id)
         if not known:
             raise GenerationError(f"unknown domain {self.domain_id!r}")
@@ -134,8 +136,7 @@ class GeneratorRequest:
 
     @property
     def deterministic(self) -> bool:
-        kind = KINDS.get((self.domain_id, self.kind))
-        return kind is not None and kind.seed_independent
+        return KINDS[(self.domain_id, self.kind)].seed_independent
 
     def label(self) -> str:
         return self.kind if self.size is None else f"{self.kind}-{self.size}"
@@ -342,10 +343,8 @@ DEDICATED_TARGET = {key: kind.target for key, kind in KINDS.items() if kind.targ
 
 
 def generate(request: GeneratorRequest) -> Dataset:
-    """Validate a request and build its dataset with the kind's builder;
-    ``values`` is C-contiguous ``schema.value_dtype``, as the builders
-    allocate it."""
-    request.validate()
+    """Build a request's dataset with the kind's builder; ``values`` is
+    C-contiguous ``schema.value_dtype``, as the builders allocate it."""
     kind = KINDS[(request.domain_id, request.kind)]
     schema = build_domain(request.domain_id)
     values = np.ascontiguousarray(kind.build(schema, request, kind), dtype=schema.value_dtype)

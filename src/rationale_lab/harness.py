@@ -38,7 +38,6 @@ from .evaluation import (
     ConditionTableRow,
     CurveGroup,
     RationaleCurve,
-    _FixedOutputs,
     accuracy,
     condition_table,
     output_curve,
@@ -99,7 +98,6 @@ class ExperimentPlan:
                     f"spec {spec.label()} belongs to {spec.domain_id!r}, "
                     f"plan is for {self.domain_id!r}"
                 )
-            spec.validate()
         for what, labels in (
             ("train set", [s.label() for s in self.train_specs]),
             ("test set", [s.label() for s in self.test_specs]),
@@ -177,19 +175,16 @@ def plan_from_dict(doc: dict) -> ExperimentPlan:
     def listed(key: str, ok) -> list:
         return checked(key, lambda v: isinstance(v, list) and all(map(ok, v)))
 
-    def specs(key: str) -> tuple[GeneratorRequest, ...]:
-        return tuple(GeneratorRequest(doc["domain"], e["kind"], e.get("size"))
-                     for e in listed(key, _is_spec))
-
     lists = ("domain", "train", "test", "architectures")
     scalars = {key: value for key, value in doc.items() if key not in lists}
-    return ExperimentPlan(
-        domain_id=checked("domain", lambda v: isinstance(v, str)),
-        train_specs=specs("train"),
-        test_specs=specs("test"),
-        architectures=tuple(tuple(a) for a in listed("architectures", _is_arch)),
-        **typed_fields(ExperimentPlan, scalars, "plan", names=_PLAN_SCALARS),
-    )
+    domain = checked("domain", lambda v: isinstance(v, str))
+    train, test = listed("train", _is_spec), listed("test", _is_spec)
+    architectures = tuple(tuple(a) for a in listed("architectures", _is_arch))
+    scalars = typed_fields(ExperimentPlan, scalars, "plan", names=_PLAN_SCALARS)
+    # a request checks its kind's rules when it is built: after every key
+    train_specs, test_specs = ([GeneratorRequest(domain, e["kind"], e.get("size"))
+                                for e in entries] for entries in (train, test))
+    return ExperimentPlan(domain, train_specs, test_specs, architectures, **scalars)
 
 
 def load_plan(path: str | Path) -> ExperimentPlan:
@@ -320,14 +315,14 @@ def _run_repetition(plan: ExperimentPlan, seeds: _RepSeeds) -> _RepResult:
         target = DEDICATED_TARGET.get((plan.domain_id, test_set.kind))
         grid = CURVE_GRIDS.get((plan.domain_id, target))
         for (ti, ai), model in models.items():
-            model_outputs = _FixedOutputs(model.schema_id, _scaled_outputs(model.params, x))
-            accs[ti, ai, si] = accuracy(model_outputs, test_set)
+            outputs = _scaled_outputs(model.params, x)
+            accs[ti, ai, si] = accuracy(outputs, test_set)
             if target is None:
                 continue
             if grid is not None:  # read as a curve on the grid's two axes
-                curves[ti, ai, si] = output_curve(model_outputs, test_set, *grid[:2])
+                curves[ti, ai, si] = output_curve(outputs, test_set, *grid[:2])
             else:
-                tables[ti, ai, si] = condition_table(model_outputs, test_set, target)
+                tables[ti, ai, si] = condition_table(outputs, test_set, target)
         del test_set, x  # before the next one is generated
     return _RepResult(accs, curves, tables)
 

@@ -5,7 +5,9 @@ import pytest
 
 from rationale_lab import (
     GeneratorRequest,
+    NetworkConfig,
     SchemaValidationError,
+    TrainConfig,
     accuracy,
     build_domain,
     condition_table,
@@ -13,6 +15,7 @@ from rationale_lab import (
     generate,
     ideal_curve,
     output_curve,
+    train,
     turning_points,
     write_curve_tsv,
 )
@@ -197,25 +200,9 @@ class TestConditionTable:
             condition_table(ConstantOutputModel(0.5), ds, "c1")
 
     def test_means_are_convex_combinations(self, tort_schema):
-        rng = np.random.default_rng(1)
-
-        class NoisyModel:
-            schema_id = "tort"
-
-            def outputs(self, values):
-                return rng.random(len(values))
-
         ds = generate(GeneratorRequest("tort", "imputability"))
-        model = NoisyModel()
-        outputs = model.outputs(ds.values)
-
-        class FixedModel:
-            schema_id = "tort"
-
-            def outputs(self, values):
-                return outputs
-
-        table = condition_table(FixedModel(), ds, "c2")
+        outputs = np.random.default_rng(1).random(len(ds))
+        table = condition_table(outputs, ds, "c2")
         for row in table.rows.values():
             assert outputs.min() <= row.mean_output <= outputs.max()
 
@@ -230,6 +217,53 @@ class TestConditionTable:
             assert correct / (t.count + f.count) == pytest.approx(
                 accuracy(model, ds), abs=1e-12
             )
+
+
+def trained_12(domain_id: str, kind: str):
+    data = generate(GeneratorRequest(domain_id, kind, 200, seed=3))
+    return train(data, NetworkConfig(data.schema.n_features, (12,), init_seed=4),
+                 TrainConfig(iterations=60, shuffle_seed=5))
+
+
+class TestOutputsArray:
+    """Each measurement reads an array of one output per case as it reads
+    the model that computed it."""
+
+    def test_accuracy_reads_the_array_as_the_model(self):
+        model = trained_12("tort", "regular")
+        ds = generate(GeneratorRequest("tort", "regular", 600, seed=6))
+        assert accuracy(model.outputs(ds.values), ds) == accuracy(model, ds)
+
+    def test_curve_reads_the_array_as_the_model(self):
+        model = trained_12("simplified", "type-b")
+        ds = generate(GeneratorRequest("simplified", "age-gender"))
+        got = output_curve(model.outputs(ds.values), ds, "Age", "Gender")
+        want = output_curve(model, ds, "Age", "Gender")
+        assert [g.label for g in got.groups] == [g.label for g in want.groups]
+        for g, w in zip(got.groups, want.groups):
+            for field in ("xs", "means", "counts"):
+                assert getattr(g, field).tobytes() == getattr(w, field).tobytes()
+
+    def test_table_reads_the_array_as_the_model(self):
+        model = trained_12("tort", "regular")
+        ds = generate(GeneratorRequest("tort", "imputability"))
+        got = condition_table(model.outputs(ds.values), ds, "c2")
+        assert got.to_dict() == condition_table(model, ds, "c2").to_dict()
+
+    @pytest.mark.parametrize("shape", ["short", "column"])
+    @pytest.mark.parametrize("measure", [
+        lambda outputs, ds: accuracy(outputs, ds),
+        lambda outputs, ds: output_curve(outputs, ds, "Age", "Gender"),
+        lambda outputs, ds: condition_table(outputs, ds, "C1"),
+    ], ids=["accuracy", "output_curve", "condition_table"])
+    def test_array_of_another_shape_rejected(self, measure, shape):
+        ds = generate(GeneratorRequest("simplified", "age-gender"))
+        n = len(ds)
+        outputs = {"short": np.full(n - 1, 0.5), "column": np.full((n, 1), 0.5)}[shape]
+        want = {"short": rf"\({n - 1},\)", "column": rf"\({n}, 1\)"}[shape]
+        message = rf"outputs of shape {want} for a dataset of {n} cases"
+        with pytest.raises(ValueError, match=message):
+            measure(outputs, ds)
 
 
 class TestCurveDeviation:

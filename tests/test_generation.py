@@ -29,7 +29,7 @@ class TestRequestValidation:
     )
     def test_invalid_requests_rejected(self, domain, kind, size):
         with pytest.raises(GenerationError):
-            GeneratorRequest(domain, kind, size).validate()
+            GeneratorRequest(domain, kind, size)
 
     def test_generate_dispatches(self):
         ds = generate(GeneratorRequest("simplified", "type-b", 200, seed=5))
@@ -249,7 +249,8 @@ class TestDeterminism:
         across repetitions."""
         size = 600 if KINDS[domain, kind].sized else None
         a, b = (generate(GeneratorRequest(domain, kind, size, seed)) for seed in (1, 2))
-        assert np.array_equal(a.values, b.values) == GeneratorRequest(domain, kind).deterministic
+        assert np.array_equal(a.values, b.values) == GeneratorRequest(domain, kind,
+                                                                      size).deterministic
 
     # sha256 of the little-endian int64 values followed by the uint8 labels
     @pytest.mark.parametrize("domain,kind,digest", [

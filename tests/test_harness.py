@@ -257,9 +257,9 @@ class TestRunPlan:
             trained.append(real_train(*args))
             return trained[-1]
 
-        def recording_accuracy(model, dataset):
-            seen.append((dataset, model.outputs(dataset.values)))
-            return real_accuracy(model, dataset)
+        def recording_accuracy(outputs, dataset):
+            seen.append((dataset, outputs))
+            return real_accuracy(outputs, dataset)
 
         monkeypatch.setattr(harness_module, "train", recording_train)
         monkeypatch.setattr(harness_module, "accuracy", recording_accuracy)
@@ -432,6 +432,55 @@ class TestEmitAndReplay:
         ]
         assert all(sorted(entry["init"]) == sorted(jobs) for entry in seeds)
         assert len({seed for pair in trained for seed in pair}) == 16
+
+    def test_measures_take_outputs_then_the_test_set(self, monkeypatch):
+        """Each measurement is a call by name with a model's outputs array and
+        then the test set's Dataset, positionally: one accuracy per (model,
+        test set) and one table per model on a dedicated set, in repetition
+        order.  The benchmark's tracer counts evaluated cases by this."""
+        plan = tiny_tort_plan(
+            train_specs=(spec("tort", "regular", 200), spec("tort", "regular", 300)),
+            test_specs=(spec("tort", "regular", 100), spec("tort", "unique"),
+                        spec("tort", "unlawfulness")),
+            architectures=((12,), (24, 6)),
+            iterations=5,
+        )
+        generated, calls = [], []
+        real_generate = harness_module.generate
+
+        def recording_generate(request):
+            generated.append((request.label(), real_generate(request)))
+            return generated[-1][1]
+
+        def recorder(name, real):
+            def recording(*args, **kwargs):
+                assert not kwargs
+                calls.append((name, args[0], args[1]))
+                return real(*args)
+            return recording
+
+        monkeypatch.setattr(harness_module, "_dataset_cache", {})
+        monkeypatch.setattr(harness_module, "generate", recording_generate)
+        for name in ("accuracy", "output_curve", "condition_table"):
+            monkeypatch.setattr(harness_module, name,
+                                recorder(name, getattr(harness_module, name)))
+        run_plan(plan)
+
+        test_sets = {label: [d for g, d in generated if g == label]
+                     for label in ("regular-100", "unique", "unlawfulness")}
+        assert [len(sets) for sets in test_sets.values()] == [2, 1, 1]
+        want = [
+            (name, test_sets[test.label()][rep if test.size else 0])
+            for rep in range(plan.repetitions)
+            for test in plan.test_specs
+            for _model in range(4)
+            for name in ("accuracy", "condition_table")
+            if name == "accuracy" or test.kind == "unlawfulness"
+        ]
+        assert [name for name, _, _ in calls] == [name for name, _ in want]
+        for (_, outputs, dataset), (_, test_set) in zip(calls, want):
+            assert dataset is test_set
+            assert isinstance(outputs, np.ndarray) and outputs.shape == (len(dataset),)
 
     def test_replay_rejects_edited_seed(self, tmp_path):
         paths = emit_report(run_plan(tiny_tort_plan(repetitions=1)), tmp_path / "out")
