@@ -1,9 +1,10 @@
 #!/bin/sh
 # Smoke run of the installed rationale-lab console script, in the current
-# directory: gen and verify of every dataset kind, a short train and an eval
-# with a curve and a condition table, then a welfare plan run at parallelism 2
-# and replayed at parallelism 1 to the same report bytes, also with two BLAS
-# threads. The installed distribution's version must be the package's.
+# directory: gen and verify of every dataset kind, verify of a file with one
+# bad cell, a short train and an eval with a curve and a condition table, then
+# a welfare plan run at parallelism 2 and replayed at parallelism 1 to the same
+# report bytes, also with two BLAS threads. The installed distribution's
+# version must be the package's.
 set -eu
 
 python -c 'import importlib.metadata, rationale_lab
@@ -17,6 +18,13 @@ while read -r domain kind size; do
   rationale-lab gen --domain "$domain" --kind "$kind" $size --out "$domain-$kind.csv"
   rationale-lab verify --in "$domain-$kind.csv" --domain "$domain"
 done < kinds.txt
+
+# one corrupted cell: verify exits 3, naming the file and the cell
+sed '2s/^[01]/x/' tort-unique.csv > bad.csv
+status=0
+rationale-lab verify --in bad.csv --domain tort 2> bad.err || status=$?
+test "$status" -eq 3
+head -n 1 bad.err | grep -q '^error: bad\.csv: cell '
 
 rationale-lab train --in welfare-type-b.csv --domain welfare --hidden 12 --iterations 40 \
   --seed 1 --out model.json

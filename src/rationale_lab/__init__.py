@@ -12,7 +12,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .domains import (
-    Condition,
     DomainSchema,
     FeatureSpec,
     SchemaValidationError,
@@ -28,7 +27,6 @@ from .generation import (
 )
 from .dataset_io import DatasetFormatError, read_dataset, write_dataset
 from .oracle import (
-    ExpectedStats,
     VerificationReport,
     expected_stats,
     verify_dataset,
@@ -49,9 +47,7 @@ from .network import (
 )
 from .evaluation import (
     ConditionOutputTable,
-    CurveDeviation,
     RationaleCurve,
-    TurningPointReport,
     accuracy,
     condition_table,
     curve_deviation,

@@ -9,7 +9,9 @@ every cell before the file is opened: a dataset that reading would reject
 is never written.  The body is ASCII bytes both ways, never decoded to
 text: written ``_BLOCK_ROWS`` rows at a time from a NUL-padded byte table;
 read by one ``np.loadtxt`` straight into the schema's ``value_dtype``,
-naming the first of several faults in :func:`read_dataset`'s order.
+naming the first of several faults in :func:`read_dataset`'s order, which
+a scan of the refused body finds, never numpy's error text: a bad cell is
+shown with any ``\r`` in it, cut to 100 characters.
 Reading takes each sidecar key's JSON type from the field it fills
 (``DatasetMeta``'s, and ``Dataset``'s ``schema_id`` and ``kind``): ``seed``
 and ``size`` integers, ``positive_fraction`` a number, the rest strings.  A
@@ -129,8 +131,7 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
     # and a "\r" only where a CRLF line ends
     other = body.translate(None, b"0123456789,-\n")
     if other and (other.strip(b"\r") or len(other) != body.count(b"\r\n")):
-        bad = re.search(rb"[^0-9,\n\r-]|\r(?!\n)", body)
-        raise _cell_error(path, body, bad.start(), expected)
+        raise _first_fault(path, schema, body)
     # a bound on the rows (blank lines are not rows), so that loadtxt allocates its matrix
     # once; values comes before it, which keeps the peak RSS down.  loadtxt parses the lines
     # of a BytesIO, split at "\n" only, straight into value_dtype, and rejects a cell beyond it
@@ -145,8 +146,8 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
             warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
             data = np.loadtxt(io.BytesIO(body), schema.value_dtype, comments=None, delimiter=",",
                               ndmin=2, encoding="ascii", max_rows=rows)
-    except ValueError as err:
-        raise _body_error(path, str(err), schema, body) from None
+    except ValueError:
+        raise _first_fault(path, schema, body) from None
     if data.size and data.shape[1] != len(expected):
         raise _width_error(path, "every data row", data.shape[1], expected)
     data = data.reshape(-1, len(expected))
@@ -175,26 +176,6 @@ def read_dataset(path: str | Path, schema: DomainSchema) -> Dataset:
     return Dataset(schema.domain_id, kind, values, labels, meta)
 
 
-def _bad_cell(path: Path, cell: str, row: int, col: int,
-              columns: list[str]) -> DatasetFormatError:
-    """The error for ``cell`` (already quoted), in data row ``row`` from 0 and
-    column ``col`` from 1."""
-    name = repr(columns[col - 1]) if col <= len(columns) else f"{col} of {len(columns)}"
-    return DatasetFormatError(f"{path}: cell {cell} at data row {row}, column {name}, "
-                              "is not a base-10 int64")
-
-
-def _cell_error(path: Path, body: bytes, pos: int, columns: list[str]) -> DatasetFormatError:
-    """The error for the cell holding byte ``pos`` of ``body``, its data row
-    counted as loadtxt counts it, without the blank lines before it."""
-    start, end = body.rfind(b"\n", 0, pos) + 1, body.find(b"\n", pos)
-    line = body[start:end if end >= 0 else None]
-    col = line.count(b",", 0, pos - start) + 1
-    cell = line.split(b",")[col - 1].removesuffix(b"\r").decode("utf-8", "backslashreplace")
-    row = sum(1 for text in body[:start].split(b"\n") if text.strip(b"\r"))
-    return _bad_cell(path, repr(cell[:100]), row, col, columns)
-
-
 def _width_error(path: Path, rows: str, got: int, columns: list[str]) -> DatasetFormatError:
     return DatasetFormatError(f"{path}: {rows} has {got} cells, expected {len(columns)}")
 
@@ -211,29 +192,45 @@ def _range_error(path: Path, schema: DomainSchema, data: np.ndarray,
     return None
 
 
-def _body_error(path: Path, message: str, schema: DomainSchema, body: bytes) -> DatasetFormatError:
-    """The error for np.loadtxt's ``message``, counting data rows from 0 (it
-    does in conversion errors, from 1 in column-count errors).  An int64 cell
-    beyond ``value_dtype`` gets the range check's error for its value."""
+def _first_fault(path: Path, schema: DomainSchema, body: bytes) -> DatasetFormatError:
+    """The error for the first fault of a refused ``body``, its non-blank lines
+    taken without the ``"\r"`` of a CRLF, data rows counted from 0: a cell
+    holding a byte other than ``0-9`` and ``-``, wherever it is; else the
+    first in loadtxt's order, row by row, each row's width (data row 0's)
+    before its cells, and its cells from the left."""
     columns = list(schema.feature_names) + [LABEL_COLUMN]
-    if cell := re.search(r"convert string (.*) to \w+ at row (\d+), column (\d+)", message):
-        row, col = int(cell[2]), int(cell[3])
-        quoted = cell[1]
-        if not quoted.endswith("'"):  # loadtxt quotes 100 characters at most
-            line = [text for text in body.split(b"\n") if text.strip(b"\r")][row]
-            quoted = repr(line.rstrip(b"\r").split(b",")[col - 1].decode())
-        literal = re.fullmatch(r"'(-?\d+)'", quoted)
-        if literal and -2**63 <= (value := int(literal[1])) < 2**63:
-            if col > len(columns):  # a cell past the header, in a row as wide as data row 0
-                first = re.search(rb"[^\r\n][^\n]*", body)[0]
-                return _width_error(path, "data row 0", first.count(b",") + 1, columns)
-            one = np.array([[f.lo for f in schema.features] + [0]])
-            one[0, col - 1] = value
-            return _range_error(path, schema, one, row)
-        return _bad_cell(path, cell[1], row, col, columns)
-    if width := re.search(r"columns changed from (\d+) to (\d+) at row (\d+)", message):
-        first, got, row = (int(g) for g in width.groups())
-        if first != len(columns):  # the first data row is already the wrong width
-            got, row = first, 1
-        return _width_error(path, f"data row {row - 1}", got, columns)
+    lines = [line for line in body.replace(b"\r\n", b"\n").split(b"\n") if line]
+
+    def bad_cell(row: int, cells: list[bytes], col: int) -> DatasetFormatError:
+        name = repr(columns[col]) if col < len(columns) else f"{col + 1} of {len(columns)}"
+        cell = cells[col].decode("utf-8", "backslashreplace")
+        return DatasetFormatError(f"{path}: cell {cell[:100]!r} at data row {row}, column "
+                                  f"{name}, is not a base-10 int64")
+
+    for row, line in enumerate(lines):
+        if foreign := re.search(rb"[^0-9,-]", line):
+            return bad_cell(row, line.split(b","), line.count(b",", 0, foreign.start()))
+    width, dtype = lines[0].count(b",") + 1, np.iinfo(schema.value_dtype)
+    # a row of cells too short to lie beyond value_dtype needs no cell-by-cell look
+    short = len(str(dtype.max)) - 1
+    clean = re.compile(rb"-?[0-9]{1,%d}(?:,-?[0-9]{1,%d}){%d}" % (short, short, width - 1))
+    for row, line in enumerate(lines):
+        if clean.fullmatch(line):
+            continue
+        cells = line.split(b",")
+        if len(cells) != width:  # data row 0 is named when it already has the wrong width
+            at, got = (0, width) if width != len(columns) else (row, len(cells))
+            return _width_error(path, f"data row {at}", got, columns)
+        for col, cell in enumerate(cells):
+            # at most 19 significant digits, so that int() never meets its digit limit
+            digits = re.fullmatch(rb"(-?)0*([0-9]{1,19})", cell)
+            if not digits or not -2**63 <= (value := int(digits[1] + digits[2])) < 2**63:
+                return bad_cell(row, cells, col)
+            if not dtype.min <= value <= dtype.max:
+                if col >= len(columns):  # an int64 past the header: data row 0 is too wide
+                    return _width_error(path, "data row 0", width, columns)
+                one = np.array([[f.lo for f in schema.features] + [0]])
+                one[0, col] = value
+                return _range_error(path, schema, one, row)
+    # a refusal this scan does not model, from another numpy's loadtxt
     return DatasetFormatError(f"{path}: every cell must be a base-10 int64")

@@ -297,6 +297,12 @@ MALFORMED_BODIES = {
     # loadtxt quotes the first 100 characters of this cell
     "zero-padded-cau-200": (_first_cell_of_row_2("0" * 120 + "200"),
                             r"cau: value 200 at row 2 outside \[0, 1\]"),
+    # longer than the 4,300 digits that int() of a string takes: quoted to 100
+    # characters, or read as its value without its leading zeros
+    "beyond-int64-5000-digits": (_first_cell_of_row_2("9" * 5000),
+                                 r"cell '9{100}' at data row 2, column 'cau'"),
+    "zero-padded-5000-cau-200": (_first_cell_of_row_2("0" * 5000 + "200"),
+                                 r"cau: value 200 at row 2 outside \[0, 1\]"),
 }
 # edits of the lines of a welfare `type-b` file, whose rows are int16
 WELFARE_MALFORMED_BODIES = {
@@ -569,8 +575,11 @@ FAULTS_IN_A_ROW = {
                     r"cell 'maybe' at data row {row}, column 'cau'"),
     "plus-sign": (lambda line: "+1" + line[1:], r"cell '\+1' at data row {row}, column 'cau'"),
     "lone-cr": (lambda line: "1\r1" + line[1:], r"cell '1\\r1' at data row {row}, column 'cau'"),
+    # a "\r" that ends a cell other than the last is shown with the cell
+    "cr-after-first-cell": (lambda line: line[0] + "\r" + line[1:],
+                            r"cell '\d\\r' at data row {row}, column 'cau'"),
 }
-_BYTE_CHECKED = {"non-numeric", "plus-sign", "lone-cr"}
+_BYTE_CHECKED = {"non-numeric", "plus-sign", "lone-cr", "cr-after-first-cell"}
 
 
 def _write_crlf(path, lines: list[str]) -> None:
@@ -654,7 +663,8 @@ def _reference_rows(text: str) -> list[list[int]]:
     skipped; every cell must be an optional "-" and digits."""
     rows = [row for row in list(csv.reader(io.StringIO(text)))[1:] if row]
     assert all(re.fullmatch("-?[0-9]+", cell) for row in rows for cell in row), rows
-    return [[int(cell) for cell in row] for row in rows]
+    # leading zeros dropped, as int() takes 4,300 digits at most
+    return [[int(re.sub("^(-?)0+(?=[0-9])", r"\1", cell)) for cell in row] for row in rows]
 
 
 @pytest.fixture(scope="module")
@@ -688,7 +698,11 @@ def test_fuzzed_file_reads_or_raises_format_error(fuzz_sources, data):
         if edit == "replace":
             cells[i] = data.draw(st.text(st.characters(codec="ascii"))
                                  | st.text(st.characters(codec="utf-8"))
-                                 | st.integers(-2**70, 2**70).map(str))
+                                 | st.integers(-2**70, 2**70).map(str)
+                                 # digit runs about int()'s 4,300-digit limit
+                                 | st.integers(4290, 4400).map(lambda n: "9" * n)
+                                 | st.builds(lambda zeros, value: "0" * zeros + str(value),
+                                             st.integers(1000, 5000), st.integers(0, 300)))
         elif edit == "drop":
             del cells[i]
         else:
@@ -698,7 +712,8 @@ def test_fuzzed_file_reads_or_raises_format_error(fuzz_sources, data):
     path.write_text(edited)
     try:
         back = read_dataset(path, schema)
-    except DatasetFormatError:
+    except DatasetFormatError as err:
+        assert str(err).startswith(f"{path}: "), err
         return
     rows = np.array(_reference_rows(edited), dtype=np.int64).reshape(-1, schema.n_features + 1)
     assert np.array_equal(back.values, rows[:, :-1]) and np.array_equal(back.labels, rows[:, -1])
