@@ -1,10 +1,10 @@
 #!/bin/sh
 # Smoke run of the installed rationale-lab console script, in the current
 # directory: gen and verify of every dataset kind, verify of a file with one
-# bad cell, a short train and an eval with a curve and a condition table, then
-# a welfare plan run at parallelism 2 and replayed at parallelism 1 to the same
-# report bytes, also with two BLAS threads. The installed distribution's
-# version must be the package's.
+# bad cell, a short train whose model file must be format 3 and an eval with a
+# curve and a condition table, then a welfare plan run at parallelism 2 and
+# replayed at parallelism 1 to the same report bytes, also with two BLAS
+# threads. The installed distribution's version must be the package's.
 set -eu
 
 python -c 'import importlib.metadata, rationale_lab
@@ -28,6 +28,12 @@ head -n 1 bad.err | grep -q '^error: bad\.csv: cell '
 
 rationale-lab train --in welfare-type-b.csv --domain welfare --hidden 12 --iterations 40 \
   --seed 1 --out model.json
+# format 3: the training section holds the four TrainConfig fields, no Adam constants
+python -c 'import json
+doc = json.load(open("model.json"))
+assert doc["format_version"] == 3, doc["format_version"]
+keys = sorted(doc["training"])
+assert keys == ["batch_size", "iterations", "learning_rate", "shuffle_seed"], keys'
 rationale-lab eval --model model.json --in welfare-age-gender.csv --curve Age:Gender \
   --curve-out curve.tsv --condition-table C1
 test -s curve.tsv

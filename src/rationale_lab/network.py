@@ -57,8 +57,13 @@ from .generation import Dataset
 
 STANDARD_HIDDEN_LAYERS = ((12,), (24, 6), (24, 10, 3))
 
+# Adam's published constants (Kingma & Ba, 2015); every network trains with them.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 MODEL_FORMAT = "rationale-lab-model"
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 _MODEL_KEYS = {"format", "format_version", "schema_id", "network", "training", "layers"}
 
 
@@ -99,24 +104,17 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer constants and the batch schedule."""
+    """The learning rate and the batch schedule.  Adam's other constants
+    are fixed: see ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPSILON``."""
 
     learning_rate: float = 0.001
     batch_size: int = 50
     iterations: int = 50_000
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     shuffle_seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0 < self.learning_rate < math.inf:  # false for NaN
             raise ValueError("learning_rate must be positive and finite")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1)")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.iterations < 1:
@@ -262,7 +260,7 @@ def _adam_kernel(state: AdamState, config: TrainConfig):
     """
     if state._kernel is not None and state._kernel[0] == config:
         return state._kernel[1:]
-    b1, b2, eps, lr = config.beta1, config.beta2, config.epsilon, config.learning_rate
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, config.learning_rate
     size = state.moments.shape[1]
     moments = state.moments.reshape(-1)
     m, v = state.moments

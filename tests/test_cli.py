@@ -1,6 +1,5 @@
 import base64
 import json
-import math
 from pathlib import Path
 
 import pytest
@@ -238,7 +237,7 @@ class TestTrainEval:
              "--iterations", "5", "--seed", "1", "--out", str(model)], capsys)
         doc = json.loads(model.read_text())
         if edit == "missing":
-            del doc["training"]["epsilon"]
+            del doc["training"]["shuffle_seed"]
         else:
             doc["network"]["dropout"] = 0.5
         model.write_text(json.dumps(doc))
@@ -463,14 +462,9 @@ def _edit_layer(key, value):
     ("eval", {"schema_id": 5}, "'schema_id'"),
     ("eval", lambda model: {**model, "network": {**model["network"], "input_width": None}},
      "'input_width'"),
-    ("eval", lambda model: {**model, "training": {**model["training"], "beta1": 10**400}},
+    ("eval", lambda model: {**model, "training": {**model["training"],
+                                                  "learning_rate": 10**400}},
      "TrainConfig value is out of range"),
-    ("eval", lambda model: {**model, "training": {**model["training"], "beta1": 1.5}},
-     "beta1 must be in [0, 1)"),
-    ("eval", lambda model: {**model, "training": {**model["training"], "beta2": math.nan}},
-     "beta2 must be in [0, 1)"),
-    ("eval", lambda model: {**model, "training": {**model["training"], "epsilon": -1.0}},
-     "epsilon must be positive and finite"),
     ("experiment", [], "a plan must be a JSON object"),
     ("experiment", dict(PLAN, train=[{"kind": "regular", "size": "500"}]), "'train'"),
     ("experiment", dict(PLAN, architectures=[12]), "'architectures'"),
@@ -484,8 +478,7 @@ def _edit_layer(key, value):
     ("report", [], "a manifest must be a JSON object"),
 ], ids=["model-list", "model-layers-int", "model-layer-int", "model-weights-int",
         "model-bias-not-base64", "model-bias-short", "model-schema-id-int",
-        "model-input-width-null", "model-beta1-beyond-float", "model-beta1-above-one",
-        "model-beta2-nan", "model-epsilon-negative",
+        "model-input-width-null", "model-learning-rate-beyond-float",
         "plan-list", "plan-size-string", "plan-flat-architectures", "plan-repetitions-float",
         "plan-repetitions-bool", "plan-learning-rate-bool", "plan-learning-rate-beyond-float",
         "plan-misspelt-key", "plan-spec-misspelt-key", "plan-architecture-bool",
@@ -508,16 +501,24 @@ def test_malformed_json_exits_3(tmp_path, capsys, command, document, named):
     assert not (tmp_path / "out").exists()
 
 
+def _format_2(model):
+    """A format-3 model document as format 2 wrote it: with Adam's constants
+    in its ``training`` section."""
+    return {**model, "format_version": 2,
+            "training": {**model["training"], "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8}}
+
+
 def _format_1(model):
-    """A format-2 model document as format 1 wrote it: with a float encoding,
-    the schema's feature names and scaling, and each layer's shape."""
+    """A format-3 model document as format 1 wrote it: format 2's, with a float
+    encoding, the schema's feature names and scaling, and each layer's shape."""
     def pack(a):
         return base64.b64encode(a.astype("<f8").tobytes()).decode()
 
     scaling = schema_scaling(model["schema_id"])
     net = model["network"]
     sizes = [net["input_width"], *net["hidden_layers"], 1]
-    return {**model, "format_version": 1, "float_encoding": "base64 little-endian float64",
+    return {**_format_2(model), "format_version": 1,
+            "float_encoding": "base64 little-endian float64",
             "feature_names": list(build_domain(model["schema_id"]).feature_names),
             "scaling": {"offsets": pack(scaling.offsets), "scales": pack(scaling.scales)},
             "layers": [{**layer, "shape": [fan_in, fan_out]}
@@ -534,11 +535,12 @@ def _format_1(model):
     (lambda model: {**model, "layers": model["layers"][:1]}, "model has 1 layers"),
     (lambda model: {**model, "layers": model["layers"] * 2}, "model has 4 layers"),
     (_format_1, "unsupported format version 1"),
-    (lambda model: {**model, "format_version": 2.0}, "unsupported format version 2.0"),
+    (_format_2, "unsupported format version 2"),
+    (lambda model: {**model, "format_version": 3.0}, "unsupported format version 3.0"),
 ], ids=["input-width", "unknown-schema", "stray-scaling", "stray-layer-shape",
-        "layer-missing", "layer-extra", "format-1", "format-2.0"])
-def test_eval_of_model_outside_format_2_exits_3_naming_the_file(tmp_path, capsys, edit,
-                                                                 named):
+        "layer-missing", "layer-extra", "format-1", "format-2", "format-3.0"])
+def test_eval_of_model_outside_its_format_exits_3_naming_the_file(tmp_path, capsys, edit,
+                                                                   named):
     """A model file holds only what its schema and network section do not fix,
     and that must agree with them."""
     data, path = tmp_path / "u.csv", tmp_path / "model.json"

@@ -27,6 +27,9 @@ from rationale_lab import (
 )
 from rationale_lab.generation import Dataset
 from rationale_lab.network import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     STANDARD_HIDDEN_LAYERS,
     AdamState,
     ModelParams,
@@ -65,7 +68,7 @@ def tiny_model(weights, biases, schema_id="tort"):
 
 def reference_adam(arrays, ms, vs, grads, t, cfg):
     """Adam applied array by array: the update the fused step must equal."""
-    b1, b2, eps, lr = cfg.beta1, cfg.beta2, cfg.epsilon, cfg.learning_rate
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, cfg.learning_rate
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for p, m, v, g in zip(arrays, ms, vs, grads):
@@ -177,14 +180,6 @@ class TestConfigs:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
-        for name in ("beta1", "beta2"):
-            for bad in (-0.1, 1.0, 1.5, math.nan, math.inf):
-                with pytest.raises(ValueError, match=rf"{name} must be in \[0, 1\)"):
-                    TrainConfig(**{name: bad})
-            TrainConfig(**{name: 0.0})
-        for bad in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
-                TrainConfig(epsilon=bad)
 
 
 class TestInit:
@@ -588,8 +583,9 @@ class TestPersistence:
     def test_every_config_field_round_trips(self, tmp_path):
         ds = generate(GeneratorRequest("tort", "regular", 200, seed=3))
         cfg = NetworkConfig(10, (5, 4), init_seed=7, allow_nonstandard=True)
-        tc = TrainConfig(learning_rate=0.002, batch_size=30, iterations=5, beta1=0.8,
-                         beta2=0.99, epsilon=1e-7, shuffle_seed=9)
+        tc = TrainConfig(learning_rate=0.002, batch_size=30, iterations=5, shuffle_seed=9)
+        assert [f.name for f in dataclasses.fields(tc)] == [
+            "learning_rate", "batch_size", "iterations", "shuffle_seed"]  # Adam's others fixed
         path = save_model(train(ds, cfg, tc), tmp_path / "model.json")
         doc = json.loads(path.read_text())
         back = load_model(path)
