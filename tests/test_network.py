@@ -181,6 +181,12 @@ class TestConfigs:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 
+    def test_adams_other_constants_are_fixed_at_the_published_values(self):
+        assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON) == (0.9, 0.999, 1e-8)
+        for name in ("beta1", "beta2", "epsilon"):
+            with pytest.raises(TypeError, match=name):
+                TrainConfig(**{name: 0.5})
+
 
 class TestInit:
     def test_deterministic_in_seed(self):
@@ -621,6 +627,32 @@ class TestPersistence:
                          TrainConfig(iterations=5, shuffle_seed=5)), path)
         path.write_text(json.dumps(mismatched_model_doc(json.loads(path.read_text()), edit)))
         with pytest.raises(ValueError, match=re.escape(MISMATCHED_MODEL_KEY[edit])):
+            load_model(path)
+
+    def test_rejects_format_2_file(self, tmp_path):
+        """The parent format: version 2, with Adam's constants in ``training``."""
+        path = save_model(train(generate(GeneratorRequest("tort", "regular", 200, seed=3)),
+                                NetworkConfig(10, (12,), init_seed=2),
+                                TrainConfig(iterations=5, shuffle_seed=5)),
+                          tmp_path / "model.json")
+        doc = json.loads(path.read_text())
+        doc["format_version"] = 2
+        doc["training"].update(beta1=0.9, beta2=0.999, epsilon=1e-8)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(str(path))}: unsupported format version 2$"):
+            load_model(path)
+
+    def test_rejects_format_3_file_with_adams_constants(self, tmp_path):
+        """A format-2 file whose version alone was raised to 3 is still refused."""
+        path = save_model(train(generate(GeneratorRequest("tort", "regular", 200, seed=3)),
+                                NetworkConfig(10, (12,), init_seed=2),
+                                TrainConfig(iterations=5, shuffle_seed=5)),
+                          tmp_path / "model.json")
+        doc = json.loads(path.read_text())
+        doc["training"].update(beta1=0.9, beta2=0.999, epsilon=1e-8)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="TrainConfig keys .* differ from its fields"):
             load_model(path)
 
     def test_rejects_foreign_file(self, tmp_path):
