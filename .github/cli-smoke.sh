@@ -1,10 +1,12 @@
 #!/bin/sh
 # Smoke run of the installed rationale-lab console script, in the current
 # directory: gen and verify of every dataset kind, verify of a file with one
-# bad cell, a short train whose model file must be format 3 and an eval with a
-# curve and a condition table, then a welfare plan run at parallelism 2 and
-# replayed at parallelism 1 to the same report bytes, also with two BLAS
-# threads. The installed distribution's version must be the package's.
+# bad cell, a short train whose model file must be format 3, two more trains
+# at another learning rate that must match each other and not the first, an
+# eval with a curve and a condition table, then a welfare plan run at
+# parallelism 2 and replayed at parallelism 1 to the same report bytes, also
+# with two BLAS threads. The installed distribution's version must be the
+# package's.
 set -eu
 
 python -c 'import importlib.metadata, rationale_lab
@@ -34,6 +36,18 @@ doc = json.load(open("model.json"))
 assert doc["format_version"] == 3, doc["format_version"]
 keys = sorted(doc["training"])
 assert keys == ["batch_size", "iterations", "learning_rate", "shuffle_seed"], keys'
+# the same set twice at another rate: the two files match each other, and
+# their trained weights differ from model.json's (the files would differ on
+# the recorded rate alone), so the rate reaches the step
+for run in 1 2; do
+  rationale-lab train --in welfare-type-b.csv --domain welfare --hidden 12 --iterations 40 \
+    --seed 1 --learning-rate 0.003 --out "model-lr-$run.json"
+done
+cmp model-lr-1.json model-lr-2.json
+python -c 'import json
+default, other = (json.load(open(f)) for f in ("model.json", "model-lr-1.json"))
+assert other["training"]["learning_rate"] == 0.003, other["training"]
+assert default["layers"] != other["layers"], "--learning-rate 0.003 trained the default weights"'
 rationale-lab eval --model model.json --in welfare-age-gender.csv --curve Age:Gender \
   --curve-out curve.tsv --condition-table C1
 test -s curve.tsv

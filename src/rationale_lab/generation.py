@@ -134,10 +134,6 @@ class GeneratorRequest:
                 f"kind {self.kind!r} is fixed by enumeration; size must not be given"
             )
 
-    @property
-    def deterministic(self) -> bool:
-        return KINDS[(self.domain_id, self.kind)].seed_independent
-
     def label(self) -> str:
         return self.kind if self.size is None else f"{self.kind}-{self.size}"
 

@@ -47,6 +47,7 @@ from .generation import (
     CURVE_GRIDS,
     DEDICATED_TARGET,
     GENERATOR_VERSION,
+    KINDS,
     Dataset,
     GeneratorRequest,
     generate,
@@ -274,7 +275,7 @@ _dataset_cache: dict[tuple, Dataset] = {}
 
 def _dataset(spec: GeneratorRequest, seed: int) -> Dataset:
     """Generate a dataset; fully deterministic kinds are built once and reused."""
-    if spec.deterministic:
+    if KINDS[spec.domain_id, spec.kind].seed_independent:
         key = (spec.domain_id, spec.kind, spec.size)
         if key not in _dataset_cache:
             _dataset_cache[key] = generate(spec)

@@ -27,9 +27,10 @@ the decay and the increment each run once for both moments: eleven numpy
 calls a step instead of fourteen, each element seeing the operations of a
 per-array update in the same order.
 
-One step kernel.  ``_backprop`` (loss and gradients of one batch) and the
-step ``_adam_kernel`` builds hold all the arithmetic of a training step.
-``train`` binds them once per run, gathers each epoch's rows into two
+One step kernel.  ``_backprop`` (loss and gradients of one batch) and
+``AdamState.step`` hold all the arithmetic of a training step;
+``AdamState`` allocates the step's buffers once, with the moments.
+``train`` binds both once per run, gathers each epoch's rows into two
 buffers reused across epochs, so that a batch is a slice, and enters
 ``np.errstate`` once.  The rows are gathered from the dataset's int matrix
 a chunk at a time and scaled into the float buffer, so no scaled copy of
@@ -239,52 +240,46 @@ def loss_and_grads(params: ModelParams, x: np.ndarray, y: np.ndarray) -> tuple[f
 
 
 class AdamState:
-    """First and second moment accumulators: the two rows of one ``(2, P)``
-    buffer ``moments``, viewed in the parameter layout as ``m`` and ``v``."""
+    """Adam's state for one network, and its step.
+
+    The first and second moments are the two rows of one ``(2, P)`` buffer
+    ``moments``, viewed in the parameter layout as ``m`` and ``v``.
+    ``grads`` views, in the same layout, the gradient half of the stack
+    that the step reads; ``step(flat, t, learning_rate)`` overwrites that
+    stack and updates ``flat`` and both moments in place.  The decay and
+    the increment multiply by full-length factor rows: a broadcast
+    ``(2, 1)`` factor measured more than twice as slow.
+    """
 
     def __init__(self, params: ModelParams):
-        self.moments = np.zeros((2, params.flat.size))
-        self.m = ModelParams._on(self.moments[0], params.layout)
-        self.v = ModelParams._on(self.moments[1], params.layout)
-        self._kernel = None  # (config, gradient buffer, step), set by _adam_kernel
+        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
+        size, layout = params.flat.size, params.layout
+        self.moments = np.zeros((2, size))
+        self.m = ModelParams._on(self.moments[0], layout)
+        self.v = ModelParams._on(self.moments[1], layout)
+        moments = self.moments.reshape(-1)
+        m, v = self.moments
+        stack = np.empty(2 * size)  # the gradient, then its square
+        g, g_sq = stack[:size], stack[size:]
+        self.grads = ModelParams._on(g, layout)
+        m_hat, v_hat = np.empty(size), np.empty(size)
+        decay = np.repeat([b1, b2], size)
+        keep = np.repeat([1.0 - b1, 1.0 - b2], size)
 
+        def step(flat: np.ndarray, t: int, learning_rate: float) -> None:
+            np.square(g, out=g_sq)
+            np.multiply(stack, keep, out=stack)
+            np.multiply(moments, decay, out=moments)
+            np.add(moments, stack, out=moments)
+            np.divide(m, 1.0 - b1 ** t, out=m_hat)
+            np.divide(v, 1.0 - b2 ** t, out=v_hat)
+            np.sqrt(v_hat, out=v_hat)
+            np.add(v_hat, eps, out=v_hat)
+            np.multiply(m_hat, learning_rate, out=m_hat)
+            np.divide(m_hat, v_hat, out=m_hat)
+            np.subtract(flat, m_hat, out=flat)
 
-def _adam_kernel(state: AdamState, config: TrainConfig):
-    """The Adam step of ``state`` under ``config``, built once and kept on
-    the state.
-
-    Returns ``(g, step)``: ``step(flat, t)`` reads the gradient from the
-    flat buffer ``g`` (overwriting it) and updates ``flat`` and both moments
-    in place.  The decay and the increment multiply by full-length factor
-    rows: a broadcast ``(2, 1)`` factor measured more than twice as slow.
-    """
-    if state._kernel is not None and state._kernel[0] == config:
-        return state._kernel[1:]
-    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, config.learning_rate
-    size = state.moments.shape[1]
-    moments = state.moments.reshape(-1)
-    m, v = state.moments
-    stack = np.empty(2 * size)  # the gradient, then its square
-    g, g_sq = stack[:size], stack[size:]
-    m_hat, v_hat = np.empty(size), np.empty(size)
-    decay = np.repeat([b1, b2], size)
-    keep = np.repeat([1.0 - b1, 1.0 - b2], size)
-
-    def step(flat: np.ndarray, t: int) -> None:
-        np.square(g, out=g_sq)
-        np.multiply(stack, keep, out=stack)
-        np.multiply(moments, decay, out=moments)
-        np.add(moments, stack, out=moments)
-        np.divide(m, 1.0 - b1 ** t, out=m_hat)
-        np.divide(v, 1.0 - b2 ** t, out=v_hat)
-        np.sqrt(v_hat, out=v_hat)
-        np.add(v_hat, eps, out=v_hat)
-        np.multiply(m_hat, lr, out=m_hat)
-        np.divide(m_hat, v_hat, out=m_hat)
-        np.subtract(flat, m_hat, out=flat)
-
-    state._kernel = (config, g, step)
-    return g, step
+        self.step = step
 
 
 def adam_update(
@@ -304,9 +299,10 @@ def adam_update(
         raise ValueError("step index t counts from 1")
     if grads.layout != params.layout:
         raise ValueError(f"gradient layout {grads.layout} differs from {params.layout}")
-    g, step = _adam_kernel(state, config)
-    g[...] = grads.flat
-    step(params.flat, t)
+    if state.m.layout != params.layout:
+        raise ValueError(f"Adam state layout {state.m.layout} differs from {params.layout}")
+    state.grads.flat[...] = grads.flat
+    state.step(params.flat, t, config.learning_rate)
     return params, state
 
 
@@ -387,9 +383,9 @@ def train(
     y = dataset.labels.astype(np.float64)[:, None]
 
     params = init_params(network_config)
-    g, adam_step = _adam_kernel(AdamState(params), train_config)
-    grads = ModelParams._on(g, params.layout)
-    flat = params.flat
+    state = AdamState(params)
+    grads, adam_step = state.grads, state.step
+    flat, learning_rate = params.flat, train_config.learning_rate
     rng = np.random.default_rng(train_config.shuffle_seed)
     n = len(dataset)
     bs = train_config.batch_size
@@ -417,7 +413,7 @@ def train(
             except TrainingDivergedError as err:
                 raise TrainingDivergedError(f"step {step}: {err}") from None
             pos = end
-            adam_step(flat, step)
+            adam_step(flat, step, learning_rate)
 
     return TrainedModel(
         config=network_config,

@@ -62,10 +62,6 @@ def condition_truth(schema: DomainSchema, values: np.ndarray) -> np.ndarray:
     return np.stack([ok(cols) for ok in _CONDITIONS[schema.domain_id].values()], axis=-1)
 
 
-def labels_of(schema: DomainSchema, values: np.ndarray) -> np.ndarray:
-    return condition_truth(schema, values).all(axis=1)
-
-
 def enumerate_tort() -> np.ndarray:
     """All 1024 tort cases as ``value_dtype`` rows, lexicographic case order."""
     schema = build_domain("tort")

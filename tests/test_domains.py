@@ -269,7 +269,8 @@ class TestConjunctionStructure:
         for i, spec in enumerate(welfare_schema.features):
             values[:, i] = rng.integers(spec.lo, spec.hi + 1, n)
         assert np.array_equal(
-            welfare_schema.label_matrix(values), oracle.labels_of(welfare_schema, values)
+            welfare_schema.label_matrix(values),
+            oracle.condition_truth(welfare_schema, values).all(axis=1),
         )
         # spot-check one-row value_dtype matrices against the int64 batch
         labels = welfare_schema.label_matrix(values)
@@ -336,5 +337,6 @@ class TestHypothesisProperties:
         conjunction = all(
             holds(schema, c.id, case) for c in schema.conditions
         )
-        assert label(schema, case) == conjunction == bool(oracle.labels_of(schema, case)[0])
+        truth = oracle.condition_truth(schema, case).all(axis=1)[0]
+        assert label(schema, case) == conjunction == bool(truth)
 

@@ -244,13 +244,12 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("domain,kind", list(KINDS))
     def test_seed_independence_matches_registry_flag(self, domain, kind):
-        """Two seeds give the same cases exactly when the request says it is
-        deterministic: the flag on which the harness reuses one dataset
-        across repetitions."""
+        """Two seeds give the same cases exactly when the registry says the
+        kind is seed-independent: the flag on which the harness reuses one
+        dataset across repetitions."""
         size = 600 if KINDS[domain, kind].sized else None
         a, b = (generate(GeneratorRequest(domain, kind, size, seed)) for seed in (1, 2))
-        assert np.array_equal(a.values, b.values) == GeneratorRequest(domain, kind,
-                                                                      size).deterministic
+        assert np.array_equal(a.values, b.values) == KINDS[domain, kind].seed_independent
 
     # sha256 of the little-endian int64 values followed by the uint8 labels
     @pytest.mark.parametrize("domain,kind,digest", [

@@ -376,29 +376,49 @@ class TestAdam:
     @pytest.mark.parametrize("width", (4, 10, 64))
     @pytest.mark.parametrize("hidden", STANDARD_HIDDEN_LAYERS)
     def test_fused_step_matches_per_array_reference(self, width, hidden):
-        params = init_params(NetworkConfig(width, hidden, init_seed=width))
-        arrays = [a.copy() for a in params.weights + params.biases]
-        ms = [np.zeros_like(a) for a in arrays]
-        vs = [np.zeros_like(a) for a in arrays]
-        state = AdamState(params)
-        grads = params.empty_like()
-        rng = np.random.default_rng(width)
-        cfg = TrainConfig()
-        for t in range(1, 201):
-            grads.flat[:] = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=grads.flat.size)
-            adam_update(params, state, grads, t, cfg)
-            reference_adam(arrays, ms, vs, grads.weights + grads.biases, t, cfg)
-        for got, want in zip(params.weights + params.biases, arrays):
-            assert np.array_equal(got, want)
-        for got, want in zip(state.m.weights + state.m.biases + state.v.weights + state.v.biases,
-                             ms + vs):
-            assert np.array_equal(got, want)
+        """200 steps on one state, at a fixed rate and with a rate that moves
+        to the next of four every 50 steps."""
+        for rates in ((0.001,), (0.001, 0.02, 3e-5, 0.004)):
+            params = init_params(NetworkConfig(width, hidden, init_seed=width))
+            arrays = [a.copy() for a in params.weights + params.biases]
+            ms = [np.zeros_like(a) for a in arrays]
+            vs = [np.zeros_like(a) for a in arrays]
+            state = AdamState(params)
+            grads = params.empty_like()
+            rng = np.random.default_rng(width)
+            for t in range(1, 201):
+                cfg = TrainConfig(learning_rate=rates[(t - 1) // 50 % len(rates)])
+                grads.flat[:] = rng.normal(scale=10.0 ** rng.integers(-6, 2),
+                                           size=grads.flat.size)
+                adam_update(params, state, grads, t, cfg)
+                reference_adam(arrays, ms, vs, grads.weights + grads.biases, t, cfg)
+            for got, want in zip(params.weights + params.biases, arrays):
+                assert np.array_equal(got, want), rates
+            for got, want in zip(state.m.weights + state.m.biases
+                                 + state.v.weights + state.v.biases, ms + vs):
+                assert np.array_equal(got, want), rates
 
     def test_gradients_of_another_layout_rejected(self):
         params = init_params(NetworkConfig(4, (12,), init_seed=0))
         other = init_params(NetworkConfig(4, (24, 6), init_seed=0))
         with pytest.raises(ValueError, match="layout"):
             adam_update(params, AdamState(params), other, 1, TrainConfig())
+
+    @pytest.mark.parametrize("other", [NetworkConfig(1, (24,), allow_nonstandard=True),
+                                       NetworkConfig(10, (24,), allow_nonstandard=True)],
+                             ids=["same-size", "other-size"])
+    def test_state_of_another_layout_rejected(self, other):
+        """A state of 73 parameters in another layout would step all 73 of
+        the network's parameters; one of 289 would fail inside numpy."""
+        params = init_params(NetworkConfig(4, (12,), init_seed=0))
+        before = params.flat.copy()
+        grads = params.empty_like()
+        grads.flat[:] = 1.0
+        state = AdamState(init_params(other))
+        pattern = f"{re.escape(str(state.m.layout))}.*{re.escape(str(params.layout))}"
+        with pytest.raises(ValueError, match=pattern):
+            adam_update(params, state, grads, 1, TrainConfig())
+        assert np.array_equal(params.flat, before)
 
 
 class TestTrain:

@@ -14,7 +14,7 @@ from rationale_lab import (
     write_dataset,
 )
 from rationale_lab.generation import KINDS, Dataset, DatasetMeta, GeneratorRequest
-from rationale_lab.oracle import enumerate_tort, labels_of
+from rationale_lab.oracle import condition_truth, enumerate_tort
 
 # every kind the generator knows, split by whether it takes a size: a kind added
 # without an oracle entry fails the expected-statistics tests
@@ -26,12 +26,12 @@ class TestEnumerateTort:
     def test_positive_count(self, tort_schema):
         values = enumerate_tort()
         assert values.shape == (1024, 10) and values.dtype == tort_schema.value_dtype
-        assert int(labels_of(tort_schema, values).sum()) == 112
+        assert int(condition_truth(tort_schema, values).all(axis=1).sum()) == 112
 
     def test_agrees_with_rule_module_on_all_cases(self, tort_schema):
         """Two independent transcriptions of the formulas, one verdict."""
         values = enumerate_tort()
-        labels = labels_of(tort_schema, values)
+        labels = condition_truth(tort_schema, values).all(axis=1)
         assert np.array_equal(labels, tort_schema.label_matrix(values))
         # and one case at a time, as one-row matrices, on a stride of cases
         for i in range(0, 1024, 101):
@@ -40,7 +40,7 @@ class TestEnumerateTort:
     def test_all_false_case_is_negative(self, tort_schema):
         values = enumerate_tort()
         assert values[0].tolist() == [0] * 10
-        assert not labels_of(tort_schema, values[:1])[0]
+        assert not condition_truth(tort_schema, values[:1]).all(axis=1)[0]
 
     def test_sixteen_contexts_satisfy_both_dependent_conditions(self):
         """Brute force over the 32 (vun,vst,vrt,jus,prp) assignments."""
@@ -213,6 +213,6 @@ def test_uniform_welfare_positives_are_rare():
     values = np.column_stack(
         [rng.integers(spec.lo, spec.hi + 1, 1_000_000) for spec in schema.features]
     )
-    rate = float(labels_of(schema, values).mean())
+    rate = float(condition_truth(schema, values).all(axis=1).mean())
     assert rate < 0.05
     assert rate > 0  # but not impossible
