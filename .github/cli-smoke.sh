@@ -1,8 +1,9 @@
 #!/bin/sh
 # Smoke run of the installed rationale-lab console script, in the current
 # directory: gen and verify of every dataset kind, verify of a file with one
-# bad cell, a short train whose model file must be format 3, two more trains
-# at another learning rate that must match each other and not the first, an
+# bad cell, a short train whose model file must be format 4, an eval of a
+# copy with a character outside base64 in its parameters, two more trains at
+# another learning rate that must match each other and not the first, an
 # eval with a curve and a condition table, then a welfare plan run at
 # parallelism 2 and replayed at parallelism 1 to the same report bytes, also
 # with two BLAS threads. The installed distribution's version must be the
@@ -30,12 +31,22 @@ head -n 1 bad.err | grep -q '^error: bad\.csv: cell '
 
 rationale-lab train --in welfare-type-b.csv --domain welfare --hidden 12 --iterations 40 \
   --seed 1 --out model.json
-# format 3: the training section holds the four TrainConfig fields, no Adam constants
+# format 4: the parameters are one base64 buffer, and the training section
+# holds the four TrainConfig fields, no Adam constants
 python -c 'import json
 doc = json.load(open("model.json"))
-assert doc["format_version"] == 3, doc["format_version"]
+assert doc["format_version"] == 4, doc["format_version"]
+keys = sorted(doc)
+assert keys == ["format", "format_version", "network", "params", "schema_id", "training"], keys
 keys = sorted(doc["training"])
-assert keys == ["batch_size", "iterations", "learning_rate", "shuffle_seed"], keys'
+assert keys == ["batch_size", "iterations", "learning_rate", "shuffle_seed"], keys
+doc["params"] = doc["params"][:8] + "#" + doc["params"][9:]
+json.dump(doc, open("bad-model.json", "w"))'
+# one parameter character outside the base64 alphabet: eval exits 3, naming the file
+status=0
+rationale-lab eval --model bad-model.json --in welfare-type-b.csv 2> bad-model.err || status=$?
+test "$status" -eq 3
+head -n 1 bad-model.err | grep -q '^error: bad-model\.json: '
 # the same set twice at another rate: the two files match each other, and
 # their trained weights differ from model.json's (the files would differ on
 # the recorded rate alone), so the rate reaches the step
@@ -47,7 +58,7 @@ cmp model-lr-1.json model-lr-2.json
 python -c 'import json
 default, other = (json.load(open(f)) for f in ("model.json", "model-lr-1.json"))
 assert other["training"]["learning_rate"] == 0.003, other["training"]
-assert default["layers"] != other["layers"], "--learning-rate 0.003 trained the default weights"'
+assert default["params"] != other["params"], "--learning-rate 0.003 trained the default weights"'
 rationale-lab eval --model model.json --in welfare-age-gender.csv --curve Age:Gender \
   --curve-out curve.tsv --condition-table C1
 test -s curve.tsv

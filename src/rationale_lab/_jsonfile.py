@@ -20,12 +20,23 @@ def write_json(path: str | Path, doc) -> Path:
     return path
 
 
+def _unique_keys(pairs: list) -> dict:
+    """An object's pairs as a dict; a key given twice raises ValueError."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} is repeated")
+        doc[key] = value
+    return doc
+
+
 def read_json(path: str | Path, what: str) -> dict:
     """The JSON object in ``path``; ``what`` (``"a plan"``) names it when the
-    file holds another value.  A syntax error raises ValueError naming the file."""
+    file holds another value.  A syntax error or a key repeated in any object
+    raises ValueError naming the file."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except ValueError as err:  # a JSON syntax error, or bytes that are not UTF-8
+        doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+    except ValueError as err:  # a syntax error, a repeated key, or bytes that are not UTF-8
         raise ValueError(f"{path}: not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: {what} must be a JSON object, got {type(doc).__name__}")

@@ -64,8 +64,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 MODEL_FORMAT = "rationale-lab-model"
-MODEL_FORMAT_VERSION = 3
-_MODEL_KEYS = {"format", "format_version", "schema_id", "network", "training", "layers"}
+MODEL_FORMAT_VERSION = 4
+_MODEL_KEYS = {"format", "format_version", "schema_id", "network", "training", "params"}
 
 
 class TrainingDivergedError(RuntimeError):
@@ -99,8 +99,10 @@ class NetworkConfig:
             )
 
     @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return (self.input_width, *self.hidden_layers, 1)
+    def layout(self) -> tuple[tuple[int, int], ...]:
+        """Each layer's (fan_in, fan_out), input first: its ``ModelParams.layout``."""
+        sizes = (self.input_width, *self.hidden_layers, 1)
+        return tuple(zip(sizes[:-1], sizes[1:]))
 
 
 @dataclass(frozen=True)
@@ -130,19 +132,14 @@ class ModelParams:
     """
 
     def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
-        weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        biases = [np.asarray(b, dtype=np.float64) for b in biases]
-        if len(weights) != len(biases):
-            raise ValueError("one bias vector per weight matrix required")
-        for w, b in zip(weights, biases):
-            if w.ndim != 2 or b.shape != (w.shape[1],):
-                raise ValueError(f"inconsistent layer shapes {w.shape} / {b.shape}")
-        for w, w_next in zip(weights[:-1], weights[1:]):
-            if w.shape[1] != w_next.shape[0]:
-                raise ValueError(f"layer shapes {w.shape} -> {w_next.shape} do not chain")
-        layout = tuple(w.shape for w in weights)
-        self._bind(np.empty(sum(w.size + b.size for w, b in zip(weights, biases))), layout)
-        for dst, src in zip(self.weights + self.biases, weights + biases):
+        layout = tuple(np.shape(w) for w in weights)
+        bias_shapes = [np.shape(b) for b in biases]
+        if any(len(s) != 2 for s in layout) or bias_shapes != [s[1:] for s in layout]:
+            raise ValueError(f"bias shapes {bias_shapes} do not fit weight shapes {layout}")
+        if any(a[1] != b[0] for a, b in zip(layout, layout[1:])):
+            raise ValueError(f"layer shapes {layout} do not chain")
+        self._bind(np.empty(_param_count(layout)), layout)
+        for dst, src in zip(self.weights + self.biases, [*weights, *biases]):
             dst[...] = src
 
     def _bind(self, flat: np.ndarray, layout: tuple[tuple[int, int], ...]) -> None:
@@ -168,16 +165,20 @@ class ModelParams:
         return ModelParams._on(np.empty(self.flat.size), self.layout)
 
 
+def _param_count(layout: tuple[tuple[int, int], ...]) -> int:
+    """The length of a ``flat`` buffer of the given layout."""
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in layout)
+
+
 def init_params(config: NetworkConfig) -> ModelParams:
     """Fan-balanced uniform weights in +-sqrt(6/(fan_in+fan_out)), zero biases."""
     rng = np.random.default_rng(config.init_seed)
-    weights, biases = [], []
-    sizes = config.layer_sizes
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    layout = config.layout
+    params = ModelParams._on(np.zeros(_param_count(layout)), layout)
+    for (fan_in, fan_out), w in zip(layout, params.weights):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return ModelParams(weights, biases)
+        w[...] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return params
 
 
 def _forward_scaled(params: ModelParams, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -425,15 +426,12 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# Model persistence: a single JSON file, arrays as base64 little-endian
-# float64, so that save -> load round-trips bit-exactly.  The file holds no
-# copy of what the schema and the ``network`` section fix: the input scaling
-# comes from the schema, each layer's shape from the layer sizes.
+# Model persistence: a single JSON file, ``params`` the base64 of the ``flat``
+# buffer as little-endian float64, so that save -> load round-trips
+# bit-exactly.  The file holds no copy of what the schema and the ``network``
+# section fix: the input scaling comes from the schema, the layout from the
+# layer widths.
 # ---------------------------------------------------------------------------
-
-def _pack(a: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode()
-
 
 def _config_from_block(cls, block: dict):
     """A config from its model-file block, which must name every field of
@@ -451,8 +449,7 @@ def save_model(model: TrainedModel, path: str | Path) -> Path:
         "schema_id": model.schema_id,
         "network": asdict(model.config),
         "training": asdict(model.train_config),
-        "layers": [{"weights": _pack(w), "bias": _pack(b)}
-                   for w, b in zip(model.params.weights, model.params.biases)],
+        "params": base64.b64encode(model.params.flat.astype("<f8").tobytes()).decode(),
     }
     return write_json(path, doc)
 
@@ -479,13 +476,6 @@ def _model_from_doc(doc: dict) -> TrainedModel:
             raise ValueError(f"model key {key!r} must be a {kind.__name__}")
         return doc[key]
 
-    def array(layer: dict, i: int, key: str, shape: tuple[int, ...]) -> np.ndarray:
-        try:
-            return np.frombuffer(base64.b64decode(layer.get(key)), dtype="<f8").reshape(shape)
-        except (TypeError, ValueError) as err:  # not a string, not base64, or the wrong length
-            raise ValueError(f"model key 'layers[{i}].{key}' must be a base64 string "
-                             f"of {shape} float64: {err}") from None
-
     config = _config_from_block(NetworkConfig, section("network", dict))
     train_config = _config_from_block(TrainConfig, section("training", dict))
     schema_id = section("schema_id", str)
@@ -493,17 +483,14 @@ def _model_from_doc(doc: dict) -> TrainedModel:
     if config.input_width != n_features:
         raise ValueError(f"network input_width {config.input_width} differs from the "
                          f"{n_features} features of schema {schema_id!r}")
-    layers, sizes = section("layers", list), config.layer_sizes
-    weights, biases = [], []
-    for i, (layer, fan_in, fan_out) in enumerate(zip(layers, sizes[:-1], sizes[1:])):
-        if not isinstance(layer, dict):
-            raise ValueError(f"model key 'layers[{i}]' must be an object")
-        if unknown := sorted(set(layer) - {"weights", "bias"}):
-            raise ValueError(f"unknown key(s) {unknown} in model key 'layers[{i}]'")
-        weights.append(array(layer, i, "weights", (fan_in, fan_out)))
-        biases.append(array(layer, i, "bias", (fan_out,)))
-    if len(layers) != len(sizes) - 1:  # zip() above stopped at the shorter
-        raise ValueError(f"model has {len(layers)} layers, but the network's layer "
-                         f"sizes {sizes} make {len(sizes) - 1}")
-    return TrainedModel(config=config, train_config=train_config,
-                        params=ModelParams(weights, biases), schema_id=schema_id)
+    try:
+        raw = base64.b64decode(section("params", str), validate=True)
+    except ValueError as err:  # a character outside the alphabet, or bad padding
+        raise ValueError(f"model key 'params' is not base64: {err}") from None
+    layout = config.layout  # from the file: check its size before allocating it
+    if len(raw) != 8 * (count := _param_count(layout)):
+        raise ValueError(f"model key 'params' holds {len(raw)} bytes, not the {count} "
+                         f"float64s of the network's layout {layout}")
+    params = ModelParams._on(np.frombuffer(raw, dtype="<f8").astype(np.float64), layout)
+    return TrainedModel(config=config, train_config=train_config, params=params,
+                        schema_id=schema_id)

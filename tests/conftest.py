@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import base64
 import json
 
 import numpy as np
@@ -39,32 +38,6 @@ def max_relative_error(got: network.ModelParams, want: network.ModelParams) -> f
     for a, b in zip(got.weights + got.biases, want.weights + want.biases):
         worst = max(worst, float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b)))))
     return worst
-
-
-def mismatched_model_doc(doc: dict, edit: str) -> dict:
-    """A saved tort (24, 6) model document whose layers no longer fit it.
-
-    ``unchained``: the second layer holds 5x6 weights where the 24-wide first
-    layer needs 24x6.  ``other-architecture``: the two layers of a (12,)
-    network, whose first holds 10x12 weights where the network needs 10x24.
-    ``MISMATCHED_MODEL_KEY`` names the array that loading refuses.
-    """
-    def zeros(*shape):
-        return base64.b64encode(np.zeros(shape, dtype="<f8").tobytes()).decode()
-
-    def layer(fan_in, fan_out):
-        return {"weights": zeros(fan_in, fan_out), "bias": zeros(fan_out)}
-
-    assert doc["network"]["hidden_layers"] == [24, 6]
-    if edit == "unchained":
-        doc["layers"][1] = layer(5, 6)
-    else:
-        doc["layers"] = [layer(10, 12), layer(12, 1)]
-    return doc
-
-
-MISMATCHED_MODEL_KEY = {"unchained": "'layers[1].weights'",
-                        "other-architecture": "'layers[0].weights'"}
 
 
 def write_plan(plan, path):

@@ -22,7 +22,7 @@ from rationale_lab.cli import _build_parser, main
 from rationale_lab.dataset_io import meta_path
 from rationale_lab.network import schema_scaling
 
-from conftest import MISMATCHED_MODEL_KEY, mismatched_model_doc, write_plan
+from conftest import write_plan
 
 PLANS_DIR = Path(__file__).resolve().parent.parent / "plans"
 
@@ -215,18 +215,6 @@ class TestTrainEval:
         code, _, stderr = run(["eval", "--model", str(tmp_path / "m.json"),
                                "--in", str(tmp_path / "d.csv"), *flag], capsys)
         assert code == 2 and "given together" in stderr
-
-    @pytest.mark.parametrize("edit", ["unchained", "other-architecture"])
-    def test_eval_of_mismatched_model_exits_3(self, tmp_path, capsys, edit):
-        data = tmp_path / "train.csv"
-        run(["gen", "--domain", "tort", "--kind", "unique", "--out", str(data)], capsys)
-        model = tmp_path / "model.json"
-        run(["train", "--in", str(data), "--domain", "tort", "--hidden", "24,6",
-             "--iterations", "5", "--seed", "1", "--out", str(model)], capsys)
-        model.write_text(json.dumps(mismatched_model_doc(json.loads(model.read_text()), edit)))
-        code, _, stderr = run(["eval", "--model", str(model), "--in", str(data)], capsys)
-        assert code == 3 and stderr.startswith(f"error: {model}: ")
-        assert MISMATCHED_MODEL_KEY[edit] in stderr
 
     @pytest.mark.parametrize("edit", ["missing", "unknown"])
     def test_eval_of_model_with_other_config_keys_exits_3(self, tmp_path, capsys, edit):
@@ -441,24 +429,25 @@ PLAN = {"domain": "tort", "train": [{"kind": "regular", "size": 200}],
         "iterations": 10}
 
 
-def _edit_layer(key, value):
-    """An edit of a trained model that sets ``key`` of its first layer,
-    or deletes it when ``value`` is None."""
-    def edit(model):
-        layer = {k: v for k, v in model["layers"][0].items() if k != key}
-        if value is not None:
-            layer[key] = value
-        return {**model, "layers": [layer, *model["layers"][1:]]}
-    return edit
+def _edit_params(edit):
+    """An edit of a trained model that replaces the bytes its ``params``
+    encodes by ``edit`` of them."""
+    def apply(model):
+        raw = base64.b64decode(model["params"], validate=True)
+        return {**model, "params": base64.b64encode(edit(raw)).decode()}
+    return apply
 
 
 @pytest.mark.parametrize("command,document,named", [
     ("eval", [], "a rationale-lab-model file must be a JSON object"),
-    ("eval", {"layers": 5}, "'layers'"),
-    ("eval", {"layers": [5]}, "'layers[0]'"),
-    ("eval", _edit_layer("weights", 5), "'layers[0].weights'"),
-    ("eval", _edit_layer("bias", "A"), "'layers[0].bias'"),
-    ("eval", _edit_layer("bias", "AAAA"), "'layers[0].bias'"),
+    ("eval", {"params": 5}, "'params'"),
+    ("eval", {"params": "A"}, "'params'"),
+    ("eval", lambda model: {**model, "params": model["params"][:8] + "#" + model["params"][8:]},
+     "'params'"),
+    ("eval", _edit_params(lambda raw: raw[:-1]), "'params'"),
+    ("eval", _edit_params(lambda raw: raw[:-8]), "'params'"),
+    # the zero buffer of a tort (24, 6) network in a (12,) model
+    ("eval", _edit_params(lambda raw: bytes(8 * (11 * 24 + 25 * 6 + 7 * 1))), "'params'"),
     ("eval", {"schema_id": 5}, "'schema_id'"),
     ("eval", lambda model: {**model, "network": {**model["network"], "input_width": None}},
      "'input_width'"),
@@ -475,14 +464,17 @@ def _edit_layer(key, value):
     ("experiment", dict(PLAN, repetitons=3), "'repetitons'"),
     ("experiment", dict(PLAN, test=[{"kind": "unique", "sise": 5}]), "'test'"),
     ("experiment", dict(PLAN, architectures=[[12], [24, True]]), "'architectures'"),
+    ("experiment", json.dumps(PLAN)[:-1] + ', "master_seed": 5, "master_seed": 6}',
+     "'master_seed'"),
     ("report", [], "a manifest must be a JSON object"),
-], ids=["model-list", "model-layers-int", "model-layer-int", "model-weights-int",
-        "model-bias-not-base64", "model-bias-short", "model-schema-id-int",
+], ids=["model-list", "model-params-int", "model-params-not-base64", "model-params-junk",
+        "model-params-byte-short", "model-params-float-short",
+        "model-params-other-architecture", "model-schema-id-int",
         "model-input-width-null", "model-learning-rate-beyond-float",
         "plan-list", "plan-size-string", "plan-flat-architectures", "plan-repetitions-float",
         "plan-repetitions-bool", "plan-learning-rate-bool", "plan-learning-rate-beyond-float",
         "plan-misspelt-key", "plan-spec-misspelt-key", "plan-architecture-bool",
-        "manifest-list"])
+        "plan-repeated-key", "manifest-list"])
 def test_malformed_json_exits_3(tmp_path, capsys, command, document, named):
     path = tmp_path / "doc.json"
     data = tmp_path / "u.csv"
@@ -492,7 +484,7 @@ def test_malformed_json_exits_3(tmp_path, capsys, command, document, named):
              "--out", str(path)], capsys)
         model = json.loads(path.read_text())
         document = document(model) if callable(document) else {**model, **document}
-    path.write_text(json.dumps(document))
+    path.write_text(document if isinstance(document, str) else json.dumps(document))
     source = {"eval": ["--model", str(path), "--in", str(data)],
               "experiment": ["--plan", str(path), "--out-dir", str(tmp_path / "out")],
               "report": ["--manifest", str(path), "--out-dir", str(tmp_path / "out")]}
@@ -501,28 +493,50 @@ def test_malformed_json_exits_3(tmp_path, capsys, command, document, named):
     assert not (tmp_path / "out").exists()
 
 
+def _layer_sizes(model):
+    """The widths of a saved model's layers, input first."""
+    net = model["network"]
+    return [net["input_width"], *net["hidden_layers"], 1]
+
+
+def _format_3(model):
+    """A format-4 model document as format 3 wrote it: a ``layers`` list, each
+    layer's weights and bias in base64, in place of the one ``params`` buffer."""
+    sizes = _layer_sizes(model)
+    raw, pos, layers = base64.b64decode(model["params"]), 0, []
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        cut, end = pos + 8 * fan_in * fan_out, pos + 8 * (fan_in + 1) * fan_out
+        layers.append({"weights": base64.b64encode(raw[pos:cut]).decode(),
+                       "bias": base64.b64encode(raw[cut:end]).decode()})
+        pos = end
+    assert pos == len(raw)
+    doc = {key: value for key, value in model.items() if key != "params"}
+    return {**doc, "format_version": 3, "layers": layers}
+
+
 def _format_2(model):
-    """A format-3 model document as format 2 wrote it: with Adam's constants
-    in its ``training`` section."""
-    return {**model, "format_version": 2,
-            "training": {**model["training"], "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8}}
+    """A format-4 model document as format 2 wrote it: format 3's, with Adam's
+    constants in its ``training`` section."""
+    doc = _format_3(model)
+    return {**doc, "format_version": 2,
+            "training": {**doc["training"], "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8}}
 
 
 def _format_1(model):
-    """A format-3 model document as format 1 wrote it: format 2's, with a float
+    """A format-4 model document as format 1 wrote it: format 2's, with a float
     encoding, the schema's feature names and scaling, and each layer's shape."""
     def pack(a):
         return base64.b64encode(a.astype("<f8").tobytes()).decode()
 
     scaling = schema_scaling(model["schema_id"])
-    net = model["network"]
-    sizes = [net["input_width"], *net["hidden_layers"], 1]
-    return {**_format_2(model), "format_version": 1,
+    sizes = _layer_sizes(model)
+    doc = _format_2(model)
+    return {**doc, "format_version": 1,
             "float_encoding": "base64 little-endian float64",
             "feature_names": list(build_domain(model["schema_id"]).feature_names),
             "scaling": {"offsets": pack(scaling.offsets), "scales": pack(scaling.scales)},
             "layers": [{**layer, "shape": [fan_in, fan_out]}
-                       for layer, fan_in, fan_out in zip(model["layers"], sizes, sizes[1:])]}
+                       for layer, fan_in, fan_out in zip(doc["layers"], sizes, sizes[1:])]}
 
 
 @pytest.mark.parametrize("edit,named", [
@@ -531,14 +545,12 @@ def _format_1(model):
     (lambda model: {**model, "schema_id": "maritime"}, "unknown domain 'maritime'"),
     (lambda model: {**model, "scaling": _format_1(model)["scaling"]},
      "unknown model key(s) ['scaling']"),
-    (_edit_layer("shape", [10, 12]), "unknown key(s) ['shape'] in model key 'layers[0]'"),
-    (lambda model: {**model, "layers": model["layers"][:1]}, "model has 1 layers"),
-    (lambda model: {**model, "layers": model["layers"] * 2}, "model has 4 layers"),
     (_format_1, "unsupported format version 1"),
     (_format_2, "unsupported format version 2"),
-    (lambda model: {**model, "format_version": 3.0}, "unsupported format version 3.0"),
-], ids=["input-width", "unknown-schema", "stray-scaling", "stray-layer-shape",
-        "layer-missing", "layer-extra", "format-1", "format-2", "format-3.0"])
+    (_format_3, "unsupported format version 3"),
+    (lambda model: {**model, "format_version": 4.0}, "unsupported format version 4.0"),
+], ids=["input-width", "unknown-schema", "stray-scaling", "format-1", "format-2", "format-3",
+        "format-4.0"])
 def test_eval_of_model_outside_its_format_exits_3_naming_the_file(tmp_path, capsys, edit,
                                                                    named):
     """A model file holds only what its schema and network section do not fix,

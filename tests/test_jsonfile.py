@@ -62,6 +62,8 @@ def test_written_bytes_and_read_back(tmp_path):
 @pytest.mark.parametrize("text,message", [
     ("[1]", "a doc must be a JSON object, got list"),
     ('{"a": ', "not valid JSON: Expecting value"),
+    ('{"seed": 5, "seed": 6}', "not valid JSON: key 'seed' is repeated"),
+    ('{"a": [{"b": {"c": 1, "d": 2, "c": 1}}]}', "not valid JSON: key 'c' is repeated"),
 ])
 def test_read_rejects_other_documents_naming_the_file(tmp_path, text, message):
     path = tmp_path / "d.json"

@@ -42,11 +42,9 @@ from rationale_lab.network import (
 
 from conftest import (
     JSON_VALUES,
-    MISMATCHED_MODEL_KEY,
     finite_difference_grads,
     key_paths,
     max_relative_error,
-    mismatched_model_doc,
     replaced,
 )
 
@@ -202,6 +200,20 @@ class TestInit:
         limit = math.sqrt(6.0 / (64 + 12))
         assert np.all(np.abs(params.weights[0]) <= limit)
         assert all(not b.any() for b in params.biases)
+
+    @pytest.mark.parametrize("width", [4, 10, 64])
+    @pytest.mark.parametrize("hidden", STANDARD_HIDDEN_LAYERS)
+    def test_draws_match_a_per_layer_reference(self, hidden, width):
+        """One uniform draw per layer, input first; each layer's weights, then
+        its zero bias, in the flat buffer."""
+        rng = np.random.default_rng(11)
+        sizes = [width, *hidden, 1]
+        want = []
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            want += [rng.uniform(-limit, limit, size=(fan_in, fan_out)).ravel(), np.zeros(fan_out)]
+        got = init_params(NetworkConfig(width, hidden, init_seed=11)).flat
+        assert got.tobytes() == np.concatenate(want).tobytes()
 
 
 class TestFlatBuffers:
@@ -598,13 +610,12 @@ class TestPersistence:
         want = save_model(reference, tmp_path / "reference.json").read_bytes()
         assert got == want
         doc = json.loads(got)
-        assert sorted(doc) == ["format", "format_version", "layers", "network", "schema_id",
+        assert sorted(doc) == ["format", "format_version", "network", "params", "schema_id",
                                "training"]
-        layers = doc["layers"]
-        assert [sorted(layer) for layer in layers] == [["bias", "weights"]] * len(weights)
-        for layer, w, b in zip(layers, weights, biases):
-            assert base64.b64decode(layer["weights"]) == w.astype("<f8").tobytes()
-            assert base64.b64decode(layer["bias"]) == b.astype("<f8").tobytes()
+        assert doc["format_version"] == 4
+        arrays = [a for w, b in zip(weights, biases) for a in (w, b)]
+        assert base64.b64decode(doc["params"], validate=True) == b"".join(
+            a.astype("<f8").tobytes() for a in arrays)
 
     def test_every_config_field_round_trips(self, tmp_path):
         ds = generate(GeneratorRequest("tort", "regular", 200, seed=3))
@@ -639,18 +650,23 @@ class TestPersistence:
         with pytest.raises(ValueError, match="differ from its fields"):
             load_model(path)
 
-    @pytest.mark.parametrize("edit", ["unchained", "other-architecture"])
-    def test_rejects_layers_that_do_not_fit_the_network(self, tmp_path, edit):
+    @pytest.mark.parametrize("hidden", [[12], [2**40]], ids=["other-architecture", "huge-layer"])
+    def test_rejects_params_of_another_layout(self, tmp_path, hidden):
+        """A (24, 6) network's buffer under other layer widths; a layout
+        too large to allocate is refused by its size alone."""
         path = tmp_path / "model.json"
         save_model(train(generate(GeneratorRequest("tort", "regular", 200, seed=3)),
                          NetworkConfig(10, (24, 6), init_seed=2),
                          TrainConfig(iterations=5, shuffle_seed=5)), path)
-        path.write_text(json.dumps(mismatched_model_doc(json.loads(path.read_text()), edit)))
-        with pytest.raises(ValueError, match=re.escape(MISMATCHED_MODEL_KEY[edit])):
+        doc = json.loads(path.read_text())
+        doc["network"].update(hidden_layers=hidden, allow_nonstandard=True)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: model key 'params' "
+                                             rf"holds {8 * (11 * 24 + 25 * 6 + 7)} bytes"):
             load_model(path)
 
     def test_rejects_format_2_file(self, tmp_path):
-        """The parent format: version 2, with Adam's constants in ``training``."""
+        """Version 2, with Adam's constants in ``training``."""
         path = save_model(train(generate(GeneratorRequest("tort", "regular", 200, seed=3)),
                                 NetworkConfig(10, (12,), init_seed=2),
                                 TrainConfig(iterations=5, shuffle_seed=5)),
@@ -663,8 +679,9 @@ class TestPersistence:
                            match=rf"^{re.escape(str(path))}: unsupported format version 2$"):
             load_model(path)
 
-    def test_rejects_format_3_file_with_adams_constants(self, tmp_path):
-        """A format-2 file whose version alone was raised to 3 is still refused."""
+    def test_rejects_current_version_file_with_adams_constants(self, tmp_path):
+        """A format-2 file whose version alone was raised to the current one
+        is still refused."""
         path = save_model(train(generate(GeneratorRequest("tort", "regular", 200, seed=3)),
                                 NetworkConfig(10, (12,), init_seed=2),
                                 TrainConfig(iterations=5, shuffle_seed=5)),
