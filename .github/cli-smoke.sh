@@ -6,8 +6,9 @@
 # another learning rate that must match each other and not the first, an
 # eval with a curve and a condition table, then a welfare plan run at
 # parallelism 2 and replayed at parallelism 1 to the same report bytes, also
-# with two BLAS threads. The installed distribution's version must be the
-# package's.
+# with two BLAS threads, and a tort plan with seed-independent test sets
+# (built once per plan and shared by its repetitions) run and replayed the
+# same way. The installed distribution's version must be the package's.
 set -eu
 
 python -c 'import importlib.metadata, rationale_lab
@@ -75,3 +76,11 @@ OPENBLAS_NUM_THREADS=2 rationale-lab report --manifest run/manifest.json --out-d
   --parallelism 1
 cmp run/summary.json replayed-blas2/summary.json
 cmp run/accuracy_matrix.csv replayed-blas2/accuracy_matrix.csv
+
+# the enumerated and dedicated tort sets are built once per plan and handed to the
+# workers; the repetitions must read them as the serial replay does
+echo '{"domain": "tort", "train": [{"kind": "regular", "size": 200}], "test": [{"kind": "unique"}, {"kind": "unlawfulness"}], "architectures": [[12]], "repetitions": 2, "iterations": 60}' > tort-plan.json
+rationale-lab experiment --plan tort-plan.json --out-dir tort-run --parallelism 2
+rationale-lab report --manifest tort-run/manifest.json --out-dir tort-replayed --parallelism 1
+cmp tort-run/summary.json tort-replayed/summary.json
+cmp tort-run/condition_tables.json tort-replayed/condition_tables.json

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from pathlib import Path
 
 from .dataset_io import read_dataset, write_dataset
 from .domains import DOMAIN_IDS, build_domain
@@ -166,8 +168,17 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Refuse, before anything is trained, an out-dir whose nearest existing
+    path (itself or an ancestor) is not a writable directory; create nothing."""
+    nearest = next(p for p in (Path(out_dir), *Path(out_dir).parents) if p.exists())
+    if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):
+        raise ValueError(f"--out-dir {out_dir}: {nearest} is not a writable directory")
+
+
 def _cmd_experiment(args) -> int:
     plan = load_plan(args.plan)
+    _check_out_dir(args.out_dir)
     print(f"master_seed={plan.master_seed} cells={plan.cell_count} "
           f"repetitions={plan.repetitions}")
     report = run_plan(plan, parallelism=args.parallelism)
@@ -177,6 +188,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    _check_out_dir(args.out_dir)
     report = replay(args.manifest, args.out_dir, parallelism=args.parallelism)
     print(f"master_seed={report.plan.master_seed} (replay)")
     print(f"wrote report under {args.out_dir}")

@@ -80,6 +80,9 @@ class Dataset:
         self.values.setflags(write=False)
         self.labels.setflags(write=False)
 
+    def __reduce__(self):  # unpickled through __post_init__, so read-only again
+        return (Dataset, (self.schema_id, self.kind, self.values, self.labels, self.meta))
+
     def __len__(self) -> int:
         return self.values.shape[0]
 

@@ -6,10 +6,11 @@ dataset from seeds derived off the master seed, trains each architecture on
 each training set, and evaluates every model on every test set.  Cells
 aggregate to mean +- population standard deviation over repetitions.
 
-A repetition holds one large dataset at a time: each train set is generated
-just before its models are trained and dropped before the next is generated;
-each test set is generated, scaled and evaluated only after every model is
-trained, and dropped before the next.
+A plan builds its seed-independent sets once and hands them to every
+repetition; nothing outlives the plan.  A repetition holds one large dataset
+at a time: each train set is generated just before its models are trained
+and dropped before the next is generated; each test set is generated, scaled
+and evaluated only after every model is trained, and dropped before the next.
 
 Repetitions are independent jobs and may run in parallel processes; results
 are folded in repetition order, so reports are identical at any parallelism.
@@ -25,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -263,42 +264,22 @@ def _schedule(plan: ExperimentPlan) -> list[_RepSeeds]:
     ]
 
 
-@dataclass
-class _RepResult:
-    accuracies: np.ndarray  # (n_train, n_arch, n_test); NaN where training diverged
-    curves: dict[tuple[int, int, int], RationaleCurve]  # keyed (train, arch, test)
-    tables: dict[tuple[int, int, int], ConditionOutputTable]
+def _run_repetition(plan: ExperimentPlan, seeds: _RepSeeds,
+                    fixed: dict[GeneratorRequest, Dataset]) -> dict[str, tuple]:
+    """One repetition's cells, keyed ``train__arch__test``: (accuracy, a curve
+    or condition table on a dedicated set, else None); a diverged model has
+    none.  ``fixed`` holds the plan's seed-independent sets."""
 
-
-_dataset_cache: dict[tuple, Dataset] = {}
-
-
-def _dataset(spec: GeneratorRequest, seed: int) -> Dataset:
-    """Generate a dataset; fully deterministic kinds are built once and reused."""
-    if KINDS[spec.domain_id, spec.kind].seed_independent:
-        key = (spec.domain_id, spec.kind, spec.size)
-        if key not in _dataset_cache:
-            _dataset_cache[key] = generate(spec)
-        return _dataset_cache[key]
-    return generate(
-        GeneratorRequest(spec.domain_id, spec.kind, spec.size, seed)
-    )
-
-
-def _run_repetition(plan: ExperimentPlan, seeds: _RepSeeds) -> _RepResult:
-    accs = np.full(
-        (len(plan.train_specs), len(plan.architectures), len(plan.test_specs)), np.nan
-    )
-    curves: dict[tuple[int, int, int], RationaleCurve] = {}
-    tables: dict[tuple[int, int, int], ConditionOutputTable] = {}
+    def dataset(spec: GeneratorRequest, seed: int) -> Dataset:
+        return fixed[spec] if spec in fixed else generate(replace(spec, seed=seed))
 
     models = {}
-    for ti, train_spec in enumerate(plan.train_specs):
-        train_set = _dataset(train_spec, seeds.train_data[train_spec.label()])
-        for ai, arch in enumerate(plan.architectures):
+    for train_spec in plan.train_specs:
+        train_set = dataset(train_spec, seeds.train_data[train_spec.label()])
+        for arch in plan.architectures:
             job = _model_label(train_spec, arch)
             try:
-                models[ti, ai] = train(
+                models[job] = train(
                     train_set,
                     plan._network_config(arch, seeds.init[job]),
                     plan._train_config(seeds.shuffle[job]),
@@ -310,22 +291,22 @@ def _run_repetition(plan: ExperimentPlan, seeds: _RepSeeds) -> _RepResult:
     # Every model scales with the plan's schema_scaling, so each test set is
     # scaled once.
     scaling = schema_scaling(plan.domain_id)
-    for si, test_spec in enumerate(plan.test_specs):
-        test_set = _dataset(test_spec, seeds.test_data[test_spec.label()])
+    cells: dict[str, tuple] = {}
+    for test_spec in plan.test_specs:
+        test_set = dataset(test_spec, seeds.test_data[test_spec.label()])
         x = scaling.apply(test_set.values)
         target = DEDICATED_TARGET.get((plan.domain_id, test_set.kind))
         grid = CURVE_GRIDS.get((plan.domain_id, target))
-        for (ti, ai), model in models.items():
+        for job, model in models.items():
             outputs = _scaled_outputs(model.params, x)
-            accs[ti, ai, si] = accuracy(outputs, test_set)
-            if target is None:
-                continue
+            acc, reading = accuracy(outputs, test_set), None
             if grid is not None:  # read as a curve on the grid's two axes
-                curves[ti, ai, si] = output_curve(outputs, test_set, *grid[:2])
-            else:
-                tables[ti, ai, si] = condition_table(outputs, test_set, target)
+                reading = output_curve(outputs, test_set, *grid[:2])
+            elif target is not None:
+                reading = condition_table(outputs, test_set, target)
+            cells[f"{job}__{test_spec.label()}"] = (acc, reading)
         del test_set, x  # before the next one is generated
-    return _RepResult(accs, curves, tables)
+    return cells
 
 
 def _mean_curve(curves: list[RationaleCurve]) -> RationaleCurve:
@@ -367,30 +348,30 @@ def run_plan(plan: ExperimentPlan, parallelism: int = 1) -> AggregateReport:
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     schedule = _schedule(plan)
+    fixed = {spec: generate(spec) for spec in dict.fromkeys(plan.train_specs + plan.test_specs)
+             if KINDS[spec.domain_id, spec.kind].seed_independent}
+    jobs = ([plan] * len(schedule), schedule, [fixed] * len(schedule))
     workers = min(parallelism, plan.repetitions)  # a pool starts all its workers at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_repetition, [plan] * len(schedule), schedule))
+            results = list(pool.map(_run_repetition, *jobs))
     else:
-        results = [_run_repetition(plan, seeds) for seeds in schedule]
-
-    accs = np.stack([r.accuracies for r in results], axis=-1)
+        results = list(map(_run_repetition, *jobs))
 
     cells = []
     curves: dict[str, RationaleCurve] = {}
     tables: dict[str, ConditionOutputTable] = {}
-    for ti, train_spec in enumerate(plan.train_specs):
-        for si, test_spec in enumerate(plan.test_specs):
-            for ai, arch in enumerate(plan.architectures):
-                key = (ti, ai, si)
+    for train_spec in plan.train_specs:
+        for test_spec in plan.test_specs:
+            for arch in plan.architectures:
                 name = f"{_model_label(train_spec, arch)}__{test_spec.label()}"
-                rep_curves = [r.curves[key] for r in results if key in r.curves]
-                if rep_curves:
-                    curves[name] = _mean_curve(rep_curves)
-                rep_tables = [r.tables[key] for r in results if key in r.tables]
-                if rep_tables:
-                    tables[name] = _mean_table(rep_tables)
-                per_rep = accs[ti, ai, si, :]
+                rep_cells = [r.get(name, (np.nan, None)) for r in results]
+                readings = [reading for _, reading in rep_cells if reading is not None]
+                if readings and isinstance(readings[0], RationaleCurve):
+                    curves[name] = _mean_curve(readings)
+                elif readings:
+                    tables[name] = _mean_table(readings)
+                per_rep = np.array([acc for acc, _ in rep_cells])
                 finite = per_rep[np.isfinite(per_rep)]
                 cells.append(
                     CellAggregate(

@@ -1,5 +1,6 @@
 import base64
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -405,6 +406,33 @@ class TestExperiment:
         )
         assert code == 2 and "--parallelism" in err and stdout == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["experiment", "report"])
+    @pytest.mark.parametrize("out", ["taken", "taken/run", "taken/a/b", "read-only/run"])
+    def test_unwritable_out_dir_exits_3_before_training(self, tmp_path, tiny_plan, capsys,
+                                                       monkeypatch, command, out):
+        """An out-dir that is a file, or lies under a file or a directory
+        that cannot be written, is refused before any model is trained,
+        naming the path, and nothing is created."""
+        manifest = tmp_path / "run" / "manifest.json"
+        if command == "report":
+            run(["experiment", "--plan", str(tiny_plan), "--out-dir", str(manifest.parent)],
+                capsys)
+        (tmp_path / "taken").write_text("a file\n")
+        (tmp_path / "read-only").mkdir()
+        real_access = os.access  # as root every directory is writable to os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: (
+            Path(path) != tmp_path / "read-only" and real_access(path, mode)))
+        trained = []
+        monkeypatch.setattr(harness_module, "train", lambda *args: trained.append(args))
+        source = ["--plan", str(tiny_plan)] if command == "experiment" else [
+            "--manifest", str(manifest)]
+        code, _, err = run([command, *source, "--out-dir", str(tmp_path / out)], capsys)
+        nearest = tmp_path / out.split("/")[0]
+        assert code == 3 and trained == []
+        assert err == f"error: --out-dir {tmp_path / out}: {nearest} is not a writable directory\n"
+        assert (tmp_path / "taken").read_text() == "a file\n"
+        assert list((tmp_path / "read-only").iterdir()) == []
 
     @pytest.mark.parametrize("key", ["generator_version", "package_version"])
     def test_report_of_manifest_from_other_version_exits_3(self, tmp_path, tiny_plan,

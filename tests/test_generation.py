@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -54,6 +55,17 @@ class TestDatasetShape:
         }[edit]
         with pytest.raises(ValueError, match=shapes):
             Dataset(ds.schema_id, ds.kind, values, labels, ds.meta)
+
+    @pytest.mark.parametrize("request_", [GeneratorRequest("tort", "unique"),
+                                          GeneratorRequest("welfare", "type-b", 200, seed=3)])
+    def test_pickled_dataset_stays_read_only(self, request_):
+        """A dataset crosses the process pool by pickle and comes back through
+        its constructor: the same cases and metadata, read-only."""
+        ds = generate(request_)
+        back = pickle.loads(pickle.dumps(ds))
+        assert back.equals(ds)
+        assert not back.values.flags.writeable and not back.labels.flags.writeable
+        assert back.values.dtype == ds.values.dtype and back.values.flags.c_contiguous
 
 
 class TestBalancedSets:

@@ -409,22 +409,20 @@ class TestEmitAndReplay:
             trained.append((net_cfg.init_seed, train_cfg.shuffle_seed))
             return real_train(dataset, net_cfg, train_cfg)
 
-        monkeypatch.setattr(harness_module, "_dataset_cache", {})
         monkeypatch.setattr(harness_module, "generate", recording_generate)
         monkeypatch.setattr(harness_module, "train", recording_train)
         paths = emit_report(run_plan(plan), tmp_path / "out")
         seeds = json.loads(paths["manifest"].read_text())["seeds"]
 
         assert [entry["repetition"] for entry in seeds] == [0, 1]
-        # the enumerated set comes from the plan's own spec, once, in repetition 0
+        # the enumerated set comes from the plan's own spec, once, before any repetition
         enumerated = (plan.test_specs[1].label(), plan.test_specs[1].seed)
         assert enumerated == ("unlawfulness", 0)
-        assert generated == [
+        assert generated == [enumerated] + [
             pair
             for entry in seeds
             for pair in [*entry["train_data"].items(),
-                         ("regular-100", entry["test_data"]["regular-100"]),
-                         *([enumerated] if entry["repetition"] == 0 else [])]
+                         ("regular-100", entry["test_data"]["regular-100"])]
         ]
         jobs = ["regular-200__12", "regular-200__24-6", "regular-300__12", "regular-300__24-6"]
         assert trained == [
@@ -432,6 +430,27 @@ class TestEmitAndReplay:
         ]
         assert all(sorted(entry["init"]) == sorted(jobs) for entry in seeds)
         assert len({seed for pair in trained for seed in pair}) == 16
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_each_plan_builds_its_seed_independent_sets(self, monkeypatch, parallelism):
+        """Nothing is kept from one plan to the next: each run of a plan
+        generates each seed-independent set once, in this process, and its
+        repetitions share it."""
+        generated = []
+        real_generate = harness_module.generate
+
+        def recording_generate(request):
+            generated.append(request.kind)
+            return real_generate(request)
+
+        monkeypatch.setattr(harness_module, "generate", recording_generate)
+        plan = tiny_tort_plan(test_specs=(spec("tort", "unique"),), iterations=5)
+        reports = []
+        for _ in range(2):
+            generated.clear()
+            reports.append(run_plan(plan, parallelism=parallelism))
+            assert generated.count("unique") == 1
+        assert reports[0].cells == reports[1].cells
 
     def test_measures_take_outputs_then_the_test_set(self, monkeypatch):
         """Each measurement is a call by name with a model's outputs array and
@@ -459,7 +478,6 @@ class TestEmitAndReplay:
                 return real(*args)
             return recording
 
-        monkeypatch.setattr(harness_module, "_dataset_cache", {})
         monkeypatch.setattr(harness_module, "generate", recording_generate)
         for name in ("accuracy", "output_curve", "condition_table"):
             monkeypatch.setattr(harness_module, name,
