@@ -83,4 +83,3 @@ echo '{"domain": "tort", "train": [{"kind": "regular", "size": 200}], "test": [{
 rationale-lab experiment --plan tort-plan.json --out-dir tort-run --parallelism 2
 rationale-lab report --manifest tort-run/manifest.json --out-dir tort-replayed --parallelism 1
 cmp tort-run/summary.json tort-replayed/summary.json
-cmp tort-run/condition_tables.json tort-replayed/condition_tables.json

@@ -50,7 +50,7 @@ for name, table in sorted(report.tables.items()):
 out_dir = Path("demo-output/tort-mini")
 paths = emit_report(report, out_dir)
 print(f"\nreport files under {out_dir}:")
-for key in ("summary", "accuracy_matrix", "condition_tables", "manifest"):
+for key in ("summary", "accuracy_matrix", "manifest"):
     print(f"  {paths[key]}")
 
 replay_dir = Path("demo-output/tort-mini-replay")

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+import tempfile
 from pathlib import Path
 
 from .dataset_io import read_dataset, write_dataset
@@ -170,10 +170,13 @@ def _cmd_eval(args) -> int:
 
 def _check_out_dir(out_dir: str) -> None:
     """Refuse, before anything is trained, an out-dir whose nearest existing
-    path (itself or an ancestor) is not a writable directory; create nothing."""
+    path (itself or an ancestor) is not a directory that the filesystem lets
+    a probe file be created in (and removed from); leave nothing."""
     nearest = next(p for p in (Path(out_dir), *Path(out_dir).parents) if p.exists())
-    if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):
-        raise ValueError(f"--out-dir {out_dir}: {nearest} is not a writable directory")
+    try:
+        tempfile.TemporaryFile(dir=nearest).close()
+    except OSError:  # a nearest path that is a file fails here too
+        raise ValueError(f"--out-dir {out_dir}: {nearest} is not a writable directory") from None
 
 
 def _cmd_experiment(args) -> int:

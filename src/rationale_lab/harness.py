@@ -54,7 +54,7 @@ from .generation import (
     generate,
 )
 from .network import NetworkConfig, TrainConfig, TrainingDivergedError, train
-from .network import _scaled_outputs, schema_scaling
+from .network import _forward_scaled, schema_scaling
 
 
 def derive_seed(master_seed: int, *tags) -> int:
@@ -298,7 +298,7 @@ def _run_repetition(plan: ExperimentPlan, seeds: _RepSeeds,
         target = DEDICATED_TARGET.get((plan.domain_id, test_set.kind))
         grid = CURVE_GRIDS.get((plan.domain_id, target))
         for job, model in models.items():
-            outputs = _scaled_outputs(model.params, x)
+            outputs = _forward_scaled(model.params, x)[0][-1][:, 0]
             acc, reading = accuracy(outputs, test_set), None
             if grid is not None:  # read as a curve on the grid's two axes
                 reading = output_curve(outputs, test_set, *grid[:2])
@@ -405,21 +405,6 @@ def _json_safe(value: float) -> float | None:
     return None if not np.isfinite(value) else float(value)
 
 
-def summary_dict(report: AggregateReport) -> dict:
-    """The content of ``summary.json``; ``condition_tables.json`` holds its
-    ``condition_tables``."""
-    return {
-        "plan": report.plan.to_dict(),
-        **_VERSIONS,
-        "cells": [
-            {**asdict(c), "mean": _json_safe(c.mean), "std": _json_safe(c.std),
-             "accuracies": [_json_safe(a) for a in c.accuracies]}
-            for c in report.cells
-        ],
-        "condition_tables": {k: t.to_dict() for k, t in sorted(report.tables.items())},
-    }
-
-
 # accuracy_matrix.csv has a column for each CellAggregate field but those it
 # omits; the _MATRIX_PCT fields are written as <name>_pct, in percent
 _MATRIX_OMITTED = ("accuracies",)
@@ -434,8 +419,8 @@ def _matrix_field(name: str, value) -> str:
 
 
 def emit_report(report: AggregateReport, out_dir: str | Path) -> dict[str, Path]:
-    """Write summary JSON, the accuracy matrix CSV, curve TSVs, condition
-    tables, and a seed manifest; returns the paths written.
+    """Write summary JSON (its ``condition_tables`` included), the accuracy
+    matrix CSV, curve TSVs, and a seed manifest; returns the paths written.
 
     Every file except the manifest is byte-deterministic for a given plan;
     the manifest additionally carries a wall-clock timestamp.
@@ -444,8 +429,16 @@ def emit_report(report: AggregateReport, out_dir: str | Path) -> dict[str, Path]
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
 
-    doc = summary_dict(report)
-    paths["summary"] = write_json(out / "summary.json", doc)
+    paths["summary"] = write_json(out / "summary.json", {
+        "plan": report.plan.to_dict(),
+        **_VERSIONS,
+        "cells": [
+            {**asdict(c), "mean": _json_safe(c.mean), "std": _json_safe(c.std),
+             "accuracies": [_json_safe(a) for a in c.accuracies]}
+            for c in report.cells
+        ],
+        "condition_tables": {k: t.to_dict() for k, t in sorted(report.tables.items())},
+    })
 
     matrix = out / "accuracy_matrix.csv"
     lines = [",".join(f"{name}_pct" if name in _MATRIX_PCT else name
@@ -460,10 +453,6 @@ def emit_report(report: AggregateReport, out_dir: str | Path) -> dict[str, Path]
         curve_dir.mkdir(exist_ok=True)
         for name, curve in sorted(report.curves.items()):
             paths[f"curve:{name}"] = write_curve_tsv(curve, curve_dir / f"{name}.tsv")
-
-    if report.tables:
-        paths["condition_tables"] = write_json(out / "condition_tables.json",
-                                               doc["condition_tables"])
 
     paths["manifest"] = write_json(out / "manifest.json", {
         "plan": report.plan.to_dict(),

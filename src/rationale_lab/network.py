@@ -27,7 +27,10 @@ the decay and the increment each run once for both moments: eleven numpy
 calls a step instead of fourteen, each element seeing the operations of a
 per-array update in the same order.
 
-One step kernel.  ``_backprop`` (loss and gradients of one batch) and
+One forward pass and one step kernel.  ``_forward_scaled`` is the only
+forward pass: evaluation runs it too, on a whole scaled test set, so a
+network is measured with the arithmetic it was trained with.
+``_backprop`` (loss and gradients of one batch, through that pass) and
 ``AdamState.step`` hold all the arithmetic of a training step;
 ``AdamState`` allocates the step's buffers once, with the moments.
 ``train`` binds both once per run, gathers each epoch's rows into two
@@ -182,25 +185,16 @@ def init_params(config: NetworkConfig) -> ModelParams:
 
 
 def _forward_scaled(params: ModelParams, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Activations of every layer plus the output layer's pre-activation."""
-    activations = [x]
-    z = None
-    for w, b in zip(params.weights, params.biases):
-        z = np.dot(activations[-1], w) + b
-        activations.append(expit(z))
+    """Activations of every layer plus the output layer's pre-activation.  A
+    hidden layer's sigmoid overwrites its product's buffer; the output
+    layer's writes a new array, so that its pre-activation survives."""
+    activations, z = [x], None
+    last = len(params.weights) - 1
+    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = np.dot(activations[-1], w)
+        z += b
+        activations.append(expit(z, out=None if layer == last else z))
     return activations, z
-
-
-def _scaled_outputs(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Network outputs, one per row of an already scaled matrix: the
-    arithmetic of ``_forward_scaled``, in one buffer a layer, without the
-    activations that training keeps."""
-    a = x
-    for w, b in zip(params.weights, params.biases):
-        a = np.dot(a, w)
-        a += b
-        expit(a, out=a)
-    return a[:, 0]
 
 
 def _backprop(params: ModelParams, x: np.ndarray, y: np.ndarray, out: ModelParams) -> float:
@@ -353,7 +347,8 @@ class TrainedModel:
             )
         if not np.isfinite(x).all():
             raise ValueError("non-finite input value")
-        return _scaled_outputs(self.params, schema_scaling(self.schema_id).apply(x))
+        x = schema_scaling(self.schema_id).apply(x)
+        return _forward_scaled(self.params, x)[0][-1][:, 0]
 
 
 _GATHER_ROWS = 4096  # rows of a dataset that ``train`` gathers per chunk

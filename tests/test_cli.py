@@ -1,6 +1,8 @@
 import base64
+import errno
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -180,9 +182,9 @@ class TestTrainEval:
         model = tmp_path / "model.json"
         run(["train", "--in", str(data), "--domain", "simplified", "--hidden", "12",
              "--iterations", "50", "--seed", "1", "--out", str(model)], capsys)
-        calls, scaled_outputs = [], network._scaled_outputs
-        monkeypatch.setattr(network, "_scaled_outputs",
-                            lambda *args: calls.append(1) or scaled_outputs(*args))
+        calls, forward = [], network._forward_scaled
+        monkeypatch.setattr(network, "_forward_scaled",
+                            lambda *args: calls.append(1) or forward(*args))
         curve = tmp_path / "curve.tsv"
         code, stdout, _ = run(["eval", "--model", str(model), "--in", str(test_data),
                                "--curve", "Age:Gender", "--curve-out", str(curve),
@@ -335,6 +337,9 @@ class TestExperiment:
         )
         assert code == 0
         assert (out2 / "summary.json").read_bytes() == summary
+        # both --out-dir checks probed tmp_path, their nearest existing directory, and left
+        # nothing there
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out1", "out2", "plan.json"]
 
     def test_two_runs_identical_summary(self, tmp_path, tiny_plan, capsys):
         outs = []
@@ -420,9 +425,14 @@ class TestExperiment:
                 capsys)
         (tmp_path / "taken").write_text("a file\n")
         (tmp_path / "read-only").mkdir()
-        real_access = os.access  # as root every directory is writable to os.access
-        monkeypatch.setattr(os, "access", lambda path, mode: (
-            Path(path) != tmp_path / "read-only" and real_access(path, mode)))
+        real_probe = tempfile.TemporaryFile  # the probe fails as on a read-only mount
+
+        def probe(*args, dir, **kwargs):
+            if Path(dir) == tmp_path / "read-only":
+                raise OSError(errno.EROFS, os.strerror(errno.EROFS), str(dir))
+            return real_probe(*args, dir=dir, **kwargs)
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", probe)
         trained = []
         monkeypatch.setattr(harness_module, "train", lambda *args: trained.append(args))
         source = ["--plan", str(tiny_plan)] if command == "experiment" else [

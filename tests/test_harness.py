@@ -341,7 +341,7 @@ class TestEmitAndReplay:
         paths = emit_report(report, tmp_path / "out")
         summary = paths["summary"].read_bytes()
         assert (tmp_path / "out" / "accuracy_matrix.csv").exists()
-        assert (tmp_path / "out" / "condition_tables.json").exists()
+        assert json.loads(summary)["condition_tables"]
 
         replay(paths["manifest"], tmp_path / "replayed")
         assert (tmp_path / "replayed" / "summary.json").read_bytes() == summary
@@ -374,13 +374,16 @@ class TestEmitAndReplay:
         assert header == [renamed.get(f.name, f.name) for f in dataclasses.fields(CellAggregate)
                           if f.name != "accuracies"]
 
-    def test_condition_tables_file_matches_summary(self, tmp_path):
+    def test_condition_tables_are_a_summary_key(self, tmp_path):
+        """The tables are written once, under ``summary.json``'s
+        ``condition_tables``; no other report file repeats them."""
         paths = emit_report(run_plan(tiny_tort_plan(repetitions=1)), tmp_path / "out")
-        tables = json.loads(paths["condition_tables"].read_text())
+        tables = json.loads(paths["summary"].read_text())["condition_tables"]
         assert set(tables) == {
             "regular-200__12__unlawfulness", "regular-200__12__imputability"
         }
-        assert tables == json.loads(paths["summary"].read_text())["condition_tables"]
+        assert "condition_tables" not in paths
+        assert not (tmp_path / "out" / "condition_tables.json").exists()
 
     def test_manifest_lists_all_seeds(self, tmp_path):
         report = run_plan(tiny_tort_plan(repetitions=2))

@@ -35,7 +35,6 @@ from rationale_lab.network import (
     ModelParams,
     TrainedModel,
     _forward_scaled,
-    _scaled_outputs,
     adam_update,
     schema_scaling,
 )
@@ -264,11 +263,12 @@ class TestForward:
         h1 = sig(0.4 * 0.5 + 0.9 * 0.1 + 0.05)
         h2 = sig(0.4 * -0.25 + 0.9 * 0.3 - 0.1)
         expected = sig(h1 * 0.7 + h2 * -0.6 + 0.2)
-        assert abs(_scaled_outputs(params, np.array([[0.4, 0.9]]))[0] - expected) < 1e-12
+        assert abs(_forward_scaled(params, np.array([[0.4, 0.9]]))[0][-1][0, 0] - expected) < 1e-12
 
     def test_sigmoid_monotone_end_to_end(self):
         params = ModelParams([np.array([[2.0]])], [np.array([0.0])])
-        outputs = _scaled_outputs(params, np.array([[-3.0], [-1.0], [0.0], [1.0], [3.0]]))
+        x = np.array([[-3.0], [-1.0], [0.0], [1.0], [3.0]])
+        outputs = _forward_scaled(params, x)[0][-1][:, 0]
         assert np.all(np.diff(outputs) > 0)
         assert np.all((0.0 < outputs) & (outputs < 1.0))
 
@@ -283,25 +283,6 @@ class TestForward:
         model = tiny_model([np.zeros((4, 1))], [np.zeros(1)], schema_id="simplified")
         with pytest.raises(ValueError, match="non-finite"):
             model.outputs(np.array([[np.nan, 0.0, 0.0, 0.0]]))
-
-    @pytest.mark.parametrize("layout", ["C", "Fortran", "one-row"])
-    @pytest.mark.parametrize("hidden", STANDARD_HIDDEN_LAYERS)
-    @pytest.mark.parametrize("domain,kind,size", [
-        ("tort", "regular", 500),
-        ("simplified", "type-b", 3000),
-        ("welfare", "type-b", 2000),
-    ], ids=["tort", "simplified", "welfare"])
-    def test_evaluation_pass_matches_training_forward_pass(self, domain, kind, size, hidden,
-                                                           layout):
-        """The evaluation forward pass has the bits of the training one, on
-        parameters whose biases are not zero."""
-        ds = generate(GeneratorRequest(domain, kind, size, seed=3))
-        params = init_params(NetworkConfig(ds.values.shape[1], hidden, init_seed=4))
-        params.flat[:] = np.random.default_rng(6).normal(size=params.flat.size)
-        x = schema_scaling(ds.schema_id).apply(ds.values)
-        x = {"C": x, "Fortran": np.asfortranarray(x), "one-row": x[7:8]}[layout]
-        got = _scaled_outputs(params, x)
-        assert got.tobytes() == _forward_scaled(params, x)[0][-1][:, 0].tobytes()
 
 
 class TestLossAndGrads:
