@@ -284,6 +284,37 @@ class TestForward:
         with pytest.raises(ValueError, match="non-finite"):
             model.outputs(np.array([[np.nan, 0.0, 0.0, 0.0]]))
 
+    @pytest.mark.parametrize("layout", ["C", "Fortran", "one-row"])
+    @pytest.mark.parametrize("hidden", STANDARD_HIDDEN_LAYERS)
+    @pytest.mark.parametrize("domain,kind,size", [
+        ("tort", "regular", 500),
+        ("simplified", "type-b", 3000),
+        ("welfare", "type-b", 2000),
+    ], ids=["tort", "simplified", "welfare"])
+    def test_evaluation_pass_matches_training_forward_pass(self, domain, kind, size, hidden,
+                                                           layout):
+        """The evaluation pass (``TrainedModel.outputs``) and the training
+        pass's activations have the bits of an out-of-place forward pass, on
+        parameters whose biases are not zero: reusing a hidden layer's
+        product buffer for its sigmoid clobbers no layer, and the output
+        pre-activation survives for the loss."""
+        ds = generate(GeneratorRequest(domain, kind, size, seed=3))
+        config = NetworkConfig(ds.values.shape[1], hidden, init_seed=4)
+        model = TrainedModel(config, TrainConfig(iterations=1), init_params(config), ds.schema_id)
+        params = model.params
+        params.flat[:] = np.random.default_rng(6).normal(size=params.flat.size)
+        raw = {"C": ds.values, "Fortran": np.asfortranarray(ds.values),
+               "one-row": ds.values[7:8]}[layout]
+        x = schema_scaling(ds.schema_id).apply(raw)
+        want = [x]
+        for w, b in zip(params.weights, params.biases):
+            z = np.dot(want[-1], w) + b
+            want.append(expit(z))
+        activations, got_z = _forward_scaled(params, x)
+        assert [a.tobytes() for a in activations] == [a.tobytes() for a in want]
+        assert got_z.tobytes() == z.tobytes()
+        assert model.outputs(raw).tobytes() == want[-1][:, 0].tobytes()
+
 
 class TestLossAndGrads:
     def test_loss_vanishes_for_perfect_prediction(self):
