@@ -38,7 +38,6 @@ from .generation import Dataset, DatasetMeta
 
 LABEL_COLUMN = "label"
 _BLOCK_ROWS = 2048  # rows that ``write_dataset`` encodes per block
-_SCAN_ROWS = 4096  # rows that ``_unclean_rows`` masks at a time
 _TEXT_BYTES = b"0123456789,-\n"  # the bytes of a body's lines, its CRLFs made LFs
 
 class DatasetFormatError(ValueError):
@@ -202,10 +201,7 @@ def _first_fault(path: Path, schema: DomainSchema, body: bytes) -> DatasetFormat
     before its cells, and its cells from the left."""
     columns = list(schema.feature_names) + [LABEL_COLUMN]
     text = body.replace(b"\r\n", b"\n")  # the body itself when it has no CRLF
-    b = np.frombuffer(text, dtype=np.uint8)
-    ends = np.append(np.flatnonzero(b == ord("\n")), len(b))
-    starts = np.append(0, ends[:-1] + 1)
-    starts, ends = starts[starts < ends], ends[starts < ends]  # blank lines are not rows
+    lines = [line for line in text.split(b"\n") if line]
 
     def bad_cell(row: int, cells: list[bytes], col: int) -> DatasetFormatError:
         name = repr(columns[col]) if col < len(columns) else f"{col + 1} of {len(columns)}"
@@ -214,15 +210,20 @@ def _first_fault(path: Path, schema: DomainSchema, body: bytes) -> DatasetFormat
                                   f"{name}, is not a base-10 int64")
 
     if other := text.translate(None, _TEXT_BYTES):
-        at = min(map(text.find, set(other)))
-        row = int(np.searchsorted(ends, at))
-        return bad_cell(row, text[starts[row]:ends[row]].split(b","),
-                        text.count(b",", starts[row], at))
-    width, dtype = text.count(b",", starts[0], ends[0]) + 1, np.iinfo(schema.value_dtype)
-    # a cell too short to lie beyond value_dtype needs no look of its own
+        at = min(map(text.find, set(other)))  # the first byte no line may hold
+        start = text.rfind(b"\n", 0, at) + 1
+        line = text[start:].split(b"\n", 1)[0]
+        # before ``at`` only "\n" is whitespace, so split() yields the rows above
+        row = len(text[:start].split())
+        return bad_cell(row, line.split(b","), line.count(b",", 0, at - start))
+    width, dtype = lines[0].count(b",") + 1, np.iinfo(schema.value_dtype)
+    # a row of cells too short to lie beyond value_dtype needs no cell-by-cell look
     short = len(str(dtype.max)) - 1
-    for row in _unclean_rows(b, starts, ends, width, short):
-        cells = text[starts[row]:ends[row]].split(b",")
+    clean = re.compile(rb"-?[0-9]{1,%d}(?:,-?[0-9]{1,%d}){%d}" % (short, short, width - 1))
+    for row, line in enumerate(lines):
+        if clean.fullmatch(line):
+            continue
+        cells = line.split(b",")
         if len(cells) != width:  # data row 0 is named when it already has the wrong width
             at, got = (0, width) if width != len(columns) else (row, len(cells))
             return _width_error(path, f"data row {at}", got, columns)
@@ -239,31 +240,3 @@ def _first_fault(path: Path, schema: DomainSchema, body: bytes) -> DatasetFormat
                 return _range_error(path, schema, one, row)
     # a refusal this scan does not model, from another numpy's loadtxt
     return DatasetFormatError(f"{path}: every cell must be a base-10 int64")
-
-
-def _unclean_rows(b: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int,
-                  short: int):
-    """In order, the rows ``b[starts[i]:ends[i]]`` of the text ``b`` (``"\n"``,
-    ``","``, ``"-"`` and digits, in that byte order) that do not have
-    ``width`` cells, each an optional ``"-"`` and 1 to ``short`` digits.  The
-    masks cover ``_SCAN_ROWS`` rows at a time: small, and an early fault is
-    found early."""
-    for first in range(0, len(starts), _SCAN_ROWS):
-        s, e = starts[first:first + _SCAN_ROWS], ends[first:first + _SCAN_ROWS]
-        # framed by "\n", so that each byte of a row has a byte before and after it
-        block = np.pad(b[s[0]:e[-1]], 1, constant_values=ord("\n"))
-        s, e = s - (s[0] - 1), e - (s[0] - 1)
-        commas = np.flatnonzero(block == ord(","))
-        minus = np.flatnonzero(block == ord("-"))
-        edges = np.flatnonzero(np.diff(block > ord("-")))  # digit run i: edges[2i]+1..edges[2i+1]
-        odd = np.concatenate((
-            # a "," after no digit or before a separator: an empty cell
-            commas[(block[commas - 1] <= ord("-")) | (block[commas + 1] < ord("-"))],
-            # a "-" that does not start a cell or is not followed by a digit
-            minus[(block[minus - 1] > ord(",")) | (block[minus + 1] <= ord("-"))],
-            # the first digit of a run of more than ``short``
-            edges[::2][edges[1::2] - edges[::2] > short] + 1,
-        ))
-        cells = np.searchsorted(commas, e) - np.searchsorted(commas, s) + 1
-        rows = np.union1d(np.searchsorted(e, odd), np.flatnonzero(cells != width))
-        yield from (first + rows).tolist()

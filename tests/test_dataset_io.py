@@ -4,7 +4,6 @@ import json
 import re
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -718,91 +717,3 @@ def test_fuzzed_file_reads_or_raises_format_error(fuzz_sources, data):
         return
     rows = np.array(_reference_rows(edited), dtype=np.int64).reshape(-1, schema.n_features + 1)
     assert np.array_equal(back.values, rows[:, :-1]) and np.array_equal(back.labels, rows[:, -1])
-
-
-def _reference_fault(path, schema: DomainSchema, body: bytes) -> str:
-    """The message for the first fault of ``body``, found line by line: every
-    non-blank line is split, each row's width before its cells, and each cell
-    is read as an int with ``re`` and ``int``."""
-    columns = list(schema.feature_names) + [LABEL_COLUMN]
-    lines = [line for line in body.replace(b"\r\n", b"\n").split(b"\n") if line]
-    dtype = np.iinfo(schema.value_dtype)
-
-    def bad_cell(row, cells, col):
-        name = repr(columns[col]) if col < len(columns) else f"{col + 1} of {len(columns)}"
-        cell = cells[col].decode("utf-8", "backslashreplace")
-        return (f"{path}: cell {cell[:100]!r} at data row {row}, column {name}, "
-                f"is not a base-10 int64")
-
-    for row, line in enumerate(lines):
-        if foreign := re.search(rb"[^0-9,-]", line):
-            return bad_cell(row, line.split(b","), line.count(b",", 0, foreign.start()))
-    width = lines[0].count(b",") + 1
-    for row, line in enumerate(lines):
-        cells = line.split(b",")
-        if len(cells) != width:
-            at, got = (0, width) if width != len(columns) else (row, len(cells))
-            return f"{path}: data row {at} has {got} cells, expected {len(columns)}"
-        for col, cell in enumerate(cells):
-            digits = re.fullmatch(rb"(-?)0*([0-9]{1,19})", cell)
-            if not digits or not -2**63 <= (value := int(digits[1] + digits[2])) < 2**63:
-                return bad_cell(row, cells, col)
-            if not dtype.min <= value <= dtype.max:
-                if col >= len(columns):
-                    return f"{path}: data row 0 has {width} cells, expected {len(columns)}"
-                one = np.array([[f.lo for f in schema.features] + [0]])
-                one[0, col] = value
-                try:
-                    schema.validate_matrix(one[:, :-1], row)
-                    schema.validate_labels(one[:, -1], row)
-                except SchemaValidationError as err:
-                    return f"{path}: {err}"
-    return f"{path}: every cell must be a base-10 int64"
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_first_fault_matches_a_line_by_line_scan(fuzz_sources, data):
-    """The rows the masks pass over are rows the line-by-line scan finds
-    clean: the message is the scan's, whatever the edits and however many
-    rows a mask covers."""
-    root, sources = fuzz_sources
-    schema, text = data.draw(st.sampled_from(sources))
-    rows = [line.split(",") for line in text.splitlines()[1:]]
-    for _ in range(data.draw(st.integers(1, 3))):
-        cells = rows[data.draw(st.integers(0, len(rows) - 1))]
-        i = data.draw(st.integers(0, len(cells) - 1))
-        edit = data.draw(st.sampled_from(["replace", "drop", "duplicate", "blank-line"]))
-        if edit == "replace":
-            cells[i] = data.draw(st.text("0123456789,-\r\n x", max_size=7)
-                                 | st.integers(-2**16, 2**16).map(str)
-                                 | st.builds(lambda zeros, value: "0" * zeros + str(value),
-                                             st.integers(0, 30), st.integers(-300, 300)))
-        elif edit == "drop":
-            del cells[i]
-        elif edit == "duplicate":
-            cells.insert(i, cells[i])
-        else:
-            cells[i] = "\n" + cells[i]
-    body = ("\r\n" if data.draw(st.booleans()) else "\n").join(",".join(r) for r in rows)
-    body = body.encode()
-    if not body.replace(b"\r\n", b"\n").strip(b"\n"):
-        return  # no row to name: read_dataset never scans such a body
-    scan_rows = data.draw(st.sampled_from([1, 2, 3, 5, dataset_io._SCAN_ROWS]))
-    with mock.patch.object(dataset_io, "_SCAN_ROWS", scan_rows):
-        got = dataset_io._first_fault(root / "edited.csv", schema, body)
-    assert str(got) == _reference_fault(root / "edited.csv", schema, body)
-
-
-@pytest.mark.parametrize("row", [0, 4095, 4096, 9999])
-def test_width_fault_named_in_any_mask_block(tmp_path, row):
-    """A row one cell too wide is named at its data row on either side of a
-    ``_SCAN_ROWS`` boundary, and in the last row of a 10,000-case file."""
-    assert dataset_io._SCAN_ROWS == 4096
-    path = write_dataset(generate(GeneratorRequest("simplified", "type-b", 10_000, seed=2)),
-                         tmp_path / "b.csv")
-    lines = path.read_bytes().split(b"\n")
-    lines[1 + row] += b",0"
-    path.write_bytes(b"\n".join(lines))
-    with pytest.raises(DatasetFormatError, match=f"data row {row} has 6 cells, expected 5"):
-        read_dataset(path, build_domain("simplified"))
