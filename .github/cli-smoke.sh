@@ -1,7 +1,8 @@
 #!/bin/sh
 # Smoke run of the installed rationale-lab console script, in the current
-# directory: gen and verify of every dataset kind, verify of a file with one
-# bad cell, a short train whose model file must be format 4, an eval of a
+# directory: gen and verify of every dataset kind, the verify reports' balance
+# of the welfare and simplified type-a and type-b sets, verify of a file with
+# one bad cell, a short train whose model file must be format 4, an eval of a
 # copy with a character outside base64 in its parameters, two more trains at
 # another learning rate that must match each other and not the first, an
 # eval with a curve and a condition table, then a welfare plan run at
@@ -20,8 +21,16 @@ for (domain, kind), entry in KINDS.items():
     print(domain, kind, "--size 200" if entry.sized else "")' > kinds.txt
 while read -r domain kind size; do
   rationale-lab gen --domain "$domain" --kind "$kind" $size --out "$domain-$kind.csv"
-  rationale-lab verify --in "$domain-$kind.csv" --domain "$domain"
+  rationale-lab verify --in "$domain-$kind.csv" --domain "$domain" > "$domain-$kind.json"
 done < kinds.txt
+# the balanced sets at size 200: half positive, every type-b negative fails
+# exactly one condition and every type-a negative at least one
+python -c 'import json
+for domain in ("welfare", "simplified"):
+    b, a = (json.load(open(f"{domain}-{kind}.json")) for kind in ("type-b", "type-a"))
+    assert b["failed_condition_histogram"] == {"1": 100}, (domain, b)
+    assert b["positive_fraction"] == 0.5, (domain, b)
+    assert "0" not in a["failed_condition_histogram"], (domain, a)'
 
 # one corrupted cell: verify exits 3, naming the file and the cell
 sed '2s/^[01]/x/' tort-unique.csv > bad.csv

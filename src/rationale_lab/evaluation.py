@@ -143,7 +143,11 @@ def ideal_curve(domain_id: str, cond_id: str) -> RationaleCurve:
 class GroupTurningPoints:
     label: str
     crossings: tuple[float, ...]
-    first: float | None  # None when the curve never crosses 0.5
+
+    @property
+    def first(self) -> float | None:
+        """The smallest crossing; None when the curve never crosses 0.5."""
+        return self.crossings[0] if self.crossings else None
 
 
 @dataclass(frozen=True)
@@ -176,13 +180,7 @@ def turning_points(curve: RationaleCurve) -> TurningPointReport:
             if rel[i] * rel[i + 1] < 0:
                 frac = rel[i] / (rel[i] - rel[i + 1])
                 crossings.append(float(g.xs[i] + frac * (g.xs[i + 1] - g.xs[i])))
-        groups.append(
-            GroupTurningPoints(
-                label=g.label,
-                crossings=tuple(crossings),
-                first=crossings[0] if crossings else None,
-            )
-        )
+        groups.append(GroupTurningPoints(label=g.label, crossings=tuple(crossings)))
     return TurningPointReport(curve.x_feature, tuple(groups))
 
 

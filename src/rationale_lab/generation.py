@@ -14,29 +14,26 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
-from .domains import (
-    FEMALE,
-    IN_PATIENT,
-    OUT_PATIENT,
-    DomainSchema,
-    build_domain,
-)
+from .domains import Condition, DomainSchema, FeatureSpec, build_domain
 
 GENERATOR_VERSION = "1"
 
 # The dedicated sets read as curves rather than condition tables, keyed by
 # the condition they isolate (DEDICATED_TARGET):
 # (domain, condition) -> (x feature, group feature, xs, cases per grid cell).
-# All four curve sets are built from their entries.
+# All four curve sets are built from their entries.  A seed-independent
+# (simplified) set has no count of its own: each cell holds the cells of the
+# other condition's grid where that condition holds.
 CURVE_GRIDS = {
     ("welfare", "C1"): ("Age", "Gender", np.arange(5, 101, 5), 1000),
     ("welfare", "C6"): ("Distance", "Type", np.arange(5, 101, 5), 1000),
-    ("simplified", "C1"): ("Age", "Gender", np.arange(0, 101), 21),
-    ("simplified", "C6"): ("Distance", "Type", np.arange(0, 101, 5), 77),
+    ("simplified", "C1"): ("Age", "Gender", np.arange(0, 101), None),
+    ("simplified", "C6"): ("Distance", "Type", np.arange(0, 101, 5), None),
 }
 
 
@@ -142,42 +139,36 @@ class GeneratorRequest:
 
 
 # ---------------------------------------------------------------------------
-# Welfare feature samplers.  Uniform within the constraint set throughout:
-# satisfy-C1 picks a gender then an age at or above its threshold, fail-C1 an
-# age below it; C2 picks uniformly among the qualifying (>=4 paid) or failing
-# (<=3 paid) contribution patterns; C5 splits Resources at 3000; C6 picks a
-# patient type then a distance in the qualifying or complementary half-range.
+# Welfare and simplified samplers.  The generator holds no rule of its own:
+# a forced condition's cases are sampled from a table read off the condition
+# through ``DomainSchema._truth``.  Its binary features take, uniformly, one
+# of the patterns that can give the wanted truth; its integer feature, if it
+# has one, then takes a value uniformly within the run of values that gives
+# that truth under the pattern.  Every other feature is uniform over its
+# schema range.
 # ---------------------------------------------------------------------------
 
-_CON_PATTERNS = np.array(list(itertools.product((0, 1), repeat=5)), dtype=np.int64)
-_CONS_SATISFYING = _CON_PATTERNS[_CON_PATTERNS.sum(axis=1) >= 4]  # 6 patterns
-_CONS_FAILING = _CON_PATTERNS[_CON_PATTERNS.sum(axis=1) <= 3]  # 26 patterns
-
-
-def _gender_age(rng: np.random.Generator, n: int, satisfy: bool) -> tuple[np.ndarray, np.ndarray]:
-    gender = rng.integers(0, 2, n)
-    threshold = np.where(gender == FEMALE, 60, 65)
-    if satisfy:
-        age = rng.integers(threshold, 101)
-    else:
-        age = rng.integers(0, threshold)
-    return gender, age
-
-
-def _contributions(rng: np.random.Generator, n: int, satisfy: bool) -> np.ndarray:
-    table = _CONS_SATISFYING if satisfy else _CONS_FAILING
-    return table[rng.integers(0, len(table), n)]
-
-
-def _resources(rng: np.random.Generator, n: int, satisfy: bool) -> np.ndarray:
-    return rng.integers(0, 3000, n) if satisfy else rng.integers(3000, 10_001, n)
-
-
-def _type_distance(rng: np.random.Generator, n: int, satisfy: bool) -> tuple[np.ndarray, np.ndarray]:
-    ptype = rng.integers(0, 2, n)
-    near = ptype == IN_PATIENT if satisfy else ptype == OUT_PATIENT
-    distance = rng.integers(np.where(near, 0, 50), np.where(near, 50, 101))
-    return ptype, distance
+@cache
+def _sampling_table(cond: Condition, specs: tuple[FeatureSpec, ...], truth: bool):
+    """The table a condition over features ``specs`` is sampled from for one
+    truth: the binary features' names, their patterns that can give ``truth``
+    (one row each), the integer feature's name (None if it has none), and
+    each pattern's run ``[lo, hi)`` of integer values that gives it.  Cached
+    by the condition object, so a changed condition gets its own table."""
+    binary = [i for i, s in enumerate(specs) if s.kind != "int_range"]
+    integer = [i for i, s in enumerate(specs) if s.kind == "int_range"]  # at most one
+    patterns = np.array(list(itertools.product((0, 1), repeat=len(binary))), dtype=np.int64)
+    start, stop = (specs[integer[0]].lo, specs[integer[0]].hi + 1) if integer else (0, 1)
+    grid = np.zeros((len(patterns), stop - start, len(specs)), dtype=np.int64)
+    grid[:, :, binary] = patterns[:, None, :]
+    grid[:, :, integer] = np.arange(start, stop)[:, None]
+    # a schema of the condition's own features feeds it the grid's columns
+    ok = DomainSchema("", specs, (cond,), "")._truth(cond, grid.reshape(-1, len(specs)))
+    ok = ok.reshape(grid.shape[:2]) == truth
+    keep = ok.any(axis=1)
+    lo, hi = start + ok.argmax(axis=1), stop - ok[:, ::-1].argmax(axis=1)
+    return ([specs[i].name for i in binary], patterns[keep],
+            specs[integer[0]].name if integer else None, lo[keep], hi[keep])
 
 
 def _welfare_block(
@@ -193,20 +184,14 @@ def _welfare_block(
     ``out``'s dtype, and the draws are the same whatever it is."""
     n = len(out)
     cols: dict[str, np.ndarray] = {}
-    if "C1" in force:
-        cols["Gender"], cols["Age"] = _gender_age(rng, n, force["C1"])
-    if "C2" in force:
-        cons = _contributions(rng, n, force["C2"])
-        for i in range(5):
-            cols[f"Con{i + 1}"] = cons[:, i]
-    if "C3" in force:
-        cols["Spouse"] = np.full(n, 1 if force["C3"] else 0, dtype=np.int64)
-    if "C4" in force:
-        cols["Absent"] = np.full(n, 0 if force["C4"] else 1, dtype=np.int64)
-    if "C5" in force:
-        cols["Resources"] = _resources(rng, n, force["C5"])
-    if "C6" in force:
-        cols["Type"], cols["Distance"] = _type_distance(rng, n, force["C6"])
+    for cond in schema.conditions:
+        if cond.id in force:
+            binary, patterns, integer, lo, hi = _sampling_table(
+                cond, tuple(map(schema.feature, cond.involved)), force[cond.id])
+            picks = rng.integers(0, len(patterns), n)
+            cols.update(zip(binary, patterns[picks].T))
+            if integer is not None:
+                cols[integer] = rng.integers(lo[picks], hi[picks])
 
     by_feature = np.empty((schema.n_features, n), dtype=out.dtype)
     for row, spec in zip(by_feature, schema.features):
@@ -247,18 +232,20 @@ def _curve_set(schema: DomainSchema, request: GeneratorRequest,
     (simplified) set gives every cell the same cases: the cells of the other
     condition's grid where that condition holds, group-major."""
     x_feature, group_feature, xs, per_cell = CURVE_GRIDS[(schema.domain_id, kind.target)]
-    n = len(xs) * 2 * per_cell
     if kind.seed_independent:
         (other,) = [c for c in schema.conditions if c.id != kind.target]
         ox, og, oxs, _ = CURVE_GRIDS[(schema.domain_id, other.id)]
         cells = np.zeros((2 * len(oxs), schema.n_features), dtype=schema.value_dtype)
         cells[:, schema.index_of(og)] = np.repeat([0, 1], len(oxs))
         cells[:, schema.index_of(ox)] = np.tile(oxs, 2)
-        values = np.tile(cells[schema._truth(other, cells)], (n // per_cell, 1))
+        cells = cells[schema._truth(other, cells)]
+        per_cell = len(cells)
+        values = np.tile(cells, (2 * len(xs), 1))
     else:
         values = _welfare_block(schema, np.random.default_rng(request.seed),
                                 {c.id: True for c in schema.conditions if c.id != kind.target},
-                                np.empty((n, schema.n_features), dtype=schema.value_dtype))
+                                np.empty((len(xs) * 2 * per_cell, schema.n_features),
+                                         dtype=schema.value_dtype))
     values[:, schema.index_of(x_feature)] = np.repeat(xs, 2 * per_cell)
     values[:, schema.index_of(group_feature)] = np.tile(np.repeat([0, 1], per_cell), len(xs))
     return values

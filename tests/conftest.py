@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from rationale_lab import DomainSchema, network
+from rationale_lab.domains import FEMALE, IN_PATIENT
 
 
 def finite_difference_grads(
@@ -116,6 +118,32 @@ class LabelOracleModel:
 
     def outputs(self, values) -> np.ndarray:
         return self.schema.label_matrix(np.asarray(values)).astype(np.float64)
+
+
+# ---------------------------------------------------------------------------
+# Shift mutants: a label rule with one condition's threshold moved, read by
+# the probe adequacy tests as stub models and by the generation tests as
+# schemas to generate from.
+# ---------------------------------------------------------------------------
+
+# mutant -> (the condition it moves, the moved condition's truth over its columns)
+SHIFT_MUTANTS = {
+    "C1-five-years-later": ("C1", lambda v: np.where(v["Gender"] == FEMALE, v["Age"] >= 65,
+                                                     v["Age"] >= 70)),
+    "C1-gender-blind": ("C1", lambda v: v["Age"] >= 60),
+    "C6-five-units-later": ("C6", lambda v: np.where(v["Type"] == IN_PATIENT, v["Distance"] < 55,
+                                                     v["Distance"] >= 55)),
+    "C5-at-3500": ("C5", lambda v: v["Resources"] < 3500),
+    "C2-three-of-five": ("C2", lambda v: sum(v[f"Con{i}"] for i in range(1, 6)) >= 3),
+    "c3-without-jus": ("c3", lambda v: (v["vun"] == 1) | (v["vst"] == 1) | (v["vrt"] == 1)),
+}
+
+
+def shifted_schema(schema: DomainSchema, name: str) -> DomainSchema:
+    """``schema`` with the condition a shift mutant moves replaced by the moved one."""
+    cond_id, moved = SHIFT_MUTANTS[name]
+    return dataclasses.replace(schema, conditions=tuple(
+        dataclasses.replace(c, fn=moved) if c.id == cond_id else c for c in schema.conditions))
 
 
 @pytest.fixture(scope="session")

@@ -9,9 +9,13 @@ from rationale_lab import (
     Dataset,
     GenerationError,
     GeneratorRequest,
+    build_domain,
+    domains,
     generate,
 )
 from rationale_lab.generation import DEDICATED_TARGET, KINDS
+
+from conftest import SHIFT_MUTANTS, shifted_schema
 
 
 class TestRequestValidation:
@@ -132,6 +136,38 @@ class TestBalancedSets:
         finally:
             tracemalloc.stop()
         assert peak < 0.75 * 8 * ds.values.size
+
+
+class TestGeneratorFollowsTheSchema:
+    """The welfare and simplified sets are sampled from the schema's own
+    conditions: with a shift mutant's condition in the schema, every sampled
+    set keeps its structure under the moved rule."""
+
+    @pytest.mark.parametrize("domain,name", [
+        (domain, name) for domain in ("welfare", "simplified")
+        for name, (cond_id, _) in SHIFT_MUTANTS.items()
+        if cond_id in {c.id for c in build_domain(domain).conditions}])
+    def test_sets_hold_under_a_shifted_condition(self, monkeypatch, domain, name):
+        schema = shifted_schema(build_domain(domain), name)
+        monkeypatch.setitem(domains._SCHEMAS, domain, schema)
+        per_condition = 300 // len(schema.conditions)
+        for kind in ("type-a", "type-b"):
+            ds = generate(GeneratorRequest(domain, kind, 600, seed=1))
+            truth = schema.condition_matrix(ds.values)
+            assert np.array_equal(ds.labels.astype(bool), truth.all(axis=1))
+            assert ds.meta.positive_fraction == 0.5
+            fails = (~truth[~truth.all(axis=1)]).sum(axis=1)
+            if kind == "type-b":
+                assert set(fails.tolist()) == {1}
+                assert (~truth).sum(axis=0).tolist() == [per_condition] * len(schema.conditions)
+            else:
+                assert fails.min() >= 1
+                assert ((~truth).sum(axis=0) >= per_condition).all()
+        for kind in ("age-gender", "patient-distance"):
+            ds = generate(GeneratorRequest(domain, kind, seed=1))
+            truth = schema.condition_matrix(ds.values)
+            others = [c.id != DEDICATED_TARGET[domain, kind] for c in schema.conditions]
+            assert truth[:, others].all()
 
 
 class TestDedicatedWelfareSets:

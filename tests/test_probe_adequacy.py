@@ -2,8 +2,8 @@
 "Hints on test data selection", 1978).
 
 A mutant is the label rule with one condition dropped, or with one
-condition's threshold moved, run as a stub model in the style of
-``conftest.ConditionOracleModel``.  The probe is what a plan reads from each
+condition's threshold moved (``conftest.SHIFT_MUTANTS``), run as a stub model
+in the style of ``conftest.ConditionOracleModel``.  The probe is what a plan reads from each
 dedicated test set: the condition table's false-row mean output, or the
 first turning points of the curve on the set's grid.  A mutant is killed
 when its probe differs from the true rule's.  The pinned kill sets say which
@@ -11,7 +11,6 @@ wrong rules the desk plans can tell from the right one, so a change that
 widens the probe updates them.  Nothing here trains.
 """
 
-import dataclasses
 from functools import cache
 from pathlib import Path
 
@@ -29,11 +28,10 @@ from rationale_lab import (
     output_curve,
     turning_points,
 )
-from rationale_lab.domains import FEMALE, IN_PATIENT
 from rationale_lab.generation import CURVE_GRIDS, DEDICATED_TARGET
 from rationale_lab.harness import _schedule
 
-from conftest import LabelOracleModel
+from conftest import SHIFT_MUTANTS, LabelOracleModel, shifted_schema
 
 PLANS = Path(__file__).resolve().parent.parent / "plans"
 DESK_PLANS = {plan.domain_id: plan for plan in map(load_plan, sorted(PLANS.glob("*-desk.json")))}
@@ -48,18 +46,6 @@ KILLED_BY = {
     ("simplified", "patient-distance"): {"C6"},
 }
 
-
-# mutant -> (the condition it moves, the moved condition's truth over its columns)
-SHIFT_MUTANTS = {
-    "C1-five-years-later": ("C1", lambda v: np.where(v["Gender"] == FEMALE, v["Age"] >= 65,
-                                                     v["Age"] >= 70)),
-    "C1-gender-blind": ("C1", lambda v: v["Age"] >= 60),
-    "C6-five-units-later": ("C6", lambda v: np.where(v["Type"] == IN_PATIENT, v["Distance"] < 55,
-                                                     v["Distance"] >= 55)),
-    "C5-at-3500": ("C5", lambda v: v["Resources"] < 3500),
-    "C2-three-of-five": ("C2", lambda v: sum(v[f"Con{i}"] for i in range(1, 6)) >= 3),
-    "c3-without-jus": ("c3", lambda v: (v["vun"] == 1) | (v["vst"] == 1) | (v["vrt"] == 1)),
-}
 
 # (domain, dedicated test set) -> {shift mutant: its probe's reading} for every
 # shift mutant of the domain's conditions.  The true rule reads (62.5, 57.5) on
@@ -127,20 +113,16 @@ class DropOneMutant:
 
 
 class ShiftMutant:
-    """The label rule with one condition moved: outputs 1.0 where the moved
-    condition and every other condition hold and 0.0 elsewhere."""
+    """The label rule with one condition moved (``conftest.shifted_schema``):
+    outputs 1.0 where the moved condition and every other condition hold and
+    0.0 elsewhere."""
 
     def __init__(self, schema: DomainSchema, name: str):
-        cond_id, moved = SHIFT_MUTANTS[name]
-        self.schema = schema
         self.schema_id = schema.domain_id
-        self.conditions = [dataclasses.replace(c, fn=moved) if c.id == cond_id else c
-                           for c in schema.conditions]
+        self.shifted = shifted_schema(schema, name)
 
     def outputs(self, values) -> np.ndarray:
-        values = np.asarray(values)
-        truth = [self.schema._truth(c, values) for c in self.conditions]
-        return np.logical_and.reduce(truth).astype(np.float64)
+        return self.shifted.label_matrix(np.asarray(values)).astype(np.float64)
 
 
 @cache
