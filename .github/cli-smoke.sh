@@ -5,11 +5,12 @@
 # one bad cell, a short train whose model file must be format 4, an eval of a
 # copy with a character outside base64 in its parameters, two more trains at
 # another learning rate that must match each other and not the first, an
-# eval with a curve and a condition table, then a welfare plan run at
-# parallelism 2 and replayed at parallelism 1 to the same report bytes, also
-# with two BLAS threads, and a tort plan with seed-independent test sets
-# (built once per plan and shared by its repetitions) run and replayed the
-# same way. The installed distribution's version must be the package's.
+# eval with a curve and a condition table (its keys, and row counts that sum
+# to the cases), then a welfare plan run at parallelism 2 and replayed at
+# parallelism 1 to the same report bytes, also with two BLAS threads, and a
+# tort plan with seed-independent test sets (built once per plan and shared by
+# its repetitions) run and replayed the same way. The installed distribution's
+# version must be the package's.
 set -eu
 
 python -c 'import importlib.metadata, rationale_lab
@@ -70,8 +71,16 @@ default, other = (json.load(open(f)) for f in ("model.json", "model-lr-1.json"))
 assert other["training"]["learning_rate"] == 0.003, other["training"]
 assert default["params"] != other["params"], "--learning-rate 0.003 trained the default weights"'
 rationale-lab eval --model model.json --in welfare-age-gender.csv --curve Age:Gender \
-  --curve-out curve.tsv --condition-table C1
+  --curve-out curve.tsv --condition-table C1 > eval.json
 test -s curve.tsv
+# the table's two rows, each with its count, mean output and positive rate, split the cases
+python -c 'import json
+doc = json.load(open("eval.json"))
+table = doc["condition_table"]
+assert sorted(table) == ["condition", "false", "true"], sorted(table)
+for side in ("false", "true"):
+    assert sorted(table[side]) == ["count", "mean_output", "positive_rate"], table[side]
+assert table["false"]["count"] + table["true"]["count"] == doc["cases"], doc'
 
 # 130 training cases, so that each epoch ends on a short batch
 echo '{"domain": "welfare", "train": [{"kind": "type-b", "size": 130}], "test": [{"kind": "type-b", "size": 130}, {"kind": "age-gender"}], "architectures": [[12]], "repetitions": 2, "iterations": 60}' > plan.json

@@ -41,8 +41,8 @@ def fit(train_set, tag):
     ):
         table = condition_table(model, dataset, cond)
         print(
-            f"  mean output on {name:13s} false={table.rows[False].mean_output:.3f} "
-            f"true={table.rows[True].mean_output:.3f}   (ideal: 0 / 1)"
+            f"  mean output on {name:13s} false={table.false.mean_output:.3f} "
+            f"true={table.true.mean_output:.3f}   (ideal: 0 / 1)"
         )
     return model
 

@@ -197,15 +197,12 @@ class ConditionTableRow:
 
 @dataclass(frozen=True)
 class ConditionOutputTable:
-    condition_id: str
-    rows: dict[bool, ConditionTableRow]
+    condition: str
+    false: ConditionTableRow  # the cases where the condition is false
+    true: ConditionTableRow
 
     def to_dict(self) -> dict:
-        return {
-            "condition": self.condition_id,
-            "false": asdict(self.rows[False]),
-            "true": asdict(self.rows[True]),
-        }
+        return asdict(self)
 
 
 def condition_table(model, dataset: Dataset, cond_id: str) -> ConditionOutputTable:
@@ -218,15 +215,15 @@ def condition_table(model, dataset: Dataset, cond_id: str) -> ConditionOutputTab
             f"condition {cond_id!r} never varies in this dataset; a dedicated "
             "set must contain both outcomes"
         )
-    rows = {}
-    for value in (False, True):
-        mask = truth == value
-        rows[value] = ConditionTableRow(
+
+    def row(mask: np.ndarray) -> ConditionTableRow:
+        return ConditionTableRow(
             mean_output=float(outputs[mask].mean()),
             count=int(mask.sum()),
             positive_rate=float((outputs[mask] >= 0.5).mean()),
         )
-    return ConditionOutputTable(cond_id, rows)
+
+    return ConditionOutputTable(cond_id, row(~truth), row(truth))
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,6 @@ from ._jsonfile import read_json, typed_fields, write_json
 from .domains import build_domain
 from .evaluation import (
     ConditionOutputTable,
-    ConditionTableRow,
-    CurveGroup,
     RationaleCurve,
     accuracy,
     condition_table,
@@ -311,32 +309,20 @@ def _run_repetition(plan: ExperimentPlan, seeds: _RepSeeds,
 
 def _mean_curve(curves: list[RationaleCurve]) -> RationaleCurve:
     """Mean over repetitions; each group's means are averaged pointwise."""
-    first = curves[0]
-    return RationaleCurve(
-        first.x_feature,
-        first.group_feature,
-        tuple(
-            CurveGroup(g.label, g.xs, np.mean([c.groups[i].means for c in curves], axis=0),
-                       g.counts)
-            for i, g in enumerate(first.groups)
-        ),
-    )
+    return replace(curves[0], groups=tuple(
+        replace(g, means=np.mean([c.groups[i].means for c in curves], axis=0))
+        for i, g in enumerate(curves[0].groups)))
 
 
 def _mean_table(tables: list[ConditionOutputTable]) -> ConditionOutputTable:
     """Mean over repetitions of each row's mean output and positive rate."""
-    first = tables[0]
-    return ConditionOutputTable(
-        first.condition_id,
-        {
-            value: ConditionTableRow(
-                float(np.mean([t.rows[value].mean_output for t in tables])),
-                row.count,
-                float(np.mean([t.rows[value].positive_rate for t in tables])),
-            )
-            for value, row in first.rows.items()
-        },
-    )
+
+    def mean_row(rows):
+        return replace(rows[0], mean_output=float(np.mean([r.mean_output for r in rows])),
+                       positive_rate=float(np.mean([r.positive_rate for r in rows])))
+
+    return replace(tables[0], false=mean_row([t.false for t in tables]),
+                   true=mean_row([t.true for t in tables]))
 
 
 def run_plan(plan: ExperimentPlan, parallelism: int = 1) -> AggregateReport:

@@ -43,15 +43,17 @@ _CONDITIONS["simplified"] = {cid: _CONDITIONS["welfare"][cid] for cid in ("C1", 
 # (domain, kind) -> (the condition the kind isolates, its curve grid).  A tort
 # kind is the unique cases on which every condition but its own holds (all of
 # them for ``unique``); a curve grid is (x feature, group feature, xs, cases
-# per cell), every other condition holding in each cell.
+# per cell), every other condition holding in each cell.  A simplified cell
+# holds a case for each true cell of the other simplified kind's grid.
 _ENUMERATED = {
     ("tort", "unique"): (None, None),
     ("tort", "unlawfulness"): ("c3", None),
     ("tort", "imputability"): ("c2", None),
     ("welfare", "age-gender"): ("C1", ("Age", "Gender", np.arange(5, 101, 5), 1000)),
     ("welfare", "patient-distance"): ("C6", ("Distance", "Type", np.arange(5, 101, 5), 1000)),
-    ("simplified", "age-gender"): ("C1", ("Age", "Gender", np.arange(0, 101), 21)),
-    ("simplified", "patient-distance"): ("C6", ("Distance", "Type", np.arange(0, 101, 5), 77)),
+    ("simplified", "age-gender"): ("C1", ("Age", "Gender", np.arange(101), "patient-distance")),
+    ("simplified", "patient-distance"): ("C6", ("Distance", "Type", np.arange(0, 101, 5),
+                                                "age-gender")),
 }
 
 
@@ -92,11 +94,13 @@ def expected_stats(domain_id: str, kind: str) -> ExpectedStats:
         held = [j for j, cid in enumerate(_CONDITIONS["tort"]) if target not in (None, cid)]
         labels = truth[truth[:, held].all(axis=1)].all(axis=1)
         return ExpectedStats(len(labels), float(labels.mean()))
-    x, group, xs, per_cell = grid
-    cells = {x: np.repeat(xs, 2), group: np.tile([0, 1], len(xs))}
-    size = len(xs) * 2 * per_cell
-    positives = int(_CONDITIONS[domain_id][target](cells).sum()) * per_cell
-    return ExpectedStats(size, positives / size)
+
+    def grid_truth(kind: str) -> np.ndarray:  # the kind's condition in each cell of its grid
+        cid, (x, group, xs, _) = _ENUMERATED[(domain_id, kind)]
+        return _CONDITIONS[domain_id][cid]({x: xs.repeat(2), group: np.tile([0, 1], len(xs))})
+
+    per_cell = grid[3] if isinstance(grid[3], int) else int(grid_truth(grid[3]).sum())
+    return ExpectedStats(len(grid_truth(kind)) * per_cell, float(grid_truth(kind).mean()))
 
 
 @dataclass(frozen=True)

@@ -219,6 +219,16 @@ class TestTrainEval:
                                "--in", str(tmp_path / "d.csv"), *flag], capsys)
         assert code == 2 and "given together" in stderr
 
+    @pytest.mark.parametrize("curve", ["Age", "Age:Gender:Type"])
+    def test_eval_curve_without_one_colon_exits_2(self, tmp_path, monkeypatch, capsys, curve):
+        # refused before the model or the dataset is read; no curve file is written
+        monkeypatch.chdir(tmp_path)
+        code, stdout, stderr = run(["eval", "--model", "m.json", "--in", "d.csv",
+                                    "--curve", curve, "--curve-out", "c.tsv"], capsys)
+        assert code == 2 and stdout == ""
+        assert stderr == "error: --curve takes X_FEATURE:GROUP_FEATURE\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("edit", ["missing", "unknown"])
     def test_eval_of_model_with_other_config_keys_exits_3(self, tmp_path, capsys, edit):
         data = tmp_path / "train.csv"
@@ -305,6 +315,21 @@ class TestTrainEval:
         )
         assert code == 2 and "hidden" in stderr
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--hidden", "7"], "(7,) are not one of the standard shapes"),
+        (["--hidden", "12,0"], "hidden layer widths must be >= 1"),
+        (["--learning-rate", "0"], "learning_rate must be positive and finite"),
+        (["--batch-size", "0"], "batch_size must be >= 1"),
+    ], ids=["nonstandard-hidden", "zero-width", "zero-learning-rate", "zero-batch"])
+    def test_train_config_the_network_refuses_exits_2(self, tmp_path, capsys, flags, message):
+        data, model = tmp_path / "train.csv", tmp_path / "m.json"
+        run(["gen", "--domain", "tort", "--kind", "unique", "--out", str(data)], capsys)
+        code, stdout, stderr = run(["train", "--in", str(data), "--domain", "tort",
+                                    "--iterations", "10", *flags, "--out", str(model)], capsys)
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error: ") and message in stderr
+        assert not model.exists()
+
 
 class TestExperiment:
     @pytest.fixture()
@@ -348,6 +373,16 @@ class TestExperiment:
             run(["experiment", "--plan", str(tiny_plan), "--out-dir", str(out)], capsys)
             outs.append((out / "summary.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_parallel_experiment_writes_the_serial_summary(self, tmp_path, tiny_plan, capsys):
+        summaries = []
+        for parallelism in ("1", "2"):
+            out = tmp_path / f"out-{parallelism}"
+            code, _, _ = run(["experiment", "--plan", str(tiny_plan), "--out-dir", str(out),
+                              "--parallelism", parallelism], capsys)
+            assert code == 0
+            summaries.append((out / "summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
 
     def test_missing_plan_exits_3(self, tmp_path, capsys):
         code, _, _ = run(
@@ -504,6 +539,9 @@ def _edit_params(edit):
     ("experiment", dict(PLAN, architectures=[[12], [24, True]]), "'architectures'"),
     ("experiment", json.dumps(PLAN)[:-1] + ', "master_seed": 5, "master_seed": 6}',
      "'master_seed'"),
+    ("experiment", {key: value for key, value in PLAN.items() if key != "architectures"},
+     "plan key 'architectures' is missing"),
+    ("experiment", dict(PLAN, repetitions=0), "repetitions must be >= 1"),
     ("report", [], "a manifest must be a JSON object"),
 ], ids=["model-list", "model-params-int", "model-params-not-base64", "model-params-junk",
         "model-params-byte-short", "model-params-float-short",
@@ -512,7 +550,8 @@ def _edit_params(edit):
         "plan-list", "plan-size-string", "plan-flat-architectures", "plan-repetitions-float",
         "plan-repetitions-bool", "plan-learning-rate-bool", "plan-learning-rate-beyond-float",
         "plan-misspelt-key", "plan-spec-misspelt-key", "plan-architecture-bool",
-        "plan-repeated-key", "manifest-list"])
+        "plan-repeated-key", "plan-no-architectures", "plan-zero-repetitions",
+        "manifest-list"])
 def test_malformed_json_exits_3(tmp_path, capsys, command, document, named):
     path = tmp_path / "doc.json"
     data = tmp_path / "u.csv"

@@ -184,15 +184,15 @@ class TestConditionTable:
     def test_oracle_stub_on_unlawfulness(self, tort_schema):
         ds = generate(GeneratorRequest("tort", "unlawfulness"))
         table = condition_table(LabelOracleModel(tort_schema), ds, "c3")
-        assert table.rows[False].mean_output == 0.0
-        assert table.rows[True].mean_output == 1.0
-        assert table.rows[False].count == 56 and table.rows[True].count == 112
+        assert table.false.mean_output == 0.0
+        assert table.true.mean_output == 1.0
+        assert table.false.count == 56 and table.true.count == 112
 
     def test_constant_positive_on_imputability(self, tort_schema):
         ds = generate(GeneratorRequest("tort", "imputability"))
         table = condition_table(ConstantOutputModel(1.0), ds, "c2")
-        assert table.rows[False].mean_output == 1.0
-        assert table.rows[True].mean_output == 1.0
+        assert table.false.mean_output == 1.0
+        assert table.true.mean_output == 1.0
 
     def test_never_varying_condition_rejected(self, tort_schema):
         ds = generate(GeneratorRequest("tort", "unlawfulness"))  # c1 is identically true there
@@ -203,7 +203,7 @@ class TestConditionTable:
         ds = generate(GeneratorRequest("tort", "imputability"))
         outputs = np.random.default_rng(1).random(len(ds))
         table = condition_table(outputs, ds, "c2")
-        for row in table.rows.values():
+        for row in (table.false, table.true):
             assert outputs.min() <= row.mean_output <= outputs.max()
 
     def test_accuracy_identity_on_dedicated_sets(self, tort_schema):
@@ -211,8 +211,8 @@ class TestConditionTable:
         on a dedicated set the label is the isolated condition's truth."""
         ds = generate(GeneratorRequest("tort", "imputability"))
         for model in (LabelOracleModel(tort_schema), ConstantOutputModel(0.51)):
-            rows = condition_table(model, ds, "c2").rows
-            t, f = rows[True], rows[False]
+            table = condition_table(model, ds, "c2")
+            t, f = table.true, table.false
             correct = t.positive_rate * t.count + (1.0 - f.positive_rate) * f.count
             assert correct / (t.count + f.count) == pytest.approx(
                 accuracy(model, ds), abs=1e-12

@@ -23,6 +23,13 @@ from rationale_lab import (
     run_plan,
 )
 from rationale_lab import harness as harness_module
+from rationale_lab.evaluation import (
+    ConditionOutputTable,
+    ConditionTableRow,
+    CurveGroup,
+    RationaleCurve,
+    write_curve_tsv,
+)
 
 from conftest import JSON_VALUES, key_paths, replaced, write_plan
 
@@ -185,8 +192,8 @@ class TestRunPlan:
         assert "regular-200__12__unlawfulness" in report.tables
         assert "regular-200__12__imputability" in report.tables
         table = report.tables["regular-200__12__unlawfulness"]
-        assert table.condition_id == "c3"
-        assert table.rows[True].count == 112
+        assert table.condition == "c3"
+        assert table.true.count == 112
 
     def test_welfare_plan_produces_curves(self):
         plan = ExperimentPlan(
@@ -311,6 +318,47 @@ class TestRunPlan:
         for name, table in report.tables.items():
             assert table == computed[name.rsplit("__", 1)[1]]
 
+    def test_readings_are_the_mean_of_the_repetitions(self, monkeypatch):
+        """A cell's table or curve is its first repetition's reading with the
+        mean outputs and positive rates averaged over the repetitions; the
+        condition, counts, labels and x grid are the first repetition's."""
+        readings = {}
+        for name in ("condition_table", "output_curve"):
+            def recording(outputs, dataset, *args, real=getattr(harness_module, name)):
+                readings.setdefault(dataset.kind, []).append(real(outputs, dataset, *args))
+                return readings[dataset.kind][-1]
+
+            monkeypatch.setattr(harness_module, name, recording)
+        tables = run_plan(tiny_tort_plan(repetitions=3)).tables
+        curves = run_plan(ExperimentPlan(
+            domain_id="simplified",
+            train_specs=(spec("simplified", "type-b", 200),),
+            test_specs=(spec("simplified", "patient-distance"),),
+            architectures=((12,),),
+            repetitions=3,
+            iterations=60,
+            master_seed=3,
+        )).curves
+        assert len(tables) == 2 and len(curves) == 1
+        for name, reading in {**tables, **curves}.items():
+            reps = readings[name.rsplit("__", 1)[1]]
+            assert len(reps) == 3
+            if isinstance(reading, ConditionOutputTable):
+                def mean_row(rows):
+                    return ConditionTableRow(float(np.mean([r.mean_output for r in rows])),
+                                             rows[0].count,
+                                             float(np.mean([r.positive_rate for r in rows])))
+
+                assert reading == ConditionOutputTable(
+                    reps[0].condition, mean_row([t.false for t in reps]),
+                    mean_row([t.true for t in reps]))
+                assert reading.false.mean_output not in [t.false.mean_output for t in reps]
+                continue
+            assert_curves_equal(reading, RationaleCurve(
+                reps[0].x_feature, reps[0].group_feature,
+                tuple(CurveGroup(g.label, g.xs, np.mean([c.groups[i].means for c in reps], axis=0),
+                                 g.counts) for i, g in enumerate(reps[0].groups))))
+
 
 def test_repetition_holds_one_large_set_at_a_time():
     """A welfare repetition's traced peak stays below twice its largest
@@ -345,6 +393,31 @@ class TestEmitAndReplay:
 
         replay(paths["manifest"], tmp_path / "replayed")
         assert (tmp_path / "replayed" / "summary.json").read_bytes() == summary
+
+    def test_curve_files_and_replay_identical(self, tmp_path):
+        """A curve cell is written under ``curves/`` as its curve's TSV, and a
+        replay of the manifest writes the same bytes."""
+        plan = ExperimentPlan(
+            domain_id="simplified",
+            train_specs=(spec("simplified", "type-b", 200),),
+            test_specs=(spec("simplified", "type-a", 200), spec("simplified", "age-gender")),
+            architectures=((12,),),
+            repetitions=2,
+            iterations=60,
+            master_seed=3,
+        )
+        report = run_plan(plan)
+        paths = emit_report(report, tmp_path / "out")
+        name = "type-b-200__12__age-gender"
+        assert list(report.curves) == [name]
+        written = paths[f"curve:{name}"]
+        assert written == tmp_path / "out" / "curves" / f"{name}.tsv"
+        direct = write_curve_tsv(report.curves[name], tmp_path / "direct.tsv")
+        assert written.read_bytes() == direct.read_bytes()
+
+        replay(paths["manifest"], tmp_path / "replayed")
+        assert (tmp_path / "replayed" / "curves" / f"{name}.tsv").read_bytes() == (
+            written.read_bytes())
 
     def test_accuracy_matrix_bytes(self, tmp_path):
         """Means and stds in percent to 2 places, empty where every

@@ -139,7 +139,7 @@ def probe(model, dataset):
     target = DEDICATED_TARGET[dataset.schema_id, dataset.kind]
     grid = CURVE_GRIDS.get((dataset.schema_id, target))
     if grid is None:
-        return condition_table(model, dataset, target).rows[False].mean_output
+        return condition_table(model, dataset, target).false.mean_output
     return tuple(g.first for g in turning_points(output_curve(model, dataset, *grid[:2])).groups)
 
 

@@ -141,9 +141,13 @@ def test_manifest_bytes_and_summary_cell_keys(tmp_path):
     paths = emit_report(run_plan(_tort_plan()), tmp_path)
     text = paths["manifest"].read_text()
     assert re.sub(r'\n  "created_unix": \d+,', "", text) == MANIFEST
-    cells = json.loads(paths["summary"].read_text())["cells"]
-    assert sorted(cells[0]) == ["accuracies", "arch", "excluded", "mean", "repetitions",
-                                "std", "test", "train"]
+    summary = json.loads(paths["summary"].read_text())
+    assert sorted(summary["cells"][0]) == ["accuracies", "arch", "excluded", "mean",
+                                           "repetitions", "std", "test", "train"]
+    table = summary["condition_tables"]["regular-200__12__imputability"]
+    assert sorted(table) == ["condition", "false", "true"] and table["condition"] == "c2"
+    for row in (table["false"], table["true"]):
+        assert sorted(row) == ["count", "mean_output", "positive_rate"]
 
 
 def test_verify_stdout(tmp_path, capsys):
