@@ -20,10 +20,8 @@ def show(tag, report):
         print(f"   table {name}: false={d['false']['mean_output']:.4f} "
               f"true={d['true']['mean_output']:.4f}")
     for name, curve in sorted(report.curves.items()):
-        from rationale_lab import turning_points
-        tp = turning_points(curve)
         print(f"   curve {name}: " + ", ".join(
-            f"{g.label}->{g.first}" for g in tp.groups))
+            f"{g.label}->{g.first}" for g in curve.groups))
 
 
 t0 = time.time()

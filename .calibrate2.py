@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 
-from rationale_lab import ExperimentPlan, GeneratorRequest, run_plan, turning_points
+from rationale_lab import ExperimentPlan, GeneratorRequest, run_plan
 
 
 def spec(d, k, s=None):
@@ -21,9 +21,8 @@ def show(tag, report):
         print(f"   table {name}: false={d['false']['mean_output']:.4f} "
               f"true={d['true']['mean_output']:.4f}")
     for name, curve in sorted(report.curves.items()):
-        tp = turning_points(curve)
         print(f"   curve {name}: " + ", ".join(
-            f"{g.label}->{None if g.first is None else round(g.first,2)}" for g in tp.groups))
+            f"{g.label}->{None if g.first is None else round(g.first,2)}" for g in curve.groups))
 
 
 t0 = time.time()

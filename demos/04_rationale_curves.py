@@ -16,7 +16,6 @@ from rationale_lab import (
     generate,
     ideal_curve,
     output_curve,
-    turning_points,
     train,
     write_curve_tsv,
 )
@@ -41,18 +40,17 @@ for kind in ("type-a", "type-b"):
     ):
         curve = output_curve(model, dataset, x, group)
         ideal = ideal_curve("simplified", cond)
-        report = turning_points(curve)
         dev = curve_deviation(curve, ideal)
         crossings = ", ".join(
             f"{g.label} at {g.first:.1f}" if g.first is not None else f"{g.label}: none"
-            for g in report.groups
+            for g in curve.groups
         )
         print(f"  {name}: crossings {crossings}")
         print(f"    deviation from ideal: max={dev.max_abs:.3f} mean={dev.mean_abs:.3f}")
         path = write_curve_tsv(curve, OUT / f"{kind}-{name}.tsv")
         print(f"    curve written to {path}")
 
-ideal = turning_points(ideal_curve("simplified", "C1"))
+ideal = ideal_curve("simplified", "C1")
 print("\nideal crossings for the age-gender condition:",
       ", ".join(f"{g.label} at {g.first:.1f}" for g in ideal.groups))
 print("(interpolation on the unit grid puts the jump half a step before the")

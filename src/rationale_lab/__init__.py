@@ -53,7 +53,6 @@ from .evaluation import (
     curve_deviation,
     ideal_curve,
     output_curve,
-    turning_points,
     write_curve_tsv,
 )
 from .harness import (

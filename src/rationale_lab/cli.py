@@ -142,6 +142,10 @@ def _cmd_train(args) -> int:
         )
     except ValueError as err:
         raise UsageError(str(err)) from None
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        raise ValueError(f"--out {out}: not a file path in an existing directory")
+    _check_out_dir(out.parent, "--out")
     print(f"seed={args.seed} init_seed={init_seed} shuffle_seed={shuffle_seed}")
     model = train(dataset, net_cfg, train_cfg)
     save_model(model, args.out)
@@ -168,7 +172,7 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _check_out_dir(out_dir: str) -> None:
+def _check_out_dir(out_dir: str | Path, flag: str = "--out-dir") -> None:
     """Refuse, before anything is trained, an out-dir whose nearest existing
     path (itself or an ancestor) is not a directory that the filesystem lets
     a probe file be created in (and removed from); leave nothing."""
@@ -176,7 +180,7 @@ def _check_out_dir(out_dir: str) -> None:
     try:
         tempfile.TemporaryFile(dir=nearest).close()
     except OSError:  # a nearest path that is a file fails here too
-        raise ValueError(f"--out-dir {out_dir}: {nearest} is not a writable directory") from None
+        raise ValueError(f"{flag} {out_dir}: {nearest} is not a writable directory") from None
 
 
 def _cmd_experiment(args) -> int:

@@ -1,6 +1,6 @@
 """Measurement of what a trained classifier internalized, condition by
-condition: accuracy, mean-output curves against ideal curves, turning-point
-extraction, and per-condition output tables.
+condition: accuracy, mean-output curves and their turning points against
+ideal curves, and per-condition output tables.
 
 All functions are pure over immutable models and datasets.  Each
 measurement takes as its first argument either a model, anything exposing
@@ -63,6 +63,27 @@ class CurveGroup:
     xs: np.ndarray
     means: np.ndarray
     counts: np.ndarray
+
+    @property
+    def crossings(self) -> tuple[float, ...]:
+        """Every 0.5-crossing in x order, by linear interpolation, computed
+        from ``means`` on each read.  A segment crosses when its endpoints lie
+        strictly on opposite sides of 0.5, so a flat 0.5 curve has none."""
+        if len(self.xs) == 0:
+            raise ValueError(f"group {self.label!r} has no points")
+        rel, xs = self.means - 0.5, self.xs
+        crossings = []
+        for i in range(len(xs) - 1):
+            if rel[i] * rel[i + 1] < 0:
+                frac = rel[i] / (rel[i] - rel[i + 1])
+                crossings.append(float(xs[i] + frac * (xs[i + 1] - xs[i])))
+        return tuple(crossings)
+
+    @property
+    def first(self) -> float | None:
+        """The turning point: the smallest crossing; None if there is none."""
+        crossings = self.crossings
+        return crossings[0] if crossings else None
 
 
 @dataclass(frozen=True)
@@ -133,55 +154,6 @@ def ideal_curve(domain_id: str, cond_id: str) -> RationaleCurve:
     schema = dataset.schema
     truth = schema._truth(schema.condition(cond_id), dataset.values)
     return output_curve(truth, dataset, x_feature, group_feature)
-
-
-# ---------------------------------------------------------------------------
-# Turning points
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GroupTurningPoints:
-    label: str
-    crossings: tuple[float, ...]
-
-    @property
-    def first(self) -> float | None:
-        """The smallest crossing; None when the curve never crosses 0.5."""
-        return self.crossings[0] if self.crossings else None
-
-
-@dataclass(frozen=True)
-class TurningPointReport:
-    x_feature: str
-    groups: tuple[GroupTurningPoints, ...]
-
-    def first(self, label: str) -> float | None:
-        for g in self.groups:
-            if g.label == label:
-                return g.first
-        raise KeyError(f"no group {label!r}")
-
-
-def turning_points(curve: RationaleCurve) -> TurningPointReport:
-    """Every 0.5-crossing of each group's curve, by linear interpolation.
-
-    A segment crosses when its endpoints lie strictly on opposite sides of
-    0.5; a point sitting exactly at 0.5 is not a crossing by itself, so a
-    flat 0.5 curve reports none.  Crossings are listed in x order and the
-    smallest is reported as the turning point.
-    """
-    groups = []
-    for g in curve.groups:
-        if len(g.xs) == 0:
-            raise ValueError(f"group {g.label!r} has no points")
-        rel = g.means - 0.5
-        crossings = []
-        for i in range(len(g.xs) - 1):
-            if rel[i] * rel[i + 1] < 0:
-                frac = rel[i] / (rel[i] - rel[i + 1])
-                crossings.append(float(g.xs[i] + frac * (g.xs[i + 1] - g.xs[i])))
-        groups.append(GroupTurningPoints(label=g.label, crossings=tuple(crossings)))
-    return TurningPointReport(curve.x_feature, tuple(groups))
 
 
 # ---------------------------------------------------------------------------

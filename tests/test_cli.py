@@ -19,6 +19,7 @@ from rationale_lab import (
     read_dataset,
     write_curve_tsv,
 )
+from rationale_lab import cli as cli_module
 from rationale_lab import harness as harness_module
 from rationale_lab import network
 from rationale_lab.cli import _build_parser, main
@@ -330,6 +331,47 @@ class TestTrainEval:
         assert stderr.startswith("error: ") and message in stderr
         assert not model.exists()
 
+    @pytest.mark.parametrize("out,message", [
+        ("missing/m.json", "not a file path in an existing directory"),
+        ("a-directory", "not a file path in an existing directory"),
+        ("read-only/m.json", "is not a writable directory"),
+    ], ids=["missing-directory", "existing-directory", "read-only-directory"])
+    def test_train_to_an_unwritable_out_exits_3_before_training(self, tmp_path, capsys,
+                                                               monkeypatch, out, message):
+        data = tmp_path / "train.csv"
+        run(["gen", "--domain", "tort", "--kind", "unique", "--out", str(data)], capsys)
+        (tmp_path / "a-directory").mkdir()
+        (tmp_path / "read-only").mkdir()
+        real_probe = tempfile.TemporaryFile  # the probe fails as on a read-only mount
+
+        def probe(*args, dir, **kwargs):
+            if Path(dir) == tmp_path / "read-only":
+                raise OSError(errno.EROFS, os.strerror(errno.EROFS), str(dir))
+            return real_probe(*args, dir=dir, **kwargs)
+
+        def refuse_to_train(*args):
+            raise AssertionError("trained before checking --out")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", probe)
+        monkeypatch.setattr(cli_module, "train", refuse_to_train)
+        code, stdout, stderr = run(["train", "--in", str(data), "--domain", "tort",
+                                    "--iterations", "20000", "--out", str(tmp_path / out)],
+                                   capsys)
+        assert code == 3 and stdout == ""
+        assert stderr.startswith("error: --out ") and message in stderr
+        assert list((tmp_path / "a-directory").iterdir()) == []
+        assert list((tmp_path / "read-only").iterdir()) == []
+        assert not (tmp_path / "missing").exists()
+
+    def test_train_on_a_header_only_dataset_exits_3(self, tmp_path, capsys):
+        data, model = tmp_path / "train.csv", tmp_path / "m.json"
+        run(["gen", "--domain", "tort", "--kind", "unique", "--out", str(data)], capsys)
+        data.write_text(data.read_text().splitlines()[0] + "\n")
+        code, _, stderr = run(["train", "--in", str(data), "--domain", "tort",
+                               "--iterations", "10", "--out", str(model)], capsys)
+        assert code == 3 and stderr.startswith("error: ")
+        assert "training dataset is empty" in stderr and not model.exists()
+
 
 class TestExperiment:
     @pytest.fixture()
@@ -543,6 +585,7 @@ def _edit_params(edit):
      "plan key 'architectures' is missing"),
     ("experiment", dict(PLAN, repetitions=0), "repetitions must be >= 1"),
     ("report", [], "a manifest must be a JSON object"),
+    ("report", {"plan": [PLAN]}, "a plan must be a JSON object, got list"),
 ], ids=["model-list", "model-params-int", "model-params-not-base64", "model-params-junk",
         "model-params-byte-short", "model-params-float-short",
         "model-params-other-architecture", "model-schema-id-int",
@@ -551,7 +594,7 @@ def _edit_params(edit):
         "plan-repetitions-bool", "plan-learning-rate-bool", "plan-learning-rate-beyond-float",
         "plan-misspelt-key", "plan-spec-misspelt-key", "plan-architecture-bool",
         "plan-repeated-key", "plan-no-architectures", "plan-zero-repetitions",
-        "manifest-list"])
+        "manifest-list", "manifest-plan-list"])
 def test_malformed_json_exits_3(tmp_path, capsys, command, document, named):
     path = tmp_path / "doc.json"
     data = tmp_path / "u.csv"

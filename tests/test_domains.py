@@ -91,6 +91,20 @@ class TestSchemas:
             FeatureSpec("bad", "int_range", 5, 4)
         with pytest.raises(ValueError, match="two distinct"):
             FeatureSpec("bad", "categorical", value_names=("x", "x"))
+        with pytest.raises(ValueError, match="^bad: unknown feature kind 'real'"):
+            FeatureSpec("bad", "real")
+        with pytest.raises(ValueError, match="^bad: value_names only apply to categoricals"):
+            FeatureSpec("bad", "boolean", value_names=("no", "yes"))
+        with pytest.raises(ValueError, match=r"^bad: binary features are encoded over \[0, 1\]"):
+            FeatureSpec("bad", "boolean", 0, 2)
+        with pytest.raises(ValueError, match="^bad: unknown role 'decoy'"):
+            FeatureSpec("bad", "boolean", role="decoy")
+
+    def test_boolean_and_integer_codes_decode_to_python_values(self):
+        flag, count = FeatureSpec("flag", "boolean"), FeatureSpec("n", "int_range", 0, 90)
+        assert (flag.decode(np.int64(0)), flag.decode(np.int64(1))) == (False, True)
+        assert type(flag.decode(np.int64(1))) is bool
+        assert count.decode(np.int64(42)) == 42 and type(count.decode(np.int64(42))) is int
 
 
 class TestConditionExamples:

@@ -16,7 +16,6 @@ from rationale_lab import (
     ideal_curve,
     output_curve,
     train,
-    turning_points,
     write_curve_tsv,
 )
 from rationale_lab.evaluation import CurveGroup, RationaleCurve
@@ -122,6 +121,11 @@ class TestOutputCurve:
         with pytest.raises(SchemaValidationError, match="numeric"):
             output_curve(stub, ds, "Gender", "Type")
 
+    def test_non_binary_group_rejected(self, welfare_schema):
+        ds = generate(GeneratorRequest("welfare", "age-gender", seed=5))
+        with pytest.raises(SchemaValidationError, match="^Distance: group feature must be binary"):
+            output_curve(ConstantOutputModel(0.5), ds, "Age", "Distance")
+
     def test_x_values_strictly_increasing(self, welfare_schema):
         ds = generate(GeneratorRequest("welfare", "age-gender", seed=5))
         curve = output_curve(ConstantOutputModel(0.3), ds, "Age", "Gender")
@@ -151,33 +155,43 @@ class TestIdealCurve:
 class TestTurningPoints:
     def test_synthetic_interpolation(self):
         curve = make_curve({"female": [(40, 0.2), (50, 0.8)]})
-        report = turning_points(curve)
-        assert report.first("female") == pytest.approx(45.0)
+        assert curve.group("female").first == pytest.approx(45.0)
 
     def test_flat_half_curve_has_no_crossing(self):
         curve = make_curve({"female": [(10, 0.5), (20, 0.5), (30, 0.5)]})
-        assert turning_points(curve).first("female") is None
+        assert curve.group("female").first is None
 
     def test_ideal_curves_cross_near_true_thresholds(self):
         # interpolation on the 5-unit grid lands half a step early
-        report = turning_points(ideal_curve("welfare", "C1"))
-        assert report.first("female") == pytest.approx(57.5)
-        assert report.first("male") == pytest.approx(62.5)
-        assert abs(report.first("female") - 60) <= 2.5
-        assert abs(report.first("male") - 65) <= 2.5
-        report = turning_points(ideal_curve("simplified", "C1"))
-        assert report.first("female") == pytest.approx(59.5)
+        curve = ideal_curve("welfare", "C1")
+        assert curve.group("female").first == pytest.approx(57.5)
+        assert curve.group("male").first == pytest.approx(62.5)
+        assert abs(curve.group("female").first - 60) <= 2.5
+        assert abs(curve.group("male").first - 65) <= 2.5
+        curve = ideal_curve("simplified", "C1")
+        assert curve.group("female").first == pytest.approx(59.5)
 
     def test_downward_crossing_detected(self):
-        report = turning_points(turning := ideal_curve("welfare", "C6"))
-        assert report.first("in") == pytest.approx(47.5)
-        assert report.first("out") == pytest.approx(47.5)
+        curve = ideal_curve("welfare", "C6")
+        assert curve.group("in").first == pytest.approx(47.5)
+        assert curve.group("out").first == pytest.approx(47.5)
 
     def test_all_crossings_listed_first_reported(self):
         curve = make_curve({"g": [(0, 0.1), (10, 0.9), (20, 0.1), (30, 0.9)]})
-        pts = turning_points(curve).groups[0]
+        pts = curve.groups[0]
         assert len(pts.crossings) == 3
         assert pts.first == pts.crossings[0] == pytest.approx(5.0)
+
+    def test_group_without_points_rejected(self):
+        group = make_curve({"g": []}).group("g")
+        for reading in ("crossings", "first"):
+            with pytest.raises(ValueError, match="group 'g' has no points"):
+                getattr(group, reading)
+
+    def test_unknown_group_label_rejected(self):
+        curve = make_curve({"female": [(40, 0.2), (50, 0.8)]})
+        with pytest.raises(KeyError, match=r"no group 'male' \(have \['female'\]\)"):
+            curve.group("male")
 
 
 class TestConditionTable:
@@ -290,6 +304,12 @@ class TestCurveDeviation:
         a = make_curve({"g": [(0, 0.2), (10, 0.6)]})
         b = make_curve({"g": [(0, 0.0), (20, 1.0)]})
         with pytest.raises(ValueError, match="grids differ"):
+            curve_deviation(a, b)
+
+    def test_group_mismatch_rejected(self):
+        a = make_curve({"female": [(0, 0.2), (10, 0.6)]})
+        b = make_curve({"male": [(0, 0.2), (10, 0.6)]})
+        with pytest.raises(ValueError, match="curves have different groups"):
             curve_deviation(a, b)
 
 

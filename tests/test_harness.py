@@ -360,6 +360,16 @@ class TestRunPlan:
                                  g.counts) for i, g in enumerate(reps[0].groups))))
 
 
+def test_mean_curve_turns_where_its_mean_crosses():
+    """The turning point of a mean curve is read from its averaged means,
+    not carried over from the first repetition's curve."""
+    curves = [RationaleCurve("Age", "Gender", (CurveGroup(
+        "female", np.array([0, 10]), np.array(means), np.ones(2, dtype=np.int64)),))
+        for means in ([0.2, 0.8], [0.4, 1.0])]
+    assert curves[0].group("female").first == pytest.approx(5.0)
+    assert harness_module._mean_curve(curves).group("female").first == pytest.approx(10 / 3)
+
+
 def test_repetition_holds_one_large_set_at_a_time():
     """A welfare repetition's traced peak stays below twice its largest
     dataset (the 40,000-case curve set) counted as int64 rows: each set is

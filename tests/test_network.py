@@ -230,6 +230,10 @@ class TestFlatBuffers:
         w[0, 0] = 5.0
         assert params.weights[0][0, 0] == 1.0
 
+    def test_biases_must_fit_their_weights(self):
+        with pytest.raises(ValueError, match=r"bias shapes \[\(4,\)\] do not fit weight shapes"):
+            ModelParams([np.zeros((4, 3))], [np.zeros(4)])
+
     def test_layers_must_chain(self):
         with pytest.raises(ValueError, match="chain"):
             ModelParams([np.zeros((4, 3)), np.zeros((2, 1))], [np.zeros(3), np.zeros(1)])
@@ -421,6 +425,15 @@ class TestAdam:
             for got, want in zip(state.m.weights + state.m.biases
                                  + state.v.weights + state.v.biases, ms + vs):
                 assert np.array_equal(got, want), rates
+
+    def test_step_index_zero_rejected(self):
+        params = init_params(NetworkConfig(4, (12,), init_seed=0))
+        before = params.flat.copy()
+        grads = params.empty_like()
+        grads.flat[:] = 1.0
+        with pytest.raises(ValueError, match="step index t counts from 1"):
+            adam_update(params, AdamState(params), grads, 0, TrainConfig())
+        assert np.array_equal(params.flat, before)
 
     def test_gradients_of_another_layout_rejected(self):
         params = init_params(NetworkConfig(4, (12,), init_seed=0))

@@ -82,6 +82,10 @@ class TestExpectedStats:
         with pytest.raises(ValueError, match="no enumerated statistics"):
             expected_stats(domain, kind)
 
+    def test_unknown_domain_rejected(self):
+        with pytest.raises(ValueError, match="unknown domain 'nope'"):
+            expected_stats("nope", "unique")
+
 
 class TestVerifyDataset:
     def test_unlawfulness_audit(self, tort_schema):

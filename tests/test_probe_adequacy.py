@@ -26,7 +26,6 @@ from rationale_lab import (
     generate,
     load_plan,
     output_curve,
-    turning_points,
 )
 from rationale_lab.generation import CURVE_GRIDS, DEDICATED_TARGET
 from rationale_lab.harness import _schedule
@@ -140,7 +139,7 @@ def probe(model, dataset):
     grid = CURVE_GRIDS.get((dataset.schema_id, target))
     if grid is None:
         return condition_table(model, dataset, target).false.mean_output
-    return tuple(g.first for g in turning_points(output_curve(model, dataset, *grid[:2])).groups)
+    return tuple(g.first for g in output_curve(model, dataset, *grid[:2]).groups)
 
 
 def test_kill_sets_cover_every_dedicated_desk_set():

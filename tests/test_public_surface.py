@@ -76,7 +76,7 @@ def test_every_used_name_resolves(source):
 def test_the_scan_sees_the_known_callers():
     used = set().union(*map(used_names, SOURCES.values()))
     for name in ("loss_and_grads", "adam_update", "AdamState", "init_params", "load_plan",
-                 "dataset_io.meta_path", "network.schema_scaling", "turning_points",
+                 "dataset_io.meta_path", "network.schema_scaling", "ideal_curve",
                  "curve_deviation", "emit_report", "train"):
         assert f"{PACKAGE}.{name}" in used, name
 
