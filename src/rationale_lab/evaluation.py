@@ -22,23 +22,23 @@ from .generation import CURVE_GRIDS, DEDICATED_TARGET, Dataset, GeneratorRequest
 
 
 def _outputs(model, dataset: Dataset) -> np.ndarray:
-    """The outputs on ``dataset``: a model's, which must be built for the
-    dataset's schema, or an array of one output per case as given."""
-    if not hasattr(model, "outputs"):
-        outputs = np.asarray(model, dtype=np.float64)
-        if outputs.shape != (len(dataset),):
-            raise ValueError(
-                f"outputs of shape {outputs.shape} for a dataset of {len(dataset)} "
-                "cases; expected one output per case"
+    """The outputs on ``dataset``, one per case: a model's, which must be
+    built for the dataset's schema, or an array of them as given."""
+    if hasattr(model, "outputs"):
+        model_schema = getattr(model, "schema_id", None)
+        if model_schema is not None and model_schema != dataset.schema_id:
+            raise SchemaValidationError(
+                f"model was built for {model_schema!r} but dataset is "
+                f"{dataset.schema_id!r}"
             )
-        return outputs
-    model_schema = getattr(model, "schema_id", None)
-    if model_schema is not None and model_schema != dataset.schema_id:
-        raise SchemaValidationError(
-            f"model was built for {model_schema!r} but dataset is "
-            f"{dataset.schema_id!r}"
+        model = model.outputs(dataset.values)
+    outputs = np.asarray(model, dtype=np.float64)
+    if outputs.shape != (len(dataset),):
+        raise ValueError(
+            f"outputs of shape {outputs.shape} for a dataset of {len(dataset)} "
+            "cases; expected one output per case"
         )
-    return np.asarray(model.outputs(dataset.values), dtype=np.float64)
+    return outputs
 
 
 def accuracy(model, dataset: Dataset) -> float:

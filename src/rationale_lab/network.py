@@ -11,7 +11,7 @@ only and scales it internally, so scaling can never be applied twice.
 Training is single-threaded and bit-deterministic given (dataset, seeds,
 config); distinct runs may execute concurrently with independent state.
 
-Memory layout.  A :class:`ModelParams` owns one contiguous float64 buffer,
+Memory layout.  A :class:`ModelParams` views the float64 buffer it is given,
 ``flat``: layer 0's weights (fan_in x fan_out, row-major), then its bias,
 then layer 1's, and so on.  ``weights[i]`` and ``biases[i]`` are views into
 that buffer, so a write through either shows in ``flat``.  Gradients and the
@@ -129,25 +129,20 @@ class TrainConfig:
 
 class ModelParams:
     """Per-layer weight matrices (fan_in x fan_out) and bias vectors, as
-    views into one float64 buffer ``flat`` laid out as the module docstring
-    describes.  ``layout`` is the tuple of weight shapes.  The constructor
-    copies its arguments into a new buffer.
+    views into ``flat``, a 1-d float64 buffer laid out as the module
+    docstring describes.  ``layout`` is the tuple of weight shapes.  The
+    constructor views the buffer it is given and never copies it.
     """
 
-    def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
-        layout = tuple(np.shape(w) for w in weights)
-        bias_shapes = [np.shape(b) for b in biases]
-        if any(len(s) != 2 for s in layout) or bias_shapes != [s[1:] for s in layout]:
-            raise ValueError(f"bias shapes {bias_shapes} do not fit weight shapes {layout}")
+    def __init__(self, flat: np.ndarray, layout: Sequence[tuple[int, int]]):
+        layout = tuple(map(tuple, layout))
         if any(a[1] != b[0] for a, b in zip(layout, layout[1:])):
             raise ValueError(f"layer shapes {layout} do not chain")
-        self._bind(np.empty(_param_count(layout)), layout)
-        for dst, src in zip(self.weights + self.biases, [*weights, *biases]):
-            dst[...] = src
-
-    def _bind(self, flat: np.ndarray, layout: tuple[tuple[int, int], ...]) -> None:
-        self.flat = flat
-        self.layout = layout
+        count = _param_count(layout)
+        if not isinstance(flat, np.ndarray) or flat.dtype != np.float64 or flat.shape != (count,):
+            raise ValueError(f"layout {layout} views a 1-d buffer of {count} float64s, not "
+                             f"{getattr(flat, 'dtype', type(flat))} of shape {np.shape(flat)}")
+        self.flat, self.layout = flat, layout
         self.weights, self.biases = [], []
         pos = 0
         for fan_in, fan_out in layout:
@@ -156,16 +151,9 @@ class ModelParams:
             self.biases.append(flat[pos : pos + fan_out])
             pos += fan_out
 
-    @classmethod
-    def _on(cls, flat: np.ndarray, layout: tuple[tuple[int, int], ...]) -> "ModelParams":
-        """Views over an existing buffer of the given layout, no copy."""
-        params = cls.__new__(cls)
-        params._bind(flat, layout)
-        return params
-
     def empty_like(self) -> "ModelParams":
         """An uninitialised buffer of the same layout, e.g. for ``out=``."""
-        return ModelParams._on(np.empty(self.flat.size), self.layout)
+        return ModelParams(np.empty(self.flat.size), self.layout)
 
 
 def _param_count(layout: tuple[tuple[int, int], ...]) -> int:
@@ -177,7 +165,7 @@ def init_params(config: NetworkConfig) -> ModelParams:
     """Fan-balanced uniform weights in +-sqrt(6/(fan_in+fan_out)), zero biases."""
     rng = np.random.default_rng(config.init_seed)
     layout = config.layout
-    params = ModelParams._on(np.zeros(_param_count(layout)), layout)
+    params = ModelParams(np.zeros(_param_count(layout)), layout)
     for (fan_in, fan_out), w in zip(layout, params.weights):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         w[...] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
@@ -250,13 +238,13 @@ class AdamState:
         b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
         size, layout = params.flat.size, params.layout
         self.moments = np.zeros((2, size))
-        self.m = ModelParams._on(self.moments[0], layout)
-        self.v = ModelParams._on(self.moments[1], layout)
+        self.m = ModelParams(self.moments[0], layout)
+        self.v = ModelParams(self.moments[1], layout)
         moments = self.moments.reshape(-1)
         m, v = self.moments
         stack = np.empty(2 * size)  # the gradient, then its square
         g, g_sq = stack[:size], stack[size:]
-        self.grads = ModelParams._on(g, layout)
+        self.grads = ModelParams(g, layout)
         m_hat, v_hat = np.empty(size), np.empty(size)
         decay = np.repeat([b1, b2], size)
         keep = np.repeat([1.0 - b1, 1.0 - b2], size)
@@ -486,6 +474,6 @@ def _model_from_doc(doc: dict) -> TrainedModel:
     if len(raw) != 8 * (count := _param_count(layout)):
         raise ValueError(f"model key 'params' holds {len(raw)} bytes, not the {count} "
                          f"float64s of the network's layout {layout}")
-    params = ModelParams._on(np.frombuffer(raw, dtype="<f8").astype(np.float64), layout)
+    params = ModelParams(np.frombuffer(raw, dtype="<f8").astype(np.float64), layout)
     return TrainedModel(config=config, train_config=train_config, params=params,
                         schema_id=schema_id)

@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -264,16 +265,22 @@ class TestOutputsArray:
         got = condition_table(model.outputs(ds.values), ds, "c2")
         assert got.to_dict() == condition_table(model, ds, "c2").to_dict()
 
-    @pytest.mark.parametrize("shape", ["short", "column"])
+    @pytest.mark.parametrize("shape,given", [("short", "array"), ("column", "array"),
+                                             ("short", "model"), ("column", "model")],
+                             ids=["short", "column", "short-model", "column-model"])
     @pytest.mark.parametrize("measure", [
         lambda outputs, ds: accuracy(outputs, ds),
         lambda outputs, ds: output_curve(outputs, ds, "Age", "Gender"),
         lambda outputs, ds: condition_table(outputs, ds, "C1"),
     ], ids=["accuracy", "output_curve", "condition_table"])
-    def test_array_of_another_shape_rejected(self, measure, shape):
+    def test_array_of_another_shape_rejected(self, measure, shape, given):
+        """Outputs of another shape are refused, as an array or as what a
+        model's ``outputs`` returns."""
         ds = generate(GeneratorRequest("simplified", "age-gender"))
         n = len(ds)
-        outputs = {"short": np.full(n - 1, 0.5), "column": np.full((n, 1), 0.5)}[shape]
+        array = {"short": np.full(n - 1, 0.5), "column": np.full((n, 1), 0.5)}[shape]
+        outputs = {"array": array, "model": SimpleNamespace(schema_id=ds.schema_id,
+                                                            outputs=lambda values: array)}[given]
         want = {"short": rf"\({n - 1},\)", "column": rf"\({n}, 1\)"}[shape]
         message = rf"outputs of shape {want} for a dataset of {n} cases"
         with pytest.raises(ValueError, match=message):

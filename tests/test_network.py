@@ -48,11 +48,16 @@ from conftest import (
 )
 
 
+def layers_flat(weights, biases):
+    """Per-layer arrays written out in ``ModelParams.flat``'s documented
+    layout: each layer's weights, row-major, then its bias."""
+    return np.concatenate([np.ravel(a) for w, b in zip(weights, biases) for a in (w, b)])
+
+
 def tiny_model(weights, biases, schema_id="tort"):
     """Assemble a TrainedModel around hand-set parameters; the first
     layer's fan-in must be the schema's feature count."""
-    params = ModelParams([np.array(w, float) for w in weights],
-                         [np.array(b, float) for b in biases])
+    params = ModelParams(layers_flat(weights, biases), [np.shape(w) for w in weights])
     return TrainedModel(
         config=NetworkConfig(params.weights[0].shape[0],
                              tuple(w.shape[1] for w in params.weights[:-1]),
@@ -170,6 +175,12 @@ class TestConfigs:
             NetworkConfig(64, (7, 7))
         NetworkConfig(64, (7, 7), allow_nonstandard=True)
 
+    def test_network_config_bounds(self):
+        with pytest.raises(ValueError, match="input_width must be >= 1"):
+            NetworkConfig(0, (12,))
+        with pytest.raises(ValueError, match="hidden layer widths must be >= 1"):
+            NetworkConfig(64, (0,), allow_nonstandard=True)
+
     def test_train_config_bounds(self):
         with pytest.raises(ValueError):
             TrainConfig(iterations=0)
@@ -224,19 +235,23 @@ class TestFlatBuffers:
         assert all(np.shares_memory(a, params.flat) for a in params.weights + params.biases)
         assert params.flat.size == sum(a.size for a in params.weights + params.biases)
 
-    def test_constructor_copies_its_arguments(self):
-        w, b = np.ones((2, 1)), np.zeros(1)
-        params = ModelParams([w], [b])
-        w[0, 0] = 5.0
-        assert params.weights[0][0, 0] == 1.0
+    def test_constructor_views_its_buffer(self):
+        buf = np.zeros(3)
+        params = ModelParams(buf, [[2, 1]])
+        buf[0] = 5.0
+        assert params.flat is buf and params.weights[0][0, 0] == 5.0
+        assert params.layout == ((2, 1),)
 
-    def test_biases_must_fit_their_weights(self):
-        with pytest.raises(ValueError, match=r"bias shapes \[\(4,\)\] do not fit weight shapes"):
-            ModelParams([np.zeros((4, 3))], [np.zeros(4)])
+    @pytest.mark.parametrize("flat", [np.zeros(14), np.zeros(16), np.zeros(15, np.float32),
+                                      np.zeros((15, 1)), [0.0] * 15],
+                             ids=["short", "long", "float32", "2-d", "list"])
+    def test_buffer_must_fit_the_layout(self, flat):
+        with pytest.raises(ValueError, match=r"\(\(4, 3\),\) views a 1-d buffer of 15 float64s"):
+            ModelParams(flat, ((4, 3),))
 
     def test_layers_must_chain(self):
         with pytest.raises(ValueError, match="chain"):
-            ModelParams([np.zeros((4, 3)), np.zeros((2, 1))], [np.zeros(3), np.zeros(1)])
+            ModelParams(np.zeros(18), ((4, 3), (2, 1)))
 
     def test_fresh_gradient_buffers_never_alias(self):
         params = init_params(NetworkConfig(4, (24, 6), init_seed=2))
@@ -261,7 +276,7 @@ class TestForward:
         b1 = [0.05, -0.1]
         w2 = [[0.7], [-0.6]]
         b2 = [0.2]
-        params = ModelParams([np.array(w1), np.array(w2)], [np.array(b1), np.array(b2)])
+        params = ModelParams(layers_flat([w1, w2], [b1, b2]), ((2, 2), (2, 1)))
 
         sig = lambda v: 1.0 / (1.0 + math.exp(-v))
         h1 = sig(0.4 * 0.5 + 0.9 * 0.1 + 0.05)
@@ -270,7 +285,7 @@ class TestForward:
         assert abs(_forward_scaled(params, np.array([[0.4, 0.9]]))[0][-1][0, 0] - expected) < 1e-12
 
     def test_sigmoid_monotone_end_to_end(self):
-        params = ModelParams([np.array([[2.0]])], [np.array([0.0])])
+        params = ModelParams(np.array([2.0, 0.0]), ((1, 1),))
         x = np.array([[-3.0], [-1.0], [0.0], [1.0], [3.0]])
         outputs = _forward_scaled(params, x)[0][-1][:, 0]
         assert np.all(np.diff(outputs) > 0)
@@ -322,7 +337,7 @@ class TestForward:
 
 class TestLossAndGrads:
     def test_loss_vanishes_for_perfect_prediction(self):
-        params = ModelParams([np.array([[20.0]])], [np.array([0.0])])
+        params = ModelParams(np.array([20.0, 0.0]), ((1, 1),))
         loss, _ = loss_and_grads(params, np.array([[1.0]]), np.array([1.0]))
         assert loss < 1e-8
 
@@ -353,7 +368,7 @@ class TestLossAndGrads:
             loss_and_grads(params, np.empty((0, 4)), np.empty(0))
 
     def test_non_finite_loss_reported_distinctly(self):
-        params = ModelParams([np.array([[np.nan]])], [np.array([0.0])])
+        params = ModelParams(np.array([np.nan, 0.0]), ((1, 1),))
         with pytest.raises(TrainingDivergedError):
             loss_and_grads(params, np.array([[1.0]]), np.array([1.0]))
 
@@ -362,28 +377,28 @@ class TestAdam:
     def test_first_step_closed_form(self):
         # t=1: bias correction makes m_hat=g, v_hat=g^2, so the step is
         # -lr * g / (|g| + eps)
-        params = ModelParams([np.array([[0.0]])], [np.array([0.0])])
-        grads = ModelParams([np.array([[0.3]])], [np.array([0.0])])
+        params = ModelParams(np.array([0.0, 0.0]), ((1, 1),))
+        grads = ModelParams(np.array([0.3, 0.0]), ((1, 1),))
         cfg = TrainConfig(iterations=1)
         adam_update(params, AdamState(params), grads, 1, cfg)
         expected = -0.001 * 0.3 / (0.3 + 1e-8)
         assert abs(params.weights[0][0, 0] - expected) < 1e-15
 
     def test_zero_gradient_is_a_no_op_from_rest(self):
-        params = ModelParams([np.array([[1.5]])], [np.array([0.25])])
+        params = ModelParams(np.array([1.5, 0.25]), ((1, 1),))
         state = AdamState(params)
-        zero = ModelParams._on(np.zeros(params.flat.size), params.layout)
+        zero = ModelParams(np.zeros(params.flat.size), params.layout)
         for t in (1, 2, 3):
             adam_update(params, state, zero, t, TrainConfig(iterations=1))
         assert params.weights[0][0, 0] == 1.5 and params.biases[0][0] == 0.25
         assert not state.m.weights[0].any() and not state.v.weights[0].any()
 
     def test_moments_decay_toward_zero(self):
-        params = ModelParams([np.array([[1.5]])], [np.array([0.25])])
+        params = ModelParams(np.array([1.5, 0.25]), ((1, 1),))
         state = AdamState(params)
         state.m.weights[0][:] = 0.8
         state.v.weights[0][:] = 0.4
-        zero = ModelParams._on(np.zeros(params.flat.size), params.layout)
+        zero = ModelParams(np.zeros(params.flat.size), params.layout)
         adam_update(params, state, zero, 1, TrainConfig(iterations=1))
         assert state.m.weights[0][0, 0] == pytest.approx(0.8 * 0.9)
         assert state.v.weights[0][0, 0] == pytest.approx(0.4 * 0.999)
@@ -393,10 +408,10 @@ class TestAdam:
         seq = [rng.normal(size=(3, 1)) for _ in range(20)]
         runs = []
         for _ in range(2):
-            params = ModelParams([np.zeros((3, 1))], [np.zeros(1)])
+            params = ModelParams(np.zeros(4), ((3, 1),))
             state = AdamState(params)
             for t, g in enumerate(seq, start=1):
-                grads = ModelParams([g], [np.zeros(1)])
+                grads = ModelParams(np.append(g, 0.0), ((3, 1),))
                 adam_update(params, state, grads, t, TrainConfig())
             runs.append(params.weights[0].copy())
         assert np.array_equal(runs[0], runs[1])
@@ -510,7 +525,7 @@ class TestTrain:
         model = train(ds, cfg, tc)
         weights, biases, trace = reference_train(ds, cfg, tc)
         assert np.array_equal(model.loss_trace, trace)
-        assert model.params.flat.tobytes() == ModelParams(weights, biases).flat.tobytes()
+        assert model.params.flat.tobytes() == layers_flat(weights, biases).tobytes()
 
     def test_train_keeps_no_scaled_copy_beside_its_epoch_buffer(self):
         """The traced peak of ``train`` is the epoch's float rows plus
@@ -627,8 +642,9 @@ class TestPersistence:
         model = train(ds, cfg, tc)
         weights, biases, trace = reference_train(ds, cfg, tc)
         assert np.array_equal(model.loss_trace, trace)
+        flat = layers_flat(weights, biases)
         reference = TrainedModel(
-            config=cfg, train_config=tc, params=ModelParams(weights, biases),
+            config=cfg, train_config=tc, params=ModelParams(flat, cfg.layout),
             schema_id=model.schema_id,
         )
         got = save_model(model, tmp_path / "model.json").read_bytes()
